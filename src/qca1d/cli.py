@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (or unitary verdict), 1 not-unitary verdict, 2 usage
 or rule-file error (including an empty deterministic sector), 3 resource
-cap exceeded.  The environment variable QCA_CYCLE_CAP overrides the cycle
-enumeration cap.  Identical inputs and --seed produce identical output.
+cap exceeded.  The environment variable QCA_CYCLE_CAP overrides the cap on
+the edges that witness listing examines.  Identical inputs and --seed
+produce identical output.
 """
 
 from __future__ import annotations

@@ -12,21 +12,32 @@ Two graphs drive the unitarity analysis of a rule table:
 Pair edges whose two configurations coincide form a copy of the norm graph,
 the *diagonal*; all other pair edges are *mismatch* edges.  Cycle and path
 weights are products of edge weights.
+
+The graphs exist twice: as ``WeightedDiGraph`` objects with one ``Edge`` per
+edge, which cycle and path enumeration walk to list witnesses, and as numpy
+arrays indexed by config (``norm_potential``, ``mismatch_support``,
+``pair_edges``) with two kernels over them, ``cycle_exists`` and
+``reaches``, which decide the unitarity conditions.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .rules import Config, RuleTable, all_configs, config_index, config_str, inner, unit_configs
 
 DEFAULT_CYCLE_CAP = 10**6
+MAX_PAIR_ENTRIES = 1 << 22  # q^(2k) pair weights, 64 MiB as complex128
 
 
 class CycleCapExceeded(RuntimeError):
-    """Cycle enumeration produced more cycles than the configured cap."""
+    """Cycle or path enumeration examined more edges than the cap, or a
+    pair graph has more weights than ``MAX_PAIR_ENTRIES``."""
 
 
 def resolve_cycle_cap(cap: int | None) -> int:
@@ -143,8 +154,109 @@ def sector_subgraph(graph: WeightedDiGraph, sector: Iterable[Config]) -> Weighte
 
 
 # ---------------------------------------------------------------------------
+# Array form: vertices and edges indexed by config
+# ---------------------------------------------------------------------------
+
+
+def norm_potential(rule: RuleTable) -> tuple[np.ndarray, float]:
+    """Log-potential phi on the norm-graph vertices and its residual bound.
+
+    phi(v) sums the log weights along the walk from 0^(k-1) to v that
+    appends the symbols of v one at a time.  The log weight of any cycle is
+    the sum of the residuals log w_a - (phi(a[1:]) - phi(a[:-1])) of its
+    edges, and a vertex-simple cycle or path has at most q^(k-1) edges, so
+    its log weight differs from phi(end) - phi(start) by at most the
+    returned bound: the sum of the q^(k-1) largest residual moduli.  The
+    bound is infinite when some weight is 0.
+    """
+    q, k = rule.q, rule.k
+    n = q ** (k - 1)
+    weights = np.sum(np.abs(rule.amplitudes) ** 2, axis=1)
+    if not np.all(weights > 0):
+        return np.zeros(n), math.inf
+    logw = np.log(weights)
+    vertex = np.arange(n)
+    phi = np.zeros(n)
+    for j in range(1, k):
+        phi += logw[vertex // q ** (k - 1 - j)]
+    a = np.arange(q**k)
+    residual = np.abs(logw - (phi[a % n] - phi[a // q]))
+    return phi, float(np.sum(np.partition(residual, a.size - n)[a.size - n:]))
+
+
+def mismatch_support(rule: RuleTable) -> np.ndarray:
+    """Boolean q^k x q^k mask of the mismatch pairs (a, b), a != b, whose
+    weight |<<a | b>>| exceeds the tolerance.
+
+    The weights come from one matrix product; the few within rounding of
+    the tolerance are recomputed as :func:`pair_graph` computes its edge
+    weights, so the mask agrees with the per-edge test exactly.  Raises
+    :class:`CycleCapExceeded` before allocating when q^(2k) exceeds
+    ``MAX_PAIR_ENTRIES``.
+    """
+    size = rule.q ** (2 * rule.k)
+    if size > MAX_PAIR_ENTRIES:
+        raise CycleCapExceeded(
+            f"the pair graph has {size} weights, over the cap of {MAX_PAIR_ENTRIES}")
+    amps, tol = rule.amplitudes, rule.tolerance
+    magnitude = np.abs(amps.conj() @ amps.T)
+    scale = max(float(np.max(np.sum(np.abs(amps) ** 2, axis=1))), tol)
+    slack = 8 * rule.q * np.finfo(float).eps * scale
+    for a, b in zip(*np.nonzero(np.abs(magnitude - tol) <= slack)):
+        magnitude[a, b] = abs(complex(np.vdot(amps[a], amps[b])))
+    support = magnitude > tol
+    np.fill_diagonal(support, False)
+    return support
+
+
+def pair_edges(support: np.ndarray, q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target pair-vertex indices of the pair edges (a, b) that a
+    q^k x q^k mask selects: (a[:-1], b[:-1]) -> (a[1:], b[1:])."""
+    n = q ** (k - 1)
+    a, b = np.nonzero(support)
+    return (a // q) * n + b // q, (a % n) * n + b % n
+
+
+def cycle_exists(src: np.ndarray, dst: np.ndarray, n_vertices: int) -> bool:
+    """Whether the edges src[i] -> dst[i] contain a directed cycle.
+
+    Edges leaving a vertex without in-edges or entering a vertex without
+    out-edges lie on no cycle; trimming them until none is left leaves a
+    nonempty edge set exactly when a cycle exists.
+    """
+    while src.size:
+        keep = (np.bincount(dst, minlength=n_vertices) > 0)[src] \
+            & (np.bincount(src, minlength=n_vertices) > 0)[dst]
+        if keep.all():
+            return True
+        src, dst = src[keep], dst[keep]
+    return False
+
+
+def reaches(src: np.ndarray, dst: np.ndarray, start: np.ndarray, stop: np.ndarray) -> bool:
+    """Whether a walk of one or more edges src[i] -> dst[i] leads from a
+    vertex in the boolean mask ``start`` to one in ``stop``, its interior
+    vertices all outside ``stop``."""
+    seen = start.copy()
+    frontier = start
+    while frontier.any():
+        hit = dst[frontier[src]]
+        if stop[hit].any():
+            return True
+        frontier = np.zeros_like(seen)
+        frontier[hit] = True
+        frontier &= ~seen
+        seen |= frontier
+    return False
+
+
+# ---------------------------------------------------------------------------
 # Cycle and path enumeration
 # ---------------------------------------------------------------------------
+
+
+def _cap_exceeded(kind: str, cap: int) -> CycleCapExceeded:
+    return CycleCapExceeded(f"{kind} enumeration exceeded the cap of {cap} examined edges")
 
 
 @dataclass(frozen=True)
@@ -174,17 +286,21 @@ def iter_cycles(
     *,
     edge_ok: Callable[[Edge], bool] | None = None,
     vertex_ok: Callable[[int], bool] | None = None,
+    cap: int | None = None,
 ) -> Iterator[Cycle]:
     """Yield every vertex-simple directed cycle, deterministically ordered.
 
     Cycles are grouped by their minimal vertex (ascending) and within a
     group follow depth-first edge order.  Parallel self-loops count as
-    distinct cycles.
+    distinct cycles.  Raises :class:`CycleCapExceeded` once the search has
+    examined more than ``cap`` edges (no limit when ``cap`` is None).
     """
     edges = graph.edges
     allowed_edge = edge_ok or (lambda e: True)
     allowed_vertex = vertex_ok or (lambda v: True)
     n = len(graph.vertices)
+    budget = math.inf if cap is None else cap
+    work = 0
     for start in range(n):
         if not allowed_vertex(start):
             continue
@@ -196,6 +312,9 @@ def iter_cycles(
             vertex, it = stack[-1]
             advanced = False
             for ei in it:
+                work += 1
+                if work > budget:
+                    raise _cap_exceeded("cycle", cap)
                 e = edges[ei]
                 if not allowed_edge(e):
                     continue
@@ -226,8 +345,8 @@ def enumerate_cycles(
     region of a pair graph: every edge a mismatch edge and every vertex off
     the diagonal.  (Closed mismatch walks through diagonal vertices are
     classified as terminating paths, not cycles.)  Enumeration stops with
-    :class:`CycleCapExceeded` once more than ``cap`` cycles appear; the cap
-    defaults to QCA_CYCLE_CAP or 10**6.
+    :class:`CycleCapExceeded` once it has examined more than ``cap`` edges;
+    the cap defaults to QCA_CYCLE_CAP or 10**6.
     """
     if restrict not in (None, "mismatch"):
         raise ValueError(f"unknown restrict value {restrict!r}")
@@ -237,13 +356,8 @@ def enumerate_cycles(
             raise ValueError("mismatch restriction applies to pair graphs only")
         edge_ok = lambda e: e.mismatch
         vertex_ok = lambda v: not graph.is_diagonal_vertex(v)
-    cap = resolve_cycle_cap(cap)
-    cycles: list[Cycle] = []
-    for cyc in iter_cycles(graph, edge_ok=edge_ok, vertex_ok=vertex_ok):
-        cycles.append(cyc)
-        if len(cycles) > cap:
-            raise CycleCapExceeded(f"cycle enumeration exceeded the cap of {cap} cycles")
-    return cycles
+    return list(iter_cycles(graph, edge_ok=edge_ok, vertex_ok=vertex_ok,
+                            cap=resolve_cycle_cap(cap)))
 
 
 def iter_paths(
@@ -255,18 +369,23 @@ def iter_paths(
     interior_ok: Callable[[int], bool] | None = None,
     exact_len: int | None = None,
     max_len: int | None = None,
+    cap: int | None = None,
 ) -> Iterator[tuple[Edge, ...]]:
     """Paths from a source to a target with vertex-simple interior.
 
     Interior vertices must be distinct, satisfy ``interior_ok`` and differ
     from both endpoints; the endpoints themselves may coincide.  Paths are
-    produced in depth-first order from each source (ascending).
+    produced in depth-first order from each source (ascending).  Raises
+    :class:`CycleCapExceeded` once the search has examined more than
+    ``cap`` edges (no limit when ``cap`` is None).
     """
     edges = graph.edges
     allowed_edge = edge_ok or (lambda e: True)
     allowed_interior = interior_ok or (lambda v: True)
     target_set = frozenset(targets)
     limit = exact_len if exact_len is not None else max_len
+    budget = math.inf if cap is None else cap
+    work = 0
     for source in sorted(set(sources)):
         path: list[Edge] = []
         interior: set[int] = set()
@@ -275,6 +394,9 @@ def iter_paths(
             vertex, it = stack[-1]
             advanced = False
             for ei in it:
+                work += 1
+                if work > budget:
+                    raise _cap_exceeded("path", cap)
                 e = edges[ei]
                 if not allowed_edge(e):
                     continue
@@ -297,66 +419,6 @@ def iter_paths(
                 stack.pop()
                 if path:
                     interior.discard(path.pop().target)
-
-
-def reachable_over(
-    graph: WeightedDiGraph,
-    sources: Iterable[int],
-    edge_ok: Callable[[Edge], bool],
-) -> tuple[set[int], bool]:
-    """Breadth-first closure over allowed edges.
-
-    Returns the set of vertices reachable in one or more steps and whether
-    some allowed edge lands back on a diagonal vertex (for pair graphs this
-    decides the terminating-path conditions without path enumeration).
-    """
-    frontier = list(set(sources))
-    seen: set[int] = set()
-    hits_diagonal = False
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for ei in graph.out_edges(v):
-                e = graph.edges[ei]
-                if not edge_ok(e):
-                    continue
-                if graph.is_diagonal_vertex(e.target):
-                    hits_diagonal = True
-                if e.target not in seen:
-                    seen.add(e.target)
-                    nxt.append(e.target)
-        frontier = nxt
-    return seen, hits_diagonal
-
-
-def has_cycle(graph: WeightedDiGraph, edge_ok: Callable[[Edge], bool],
-              vertex_ok: Callable[[int], bool]) -> bool:
-    """Existence of a directed cycle in the restricted subgraph (linear time)."""
-    n = len(graph.vertices)
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    for root in range(n):
-        if color[root] or not vertex_ok(root):
-            continue
-        stack = [(root, iter(graph.out_edges(root)))]
-        color[root] = 1
-        while stack:
-            vertex, it = stack[-1]
-            advanced = False
-            for ei in it:
-                e = graph.edges[ei]
-                if not edge_ok(e) or not vertex_ok(e.target):
-                    continue
-                if color[e.target] == 1:
-                    return True
-                if color[e.target] == 0:
-                    color[e.target] = 1
-                    stack.append((e.target, iter(graph.out_edges(e.target))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[vertex] = 2
-                stack.pop()
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -14,27 +14,55 @@ norm graph between deterministic-sector vertices have weight 1), I-iii
 deterministic sector have weight 0) and I-v (the evolution is onto, decided
 by the surjectivity module).
 
-Weight-zero conditions are decided without path enumeration: a product of
-edge weights vanishes iff some factor does, so mismatch edges with weight 0
-are deleted and the conditions reduce to reachability / cycle existence
-over the surviving edges.  Path enumeration only runs to produce witnesses
-once a condition is known to fail.
+Each condition is first decided on numpy arrays indexed by config:
+
+* P-i, I-i: a potential certificate.  With edge weights
+  w_a = ||f(.|a)||^2 and a potential phi on the q^(k-1) norm-graph
+  vertices (``graphs.norm_potential``), the log weight of a cycle is the
+  sum of its residuals log w_a - (phi(a[1:]) - phi(a[:-1])).  A simple
+  cycle has at most q^(k-1) edges, so its weight lies within expm1(B) of 1,
+  B the sum of the q^(k-1) largest residual moduli.  The condition holds
+  when expm1(B) <= tolerance / 2; the other half of the tolerance absorbs
+  rounding in an enumerated product.
+* I-ii: the same potential; a path u -> v has log weight phi(v) - phi(u)
+  up to B, so the condition holds when expm1(B + spread) <= tolerance / 2,
+  spread the range of phi over the sector vertices.
+* P-ii, I-iv, P-iii, I-iii: a product of edge weights vanishes iff some
+  factor does, so mismatch edges with |weight| <= tolerance are deleted.
+  The weights are the Gram matrix conj(A) A^T of the amplitude table A
+  (``graphs.mismatch_support``).  P-ii and I-iv then ask for a cycle off the
+  diagonal (``graphs.cycle_exists``), P-iii and I-iii for a walk from the
+  diagonal back to it (``graphs.reaches``).  These decisions are exact.
+
+A condition that holds returns no reports and builds no ``Edge`` graph.
+Cycles and paths are enumerated only to list the witnesses of a condition
+that fails, or to settle P-i, I-i or I-ii where the certificate cannot; the
+enumeration is unchanged, so reports, witnesses and margins are the same
+as enumeration alone gives.  QCA_CYCLE_CAP bounds the edges that this
+listing examines, not the decisions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .graphs import (
-    CycleCapExceeded,
+    WeightedDiGraph,
+    cycle_exists,
     deterministic_sector,
-    has_cycle,
     iter_cycles,
     iter_paths,
+    mismatch_support,
+    norm_potential,
+    pair_edges,
     pair_graph,
     path_weight,
-    reachable_over,
+    reaches,
     resolve_cycle_cap,
     rule_graph,
 )
@@ -147,99 +175,114 @@ def witness_str(witness: tuple) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _norm_cycle_reports(rule, condition, max_violations, cap):
-    g1 = rule_graph(rule)
+class _RuleGraphs:
+    """The graphs and arrays of one rule, each built on first use and shared
+    by the conditions of one check."""
+
+    def __init__(self, rule: RuleTable):
+        self.rule = rule
+
+    @cached_property
+    def norm(self) -> WeightedDiGraph:
+        return rule_graph(self.rule)
+
+    @cached_property
+    def pair(self) -> WeightedDiGraph:
+        return pair_graph(self.rule)
+
+    @cached_property
+    def potential(self) -> tuple[np.ndarray, float]:
+        return norm_potential(self.rule)
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        return mismatch_support(self.rule)
+
+
+def _sector_vertices(rule: RuleTable, sector) -> set[int]:
+    """Norm-graph vertices that are a prefix or suffix of a sector config."""
+    return {config_index(part, rule.q) for cfg in sector for part in (cfg[:-1], cfg[1:])}
+
+
+def _holds(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs) -> bool:
+    """Decide a condition on arrays, without enumeration.
+
+    True means the condition holds.  The mismatch conditions are decided
+    exactly.  P-i, I-i and I-ii are certified by the norm potential, with
+    half the tolerance as headroom for rounding; False there only means the
+    certificate does not settle the condition.
+    """
     tol = rule.tolerance
+    if condition in ("P-i", "I-i", "I-ii"):
+        phi, bound = graphs.potential
+        if condition == "I-ii":
+            ends = sorted(_sector_vertices(rule, sector))
+            if len(ends) < 2:
+                return True  # every path between sector vertices is closed
+            bound += float(np.ptp(phi[ends]))
+        return math.expm1(bound) <= tol / 2
+    q, k = rule.q, rule.k
+    n = q ** (k - 1)
+    support = graphs.support
+    if condition == "I-iv":
+        inside = np.zeros(q**k, dtype=bool)
+        inside[[config_index(cfg, q) for cfg in sector]] = True
+        support = support & np.outer(inside, inside)
+    src, dst = pair_edges(support, q, k)
+    if condition in ("P-iii", "I-iii"):
+        diagonal = np.zeros(n * n, dtype=bool)
+        diagonal[np.arange(n) * (n + 1)] = True
+        return not reaches(src, dst, diagonal, diagonal)
+    off = (src // n != src % n) & (dst // n != dst % n)
+    return not cycle_exists(src[off], dst[off], n * n)
+
+
+def _violations(rule, condition, sector, graphs, max_violations, cap) -> list[ConstraintReport]:
+    """Witnesses of a condition, listed by enumerating cycles or paths.
+
+    Norm-graph cycles and paths are reported when their weight is off 1 by
+    more than the tolerance; every cycle or path over the surviving
+    mismatch edges is reported.  At least one report is kept when there is
+    one, at most ``max_violations``.
+    """
+    tol = rule.tolerance
+    if condition in ("P-i", "I-i", "I-ii"):
+        g1 = graphs.norm
+        if condition == "I-ii":
+            # Paths of the norm graph between (distinct) sector vertices,
+            # interior clear of sector vertices; composite paths factor
+            # through these.  Closed ones are cycles, handled by I-i.
+            ends = _sector_vertices(rule, sector)
+            walks = (p for p in iter_paths(g1, ends, ends, cap=cap)
+                     if p[0].source != p[-1].target)
+        else:
+            walks = (c.edges for c in iter_cycles(g1, cap=cap))
+        label, target = (lambda e: e.configs[0]), 1.0
+    else:
+        g2 = graphs.pair
+
+        def edge_ok(e):
+            if not e.mismatch or abs(e.weight) <= tol:
+                return False
+            return sector is None or all(c in sector for c in e.configs)
+
+        off_diagonal = lambda v: not g2.is_diagonal_vertex(v)
+        if condition in ("P-ii", "I-iv"):
+            walks = (c.edges for c in iter_cycles(
+                g2, edge_ok=edge_ok, vertex_ok=off_diagonal, cap=cap))
+        else:
+            diag = g2.diagonal_vertices()
+            walks = iter_paths(g2, diag, diag, edge_ok=edge_ok, interior_ok=off_diagonal,
+                               cap=cap)
+        label, target = (lambda e: e.configs), 0.0
     reports = []
-    count = 0
-    for cyc in iter_cycles(g1):
-        count += 1
-        if count > cap:
-            raise CycleCapExceeded(f"cycle enumeration exceeded the cap of {cap} cycles")
-        if abs(cyc.weight - 1.0) > tol:
-            witness = tuple(e.configs[0] for e in cyc.edges)
-            reports.append(ConstraintReport(condition, witness, cyc.weight, abs(cyc.weight - 1.0)))
+    for walk in walks:
+        w = path_weight(walk)
+        if target == 0.0 or abs(w - target) > tol:  # any surviving mismatch walk fails
+            reports.append(ConstraintReport(
+                condition, tuple(label(e) for e in walk), w, abs(w - target)))
             if len(reports) >= max_violations:
                 break
-    return reports
-
-
-def _sector_path_reports(rule, condition, sector, max_violations, cap):
-    # Paths of the norm graph between (distinct) sector vertices, interior
-    # clear of sector vertices; composite paths factor through these.
-    g1 = rule_graph(rule)
-    tol = rule.tolerance
-    d1_vertices = set()
-    for cfg in sector:
-        d1_vertices.add(config_index(cfg[:-1], rule.q))
-        d1_vertices.add(config_index(cfg[1:], rule.q))
-    reports = []
-    count = 0
-    for path in iter_paths(g1, d1_vertices, d1_vertices):
-        if path[0].source == path[-1].target:
-            continue  # closed: that is a cycle, handled by I-i
-        count += 1
-        if count > cap:
-            raise CycleCapExceeded(f"path enumeration exceeded the cap of {cap} paths")
-        w = path_weight(path)
-        if abs(w - 1.0) > tol:
-            witness = tuple(e.configs[0] for e in path)
-            reports.append(ConstraintReport(condition, witness, w, abs(w - 1.0)))
-            if len(reports) >= max_violations:
-                break
-    return reports
-
-
-def _mismatch_cycle_reports(rule, condition, sector, max_violations, cap):
-    g2 = pair_graph(rule)
-    tol = rule.tolerance
-
-    def edge_ok(e):
-        if not e.mismatch or abs(e.weight) <= tol:
-            return False
-        return sector is None or all(c in sector for c in e.configs)
-
-    def vertex_ok(v):
-        return not g2.is_diagonal_vertex(v)
-
-    if not has_cycle(g2, edge_ok, vertex_ok):
-        return []
-    reports = []
-    count = 0
-    for cyc in iter_cycles(g2, edge_ok=edge_ok, vertex_ok=vertex_ok):
-        count += 1
-        if count > cap:
-            raise CycleCapExceeded(f"cycle enumeration exceeded the cap of {cap} cycles")
-        witness = tuple(e.configs for e in cyc.edges)
-        reports.append(ConstraintReport(condition, witness, cyc.weight, abs(cyc.weight)))
-        if len(reports) >= max_violations:
-            break
-    return reports
-
-
-def _mismatch_path_reports(rule, condition, max_violations, cap):
-    g2 = pair_graph(rule)
-    tol = rule.tolerance
-    surviving = lambda e: e.mismatch and abs(e.weight) > tol
-    diag = g2.diagonal_vertices()
-    _, hits_diagonal = reachable_over(g2, diag, surviving)
-    if not hits_diagonal:
-        return []
-    reports = []
-    count = 0
-    for path in iter_paths(
-        g2, diag, diag,
-        edge_ok=surviving,
-        interior_ok=lambda v: not g2.is_diagonal_vertex(v),
-    ):
-        count += 1
-        if count > cap:
-            raise CycleCapExceeded(f"path enumeration exceeded the cap of {cap} paths")
-        witness = tuple(e.configs for e in path)
-        w = path_weight(path)
-        reports.append(ConstraintReport(condition, witness, w, abs(w)))
-        if len(reports) >= max_violations:
-            break
     return reports
 
 
@@ -250,33 +293,35 @@ def evaluate_condition(
     sector: frozenset[Config] | None = None,
     max_violations: int = DEFAULT_MAX_VIOLATIONS,
     cycle_cap: int | None = None,
+    graphs: _RuleGraphs | None = None,
 ) -> list[ConstraintReport]:
     """All violations of a single condition, truncated to ``max_violations``.
 
-    Surjectivity (I-v) is evaluated by ``surjectivity.check_surjectivity``,
-    not here.  The sector for I-ii and I-iv is computed on demand when not
-    supplied.
+    The condition is decided on arrays first; only when that decision does
+    not return "holds" are cycles or paths enumerated to list the
+    witnesses, and ``cycle_cap`` (default QCA_CYCLE_CAP) bounds the edges
+    that enumeration examines.  Surjectivity (I-v) is evaluated by
+    ``surjectivity.check_surjectivity``, not here.  The sector for I-ii and
+    I-iv is computed on demand when not supplied; ``graphs`` shares the
+    graphs of one rule between the conditions of one check.
     """
-    cap = resolve_cycle_cap(cycle_cap)
-    if condition in ("P-i", "I-i"):
-        return _norm_cycle_reports(rule, condition, max_violations, cap)
-    if condition == "P-ii":
-        return _mismatch_cycle_reports(rule, condition, None, max_violations, cap)
-    if condition in ("P-iii", "I-iii"):
-        return _mismatch_path_reports(rule, condition, max_violations, cap)
-    if condition in ("I-ii", "I-iv"):
-        if sector is None:
-            sector = deterministic_sector(rule)
-        if not sector:
-            raise NoDeterministicSector(
-                "the rule has no deterministic sector; no configuration is admissible "
-                "on the infinite lattice")
-        if condition == "I-ii":
-            return _sector_path_reports(rule, condition, sector, max_violations, cap)
-        return _mismatch_cycle_reports(rule, condition, sector, max_violations, cap)
     if condition == "I-v":
         raise ValueError("condition I-v is evaluated by surjectivity.check_surjectivity")
-    raise ValueError(f"unknown condition {condition!r}")
+    if condition not in PERIODIC_CONDITIONS + INFINITE_CONDITIONS:
+        raise ValueError(f"unknown condition {condition!r}")
+    if condition not in ("I-ii", "I-iv"):
+        sector = None
+    elif sector is None:
+        sector = deterministic_sector(rule)
+    if sector is not None and not sector:
+        raise NoDeterministicSector(
+            "the rule has no deterministic sector; no configuration is admissible "
+            "on the infinite lattice")
+    graphs = graphs or _RuleGraphs(rule)
+    if _holds(rule, condition, sector, graphs):
+        return []
+    return _violations(rule, condition, sector, graphs, max_violations,
+                       resolve_cycle_cap(cycle_cap))
 
 
 def check_periodic(
@@ -286,10 +331,12 @@ def check_periodic(
     cycle_cap: int | None = None,
 ) -> Verdict:
     """Decide unitarity of the evolution on every periodic lattice at once."""
+    graphs = _RuleGraphs(rule)
     reports: list[ConstraintReport] = []
     for condition in PERIODIC_CONDITIONS:
         reports.extend(evaluate_condition(
-            rule, condition, max_violations=max_violations, cycle_cap=cycle_cap))
+            rule, condition, max_violations=max_violations, cycle_cap=cycle_cap,
+            graphs=graphs))
     return Verdict(not reports, "periodic", tuple(reports))
 
 
@@ -311,10 +358,11 @@ def check_infinite(
         raise NoDeterministicSector(
             "the rule has no deterministic sector; no configuration is admissible "
             "on the infinite lattice")
+    graphs = _RuleGraphs(rule)
     reports: list[ConstraintReport] = []
     for condition in ("I-i", "I-ii", "I-iii", "I-iv"):
         reports.extend(evaluate_condition(
             rule, condition, sector=sector,
-            max_violations=max_violations, cycle_cap=cycle_cap))
+            max_violations=max_violations, cycle_cap=cycle_cap, graphs=graphs))
     reports.extend(itertools.islice(check_surjectivity(rule, sector), max_violations))
     return Verdict(not reports, "infinite", tuple(reports))

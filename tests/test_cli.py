@@ -6,6 +6,8 @@ import numpy as np
 from qca1d import dump_rule, make_family, verdict_from_json
 from qca1d.cli import main
 
+from conftest import with_noise
+
 
 def write_rule(tmp_path, rule, name="rule.json"):
     path = tmp_path / name
@@ -106,8 +108,10 @@ def test_no_sector_exit_code(tmp_path, capsys):
 
 
 def test_cycle_cap_exit_code(tmp_path, capsys, monkeypatch, f21):
+    # a unitary rule is decided without enumeration, so the cap only bounds
+    # the witness listing of a rule that fails
     monkeypatch.setenv("QCA_CYCLE_CAP", "1")
-    path = write_rule(tmp_path, f21)
+    path = write_rule(tmp_path, with_noise(f21, 1e-3))
     code, _, err = run(capsys, "verify", path, "--mode", "periodic")
     assert code == 3 and "cap" in err
 
