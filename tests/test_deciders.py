@@ -33,7 +33,8 @@ def _tolerance_on_rounding(rule):
     amps = rule.amplitudes
     gram = np.abs(amps.conj() @ amps.T)
     per_edge = np.array([[abs(complex(np.vdot(x, y))) for y in amps] for x in amps])
-    differ = np.argwhere((gram != per_edge) & (gram > 1e-6))
+    off_diagonal = ~np.eye(len(amps), dtype=bool)
+    differ = np.argwhere((gram != per_edge) & (gram > 1e-6) & off_diagonal)
     if len(differ) == 0:
         return []
     a, b = differ[0]
