@@ -32,23 +32,23 @@ for a, b in (("00", "00"), ("00", "01"), ("00", "10"), ("01", "10")):
     print(f"  <<{a}|{b}>> = {inner(rule, a, b):.4f}")
 
 g1 = rule_graph(rule)
-print(f"\nnorm graph: {len(g1.vertices)} vertices, {len(g1.edges)} edges")
-for e in g1.edges:
-    print(f"  {g1.vertex_name(e.source)} -> {g1.vertex_name(e.target)}"
-          f"  weight {e.weight.real:.4f}   (neighborhood {e.label()})")
+print(f"\nnorm graph: {g1.n_vertices} vertices, {len(g1.edges)} edges")
+for e, cfg in enumerate(g1.configs(g1.edges)):
+    print(f"  {g1.vertex_name(g1.src[e])} -> {g1.vertex_name(g1.dst[e])}"
+          f"  weight {g1.weight[e].real:.4f}   (neighborhood {config_str(cfg)})")
 
 print("\nevery simple cycle of the norm graph must have weight 1:")
 for cyc in enumerate_cycles(g1):
-    labels = " ".join(config_str(e.configs[0]) for e in cyc.edges)
-    print(f"  cycle [{labels}]  weight {cyc.weight.real:.6f}  monomial {monomial_of(cyc, 2)}")
+    labels = " ".join(config_str(cfg) for cfg in g1.configs(cyc))
+    print(f"  cycle [{labels}]  weight {g1.product(cyc).real:.6f}"
+          f"  monomial {monomial_of(g1, cyc)}")
 
 g2 = pair_graph(rule)
-mismatch = sum(e.mismatch for e in g2.edges)
-print(f"\npair graph: {len(g2.vertices)} vertices, {len(g2.edges)} edges "
-      f"({mismatch} mismatch edges carrying orthogonality constraints)")
+print(f"\npair graph: {g2.n_vertices} vertices, {len(g2.edges)} edges "
+      f"({g2.mismatch.sum()} mismatch edges carrying orthogonality constraints)")
 print("mismatch cycles (their weights must vanish):")
 for cyc in enumerate_cycles(g2, restrict="mismatch"):
-    print(f"  {monomial_of(cyc, 2)} = {cyc.weight:.6f}")
+    print(f"  {monomial_of(g2, cyc)} = {g2.product(cyc):.6f}")
 
 print("\nGraphviz source for the norm graph:\n")
 print(to_dot(g1, name="norm_graph"))

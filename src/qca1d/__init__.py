@@ -29,10 +29,8 @@ from .rules import (
     unit_configs,
 )
 from .graphs import (
-    Cycle,
     CycleCapExceeded,
-    Edge,
-    WeightedDiGraph,
+    Graph,
     deterministic_sector,
     enumerate_cycles,
     pair_graph,

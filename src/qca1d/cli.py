@@ -28,9 +28,9 @@ from .graphs import (
 from .oracle import (
     DEFAULT_MAX_DIM,
     DimensionCapExceeded,
+    apply_global,
     basis_state,
     defect_estimate,
-    evolve,
     global_matrix,
     unitarity_defect,
 )
@@ -123,10 +123,15 @@ def _parse_initial(value: str, q: int, n_sites: int) -> np.ndarray:
 def _cmd_simulate(args) -> int:
     rule = _load(args)
     state = _parse_initial(args.initial, rule.q, args.sites)
+    if rule.q**args.sites <= DEFAULT_MAX_DIM:
+        matrix = global_matrix(rule, args.sites)
+        advance = lambda s: matrix @ s
+    else:
+        advance = lambda s: apply_global(rule, args.sites, s)
     print(f"sites: {args.sites}, steps: {args.steps}")
     for step in range(args.steps + 1):
         if step:
-            state = evolve(rule, args.sites, state, 1)
+            state = advance(state)
         norm = float(np.linalg.norm(state))
         probs = np.abs(state) ** 2
         order = np.argsort(-probs, kind="stable")[: args.top]

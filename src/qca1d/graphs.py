@@ -13,23 +13,23 @@ Pair edges whose two configurations coincide form a copy of the norm graph,
 the *diagonal*; all other pair edges are *mismatch* edges.  Cycle and path
 weights are products of edge weights.
 
-The graphs exist twice: as ``WeightedDiGraph`` objects with one ``Edge`` per
-edge, which cycle and path enumeration walk to list witnesses, and as numpy
-arrays indexed by config (``norm_potential``, ``mismatch_support``,
-``pair_edges``) with two kernels over them, ``cycle_exists`` and
-``reaches``, which decide the unitarity conditions.
+Both graphs are numpy arrays indexed by config (:class:`Graph`): norm edge
+i is config i, pair edge i is the pair (i // q^k, i % q^k).  The unitarity
+conditions are decided on such arrays by two kernels, ``cycle_exists`` and
+``reaches``; ``iter_cycles`` and ``iter_paths`` enumerate cycles and paths
+as tuples of edge indices to list witnesses.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .rules import Config, RuleTable, all_configs, config_index, config_str, inner, unit_configs
+from .rules import Config, RuleTable, all_configs, config_index, config_str, index_config, unit_configs
 
 DEFAULT_CYCLE_CAP = 10**6
 MAX_PAIR_ENTRIES = 1 << 22  # q^(2k) pair weights, 64 MiB as complex128
@@ -46,115 +46,132 @@ def resolve_cycle_cap(cap: int | None) -> int:
     return int(os.environ.get("QCA_CYCLE_CAP", DEFAULT_CYCLE_CAP))
 
 
-@dataclass(frozen=True)
-class Edge:
-    source: int
-    target: int
-    configs: tuple[Config, ...]  # one neighborhood (norm graph) or an ordered pair
-    weight: complex
-    mismatch: bool = False
+class Graph:
+    """A norm graph (kind "single") or pair graph (kind "pair") as arrays.
+
+    ``edges`` holds the id of each edge: its config index a (norm graph) or
+    a * q^k + b for the ordered pair (a, b) (pair graph).  The full graphs
+    hold every id in order, so there edge i has id i; ``sector_subgraph``
+    keeps some of them.  Edge i runs from vertex ``src[i]`` to ``dst[i]``
+    and carries ``weight[i]``.  Walks are tuples of edge indices.
+    """
+
+    def __init__(self, kind: str, q: int, k: int, edges: np.ndarray, weight: np.ndarray):
+        self.kind, self.q, self.k = kind, q, k
+        self.edges, self.weight = edges, weight
+        n = q ** (k - 1)
+        if kind == "single":
+            self.n_vertices = n
+            self.src, self.dst = edges // q, edges % n
+        else:
+            self.n_vertices = n * n
+            self.src, self.dst = pair_edges(*np.divmod(edges, q**k), q, k)
 
     @property
-    def diagonal(self) -> bool:
-        return not self.mismatch
+    def mismatch(self) -> np.ndarray:
+        """Edge mask of the pair edges (a, b) with a != b."""
+        if self.kind == "single":
+            return np.zeros(self.edges.size, dtype=bool)
+        a, b = np.divmod(self.edges, self.q**self.k)
+        return a != b
 
-    def label(self) -> str:
-        if len(self.configs) == 1:
-            return config_str(self.configs[0])
-        return config_str(self.configs[0]) + "|" + config_str(self.configs[1])
+    @property
+    def diagonal(self) -> np.ndarray:
+        """Vertex mask of the vertices (u, u); every norm-graph vertex."""
+        v = np.arange(self.n_vertices)
+        if self.kind == "single":
+            return np.ones(v.size, dtype=bool)
+        n = self.q ** (self.k - 1)
+        return v // n == v % n
 
+    @cached_property
+    def out_edges(self) -> list[list[int]]:
+        """Per vertex, the indices of the edges leaving it, in index order."""
+        order = np.argsort(self.src, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.src, minlength=self.n_vertices)).tolist()
+        return [order[start:end] for start, end in zip([0] + ends, ends)]
 
-class WeightedDiGraph:
-    """Immutable directed multigraph with complex edge weights."""
+    @cached_property
+    def _weights(self) -> list[complex]:
+        return self.weight.tolist()
 
-    def __init__(self, kind: str, q: int, k: int, vertices: Sequence, edges: Sequence[Edge]):
-        self.kind = kind  # "single" or "pair"
-        self.q = q
-        self.k = k
-        self.vertices = tuple(vertices)
-        self.edges = tuple(edges)
-        out: list[list[int]] = [[] for _ in self.vertices]
-        for i, e in enumerate(self.edges):
-            out[e.source].append(i)
-        self._out = tuple(tuple(ix) for ix in out)
+    @cached_property
+    def _label(self) -> Callable[[int], tuple]:
+        """Edge index -> config or config pair, one tuple per edge shared by
+        every walk through it."""
+        ids, cfgs, n = self.edges.tolist(), list(all_configs(self.q, self.k)), self.q**self.k
+        if self.kind == "single":
+            return lambda e: cfgs[ids[e]]
+        return cache(lambda e: (cfgs[ids[e] // n], cfgs[ids[e] % n]))
 
-    def out_edges(self, vertex: int) -> tuple[int, ...]:
-        """Indices into ``edges`` of the edges leaving ``vertex``."""
-        return self._out[vertex]
+    def product(self, walk: Sequence[int]) -> complex:
+        """Weight of a walk: the product of its edge weights, left to right."""
+        weights = self._weights
+        return math.prod((weights[e] for e in walk), start=complex(1.0))
+
+    def configs(self, walk: Sequence[int]) -> tuple:
+        """The neighborhood (norm graph) or ordered neighborhood pair (pair
+        graph) of each edge of a walk."""
+        return tuple(map(self._label, walk))
 
     def vertex_name(self, vertex: int) -> str:
-        label = self.vertices[vertex]
-        if self.kind == "single":
-            return config_str(label)
-        return config_str(label[0]) + "|" + config_str(label[1])
-
-    def is_diagonal_vertex(self, vertex: int) -> bool:
-        if self.kind == "single":
-            return True
-        a, b = self.vertices[vertex]
-        return a == b
-
-    def diagonal_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in range(len(self.vertices)) if self.is_diagonal_vertex(v))
-
-    def restricted(self, edge_ok: Callable[[Edge], bool]) -> "WeightedDiGraph":
-        """Same vertex set, edges filtered by a predicate."""
-        return WeightedDiGraph(self.kind, self.q, self.k, self.vertices,
-                               [e for e in self.edges if edge_ok(e)])
+        parts = divmod(vertex, self.q ** (self.k - 1)) if self.kind == "pair" else (vertex,)
+        return "|".join(config_str(index_config(p, self.q, self.k - 1)) for p in parts)
 
 
-def rule_graph(rule: RuleTable) -> WeightedDiGraph:
+def _vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.vdot`` of the last axes of x and y, broadcast over the others:
+    a batch of 1 x q by q x 1 products, which rounds as ``np.vdot`` does and
+    a BLAS matrix product does not."""
+    return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def rule_graph(rule: RuleTable) -> Graph:
     """Norm graph: q^(k-1) vertices, one edge per neighborhood.
 
     The edge for neighborhood i1..ik runs from vertex i1..i(k-1) to vertex
     i2..ik and carries weight <<i1..ik | i1..ik>>.
     """
-    q, k = rule.q, rule.k
-    vertices = list(all_configs(q, k - 1))
-    edges = []
-    for cfg in rule.configs():
-        edges.append(Edge(
-            source=config_index(cfg[:-1], q),
-            target=config_index(cfg[1:], q),
-            configs=(cfg,),
-            weight=inner(rule, cfg, cfg),
-        ))
-    return WeightedDiGraph("single", q, k, vertices, edges)
+    amps = rule.amplitudes
+    return Graph("single", rule.q, rule.k, np.arange(len(amps)), _vdots(amps, amps))
 
 
-def pair_graph(rule: RuleTable) -> WeightedDiGraph:
+def _check_pair_size(rule: RuleTable) -> None:
+    size = rule.q ** (2 * rule.k)
+    if size > MAX_PAIR_ENTRIES:
+        raise CycleCapExceeded(
+            f"the pair graph has {size} weights, over the cap of {MAX_PAIR_ENTRIES}")
+
+
+def pair_graph(rule: RuleTable) -> Graph:
     """Pair graph: q^(2(k-1)) vertices, one edge per ordered neighborhood pair.
 
-    The edge for the pair (a, b) carries weight <<a | b>> and is flagged as a
-    mismatch edge when a != b; the remaining edges reproduce the norm graph
-    on the diagonal vertices.
+    The edge for the pair (a, b) carries weight <<a | b>>, an entry of the
+    Gram matrix of the amplitude rows; the edges with a == b reproduce the
+    norm graph on the diagonal vertices.  Raises :class:`CycleCapExceeded`
+    before allocating when q^(2k) exceeds ``MAX_PAIR_ENTRIES``.
     """
-    q, k = rule.q, rule.k
-    n_pref = q ** (k - 1)
-    vertices = [(a, b) for a in all_configs(q, k - 1) for b in all_configs(q, k - 1)]
-    edges = []
-    for ca in rule.configs():
-        for cb in all_configs(q, k):
-            src = config_index(ca[:-1], q) * n_pref + config_index(cb[:-1], q)
-            dst = config_index(ca[1:], q) * n_pref + config_index(cb[1:], q)
-            edges.append(Edge(
-                source=src,
-                target=dst,
-                configs=(ca, cb),
-                weight=inner(rule, ca, cb),
-                mismatch=ca != cb,
-            ))
-    return WeightedDiGraph("pair", q, k, vertices, edges)
+    _check_pair_size(rule)
+    amps = rule.amplitudes
+    gram = _vdots(amps[:, None, :], amps[None, :, :])
+    return Graph("pair", rule.q, rule.k, np.arange(gram.size), gram.ravel())
 
 
-def sector_subgraph(graph: WeightedDiGraph, sector: Iterable[Config]) -> WeightedDiGraph:
+def sector_subgraph(graph: Graph, sector: Iterable[Config]) -> Graph:
     """Edges whose configuration(s) all lie in the deterministic sector."""
-    sector = frozenset(sector)
-    return graph.restricted(lambda e: all(c in sector for c in e.configs))
+    q, k = graph.q, graph.k
+    inside = np.zeros(q**k, dtype=bool)
+    inside[[config_index(cfg, q) for cfg in sector]] = True
+    if graph.kind == "single":
+        keep = inside[graph.edges]
+    else:
+        a, b = np.divmod(graph.edges, q**k)
+        keep = inside[a] & inside[b]
+    return Graph(graph.kind, q, k, graph.edges[keep], graph.weight[keep])
 
 
 # ---------------------------------------------------------------------------
-# Array form: vertices and edges indexed by config
+# Decision kernels on config-indexed arrays
 # ---------------------------------------------------------------------------
 
 
@@ -194,10 +211,7 @@ def mismatch_support(rule: RuleTable) -> np.ndarray:
     :class:`CycleCapExceeded` before allocating when q^(2k) exceeds
     ``MAX_PAIR_ENTRIES``.
     """
-    size = rule.q ** (2 * rule.k)
-    if size > MAX_PAIR_ENTRIES:
-        raise CycleCapExceeded(
-            f"the pair graph has {size} weights, over the cap of {MAX_PAIR_ENTRIES}")
+    _check_pair_size(rule)
     amps, tol = rule.amplitudes, rule.tolerance
     magnitude = np.abs(amps.conj() @ amps.T)
     scale = max(float(np.max(np.sum(np.abs(amps) ** 2, axis=1))), tol)
@@ -209,11 +223,11 @@ def mismatch_support(rule: RuleTable) -> np.ndarray:
     return support
 
 
-def pair_edges(support: np.ndarray, q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Source and target pair-vertex indices of the pair edges (a, b) that a
-    q^k x q^k mask selects: (a[:-1], b[:-1]) -> (a[1:], b[1:])."""
+def pair_edges(a: np.ndarray, b: np.ndarray, q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target pair-vertex indices of the pair edges (a, b):
+    (a[:-1], b[:-1]) -> (a[1:], b[1:]), a vertex (u, v) having index
+    u * q^(k-1) + v."""
     n = q ** (k - 1)
-    a, b = np.nonzero(support)
     return (a // q) * n + b // q, (a % n) * n + b % n
 
 
@@ -255,91 +269,78 @@ def reaches(src: np.ndarray, dst: np.ndarray, start: np.ndarray, stop: np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _cap_exceeded(kind: str, cap: int) -> CycleCapExceeded:
-    return CycleCapExceeded(f"{kind} enumeration exceeded the cap of {cap} examined edges")
+def _walks(graph, roots, edge_mask, vertex_mask, exact_len, cap, kind):
+    """Depth-first walks for :func:`iter_cycles` and :func:`iter_paths`.
 
-
-@dataclass(frozen=True)
-class Cycle:
-    edges: tuple[Edge, ...]
-
-    @property
-    def weight(self) -> complex:
-        w = complex(1.0)
-        for e in self.edges:
-            w *= e.weight
-        return w
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-def path_weight(edges: Sequence[Edge]) -> complex:
-    w = complex(1.0)
-    for e in edges:
-        w *= e.weight
-    return w
+    From each root (source, targets, floor) in turn, yield the walks that
+    end on their first vertex in ``targets``, their interior vertices
+    distinct, above ``floor``, in ``vertex_mask`` and different from the
+    source.  ``cap`` bounds the edges examined over all roots, masked ones
+    included.
+    """
+    out, dst = graph.out_edges, graph.dst.tolist()
+    edge_ok = [True] * len(dst) if edge_mask is None else edge_mask.tolist()
+    interior_ok = [True] * graph.n_vertices if vertex_mask is None else vertex_mask.tolist()
+    budget = math.inf if cap is None else cap
+    work = 0
+    for source, targets, floor in roots:
+        path: list[int] = []
+        interior: set[int] = set()
+        stack = [iter(out[source])]  # one out-edge iterator per vertex on the path
+        while stack:
+            for e in stack[-1]:
+                work += 1
+                if work > budget:
+                    raise CycleCapExceeded(
+                        f"{kind} enumeration exceeded the cap of {cap} examined edges")
+                if not edge_ok[e]:
+                    continue
+                depth = len(path) + 1
+                t = dst[e]
+                if t in targets:
+                    if exact_len is None or depth == exact_len:
+                        yield tuple(path) + (e,)
+                    continue
+                if (exact_len is None or depth < exact_len) and t > floor and t != source \
+                        and t not in interior and interior_ok[t]:
+                    path.append(e)
+                    interior.add(t)
+                    stack.append(iter(out[t]))
+                    break  # descend; the loop resumes on this iterator after the pop
+            else:
+                stack.pop()
+                if path:
+                    interior.discard(dst[path.pop()])
 
 
 def iter_cycles(
-    graph: WeightedDiGraph,
+    graph: Graph,
     *,
-    edge_ok: Callable[[Edge], bool] | None = None,
-    vertex_ok: Callable[[int], bool] | None = None,
+    edge_mask: np.ndarray | None = None,
+    vertex_mask: np.ndarray | None = None,
     cap: int | None = None,
-) -> Iterator[Cycle]:
+) -> Iterator[tuple[int, ...]]:
     """Yield every vertex-simple directed cycle, deterministically ordered.
 
-    Cycles are grouped by their minimal vertex (ascending) and within a
-    group follow depth-first edge order.  Parallel self-loops count as
-    distinct cycles.  Raises :class:`CycleCapExceeded` once the search has
-    examined more than ``cap`` edges (no limit when ``cap`` is None).
+    Only edges in ``edge_mask`` and vertices in ``vertex_mask`` (boolean
+    arrays; None allows all) are used.  Cycles are tuples of edge indices,
+    grouped by their minimal vertex (ascending) and within a group in
+    depth-first edge order.  Parallel self-loops count as distinct cycles.
+    Raises :class:`CycleCapExceeded` once the search has examined more than
+    ``cap`` edges (no limit when ``cap`` is None).
     """
-    edges = graph.edges
-    allowed_edge = edge_ok or (lambda e: True)
-    allowed_vertex = vertex_ok or (lambda v: True)
-    n = len(graph.vertices)
-    budget = math.inf if cap is None else cap
-    work = 0
-    for start in range(n):
-        if not allowed_vertex(start):
-            continue
-        # Iterative DFS over vertices >= start; `stack` holds (vertex, edge iterator).
-        path_edges: list[Edge] = []
-        on_path = {start}
-        stack = [(start, iter(graph.out_edges(start)))]
-        while stack:
-            vertex, it = stack[-1]
-            advanced = False
-            for ei in it:
-                work += 1
-                if work > budget:
-                    raise _cap_exceeded("cycle", cap)
-                e = edges[ei]
-                if not allowed_edge(e):
-                    continue
-                t = e.target
-                if t == start:
-                    yield Cycle(tuple(path_edges) + (e,))
-                    continue
-                if t > start and t not in on_path and allowed_vertex(t):
-                    path_edges.append(e)
-                    on_path.add(t)
-                    stack.append((t, iter(graph.out_edges(t))))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                if path_edges:
-                    on_path.discard(path_edges.pop().target)
+    starts = range(graph.n_vertices) if vertex_mask is None \
+        else np.flatnonzero(vertex_mask).tolist()
+    return _walks(graph, ((s, {s}, s) for s in starts), edge_mask, vertex_mask, None,
+                  cap, "cycle")
 
 
 def enumerate_cycles(
-    graph: WeightedDiGraph,
+    graph: Graph,
     restrict: str | None = None,
     cap: int | None = None,
-) -> list[Cycle]:
-    """All vertex-simple cycles with their weights.
+) -> list[tuple[int, ...]]:
+    """All vertex-simple cycles, as tuples of edge indices.
 
     restrict="mismatch" keeps only cycles that lie entirely in the mismatch
     region of a pair graph: every edge a mismatch edge and every vertex off
@@ -350,75 +351,38 @@ def enumerate_cycles(
     """
     if restrict not in (None, "mismatch"):
         raise ValueError(f"unknown restrict value {restrict!r}")
-    edge_ok = vertex_ok = None
+    edge_mask = vertex_mask = None
     if restrict == "mismatch":
         if graph.kind != "pair":
             raise ValueError("mismatch restriction applies to pair graphs only")
-        edge_ok = lambda e: e.mismatch
-        vertex_ok = lambda v: not graph.is_diagonal_vertex(v)
-    return list(iter_cycles(graph, edge_ok=edge_ok, vertex_ok=vertex_ok,
+        edge_mask, vertex_mask = graph.mismatch, ~graph.diagonal
+    return list(iter_cycles(graph, edge_mask=edge_mask, vertex_mask=vertex_mask,
                             cap=resolve_cycle_cap(cap)))
 
 
 def iter_paths(
-    graph: WeightedDiGraph,
-    sources: Iterable[int],
-    targets: Iterable[int],
+    graph: Graph,
+    sources: np.ndarray,
+    targets: np.ndarray,
     *,
-    edge_ok: Callable[[Edge], bool] | None = None,
-    interior_ok: Callable[[int], bool] | None = None,
+    edge_mask: np.ndarray | None = None,
+    interior_mask: np.ndarray | None = None,
     exact_len: int | None = None,
-    max_len: int | None = None,
     cap: int | None = None,
-) -> Iterator[tuple[Edge, ...]]:
+) -> Iterator[tuple[int, ...]]:
     """Paths from a source to a target with vertex-simple interior.
 
-    Interior vertices must be distinct, satisfy ``interior_ok`` and differ
-    from both endpoints; the endpoints themselves may coincide.  Paths are
-    produced in depth-first order from each source (ascending).  Raises
+    ``sources``, ``targets`` and ``interior_mask`` are boolean vertex
+    masks, ``edge_mask`` a boolean edge mask (None allows all).  Interior
+    vertices must be distinct, lie in ``interior_mask`` and differ from both
+    endpoints; the endpoints themselves may coincide.  Paths are tuples of
+    edge indices in depth-first order from each source (ascending).  Raises
     :class:`CycleCapExceeded` once the search has examined more than
     ``cap`` edges (no limit when ``cap`` is None).
     """
-    edges = graph.edges
-    allowed_edge = edge_ok or (lambda e: True)
-    allowed_interior = interior_ok or (lambda v: True)
-    target_set = frozenset(targets)
-    limit = exact_len if exact_len is not None else max_len
-    budget = math.inf if cap is None else cap
-    work = 0
-    for source in sorted(set(sources)):
-        path: list[Edge] = []
-        interior: set[int] = set()
-        stack = [(source, iter(graph.out_edges(source)))]
-        while stack:
-            vertex, it = stack[-1]
-            advanced = False
-            for ei in it:
-                work += 1
-                if work > budget:
-                    raise _cap_exceeded("path", cap)
-                e = edges[ei]
-                if not allowed_edge(e):
-                    continue
-                depth = len(path) + 1
-                if limit is not None and depth > limit:
-                    break
-                t = e.target
-                if t in target_set:
-                    if exact_len is None or depth == exact_len:
-                        yield tuple(path) + (e,)
-                    continue
-                if (limit is None or depth < limit) and t != source \
-                        and t not in interior and allowed_interior(t):
-                    path.append(e)
-                    interior.add(t)
-                    stack.append((t, iter(graph.out_edges(t))))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                if path:
-                    interior.discard(path.pop().target)
+    ends = set(np.flatnonzero(targets).tolist())
+    roots = ((s, ends, -1) for s in np.flatnonzero(sources).tolist())
+    return _walks(graph, roots, edge_mask, interior_mask, exact_len, cap, "path")
 
 
 # ---------------------------------------------------------------------------
@@ -522,23 +486,25 @@ def format_weight(z: complex, digits: int = 6) -> str:
     return f"{z.real:.{digits}g}{z.imag:+.{digits}g}i"
 
 
-def to_dot(graph: WeightedDiGraph, name: str = "g") -> str:
+def to_dot(graph: Graph, name: str = "g") -> str:
     """Graphviz rendering; mismatch-region structure is kept visible.
 
     Each edge is labelled "<appended symbols> / <weight>"; diagonal edges of
     a pair graph are drawn grey.
     """
+    names = [graph.vertex_name(v) for v in range(graph.n_vertices)]
     lines = [f"digraph {name} {{"]
-    for v in range(len(graph.vertices)):
-        lines.append(f'  "{graph.vertex_name(v)}";')
-    for e in graph.edges:
-        if len(e.configs) == 1:
-            sym = str(e.configs[0][-1])
+    lines.extend(f'  "{v}";' for v in names)
+    n, q = graph.q**graph.k, graph.q
+    for i, s, t, w, mismatch in zip(graph.edges.tolist(), graph.src.tolist(),
+                                    graph.dst.tolist(), graph.weight.tolist(),
+                                    graph.mismatch.tolist()):
+        if graph.kind == "single":
+            attrs = f'label="{i % q} / {format_weight(w)}"'
         else:
-            sym = f"({e.configs[0][-1]},{e.configs[1][-1]})"
-        attrs = f'label="{sym} / {format_weight(e.weight)}"'
-        if graph.kind == "pair" and e.diagonal:
-            attrs += ", color=gray"
-        lines.append(f'  "{graph.vertex_name(e.source)}" -> "{graph.vertex_name(e.target)}" [{attrs}];')
+            attrs = f'label="({i // n % q},{i % q}) / {format_weight(w)}"'
+            if not mismatch:
+                attrs += ", color=gray"
+        lines.append(f'  "{names[s]}" -> "{names[t]}" [{attrs}];')
     lines.append("}")
     return "\n".join(lines)

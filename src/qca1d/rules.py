@@ -207,6 +207,10 @@ def rule_from_dict(data: dict) -> RuleTable:
         raise RuleFormatError("fields 'q' and 'k' must be integers")
     if q > 10:
         raise RuleFormatError("config strings use single digits; q must be at most 10")
+    if q < 2:
+        raise RuleFormatError(f"field 'q' = {q} must be at least 2")
+    if not 1 <= k <= 63:  # q**k >= 2**64 exceeds any table, so it is never evaluated
+        raise RuleFormatError(f"field 'k' = {k} must lie in 1..63")
     tolerance = data.get("tolerance", DEFAULT_TOLERANCE)
     if not isinstance(tolerance, (int, float)) or not tolerance > 0:
         raise RuleFormatError(f"field 'tolerance' must be a positive number, got {tolerance!r}")

@@ -11,12 +11,12 @@ index w_a for a squared norm).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .graphs import Cycle, Edge, WeightedDiGraph, iter_paths, pair_graph
-from .rules import RuleTable, config_index, index_config, inner
+from .graphs import Graph, iter_paths, pair_graph
+from .rules import RuleTable
 
 
 @dataclass(frozen=True, order=True)
@@ -30,25 +30,11 @@ class Monomial:
 
     factors: tuple[tuple[int, ...], ...]
 
-    @staticmethod
-    def from_edges(edges: Iterable[Edge], q: int) -> "Monomial":
-        factors = []
-        for e in edges:
-            if len(e.configs) == 1:
-                factors.append((config_index(e.configs[0], q),))
-            else:
-                a = config_index(e.configs[0], q)
-                b = config_index(e.configs[1], q)
-                factors.append((min(a, b), max(a, b)))
-        return Monomial(tuple(sorted(factors)))
-
     def evaluate(self, rule: RuleTable) -> complex:
         """Product of the named inner products (canonical argument order)."""
         value = complex(1.0)
         for f in self.factors:
-            a = index_config(f[0], rule.q, rule.k)
-            b = index_config(f[-1], rule.q, rule.k)
-            value *= inner(rule, a, b)
+            value *= complex(np.vdot(rule.amplitudes[f[0]], rule.amplitudes[f[-1]]))
         return value
 
     def __str__(self) -> str:
@@ -63,12 +49,16 @@ class Monomial:
         return "".join(parts)
 
 
-def monomial_of(item: Cycle | Sequence[Edge], q: int) -> Monomial:
-    edges = item.edges if isinstance(item, Cycle) else item
-    return Monomial.from_edges(edges, q)
+def monomial_of(graph: Graph, walk: Sequence[int]) -> Monomial:
+    """Monomial of a walk (a tuple of edge indices) of a norm or pair graph."""
+    ids = graph.edges[list(walk)].tolist()
+    if graph.kind == "single":
+        return Monomial(tuple(sorted((a,) for a in ids)))
+    n = graph.q**graph.k
+    return Monomial(tuple(sorted(tuple(sorted(divmod(i, n))) for i in ids)))
 
 
-def transfer_matrix(graph: WeightedDiGraph, convention: str = "raw") -> np.ndarray:
+def transfer_matrix(graph: Graph, convention: str = "raw") -> np.ndarray:
     """Vertex-by-vertex matrix; entry (i, j) sums the weights of edges i -> j.
 
     convention="simplified" (pair graphs only) replaces the diagonal
@@ -80,36 +70,26 @@ def transfer_matrix(graph: WeightedDiGraph, convention: str = "raw") -> np.ndarr
         raise ValueError(f"unknown convention {convention!r}")
     if convention == "simplified" and graph.kind != "pair":
         raise ValueError("the simplified convention applies to pair graphs only")
-    n = len(graph.vertices)
-    a = np.zeros((n, n), dtype=complex)
-    for e in graph.edges:
-        w = e.weight
-        if convention == "simplified" and e.diagonal:
-            w = 0.0 if e.source == e.target else 1.0
-        a[e.source, e.target] += w
+    weight = graph.weight
+    if convention == "simplified":
+        weight = np.where(graph.mismatch, weight, graph.src != graph.dst)
+    a = np.zeros((graph.n_vertices, graph.n_vertices), dtype=complex)
+    np.add.at(a, (graph.src, graph.dst), weight)
     return a
 
 
 def z_polynomial(a: np.ndarray) -> np.ndarray:
     """Coefficients of det(I - tA), index = power of t.
 
-    Computed by the Faddeev-LeVerrier recurrence; exactly-zero trailing
-    coefficients are trimmed.
+    ``np.poly`` gives the coefficients of det(sI - A) from the highest power
+    of s down; det(I - tA) = t^m det(I/t - A) has the same coefficients by
+    ascending power of t.  Exactly-zero trailing coefficients are trimmed.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    m = a.shape[0]
-    # char[j] is the s^j coefficient of det(sI - A).
-    char = np.zeros(m + 1, dtype=complex)
-    char[m] = 1.0
-    mat = np.zeros_like(a)
-    eye = np.eye(m, dtype=complex)
-    for j in range(1, m + 1):
-        mat = a @ mat + char[m - j + 1] * eye
-        char[m - j] = -np.trace(a @ mat) / j
-    coeffs = char[::-1].copy()  # det(I - tA) = t^m det((1/t)I - A)
-    last = m
+    coeffs = np.poly(a).astype(complex) if len(a) else np.ones(1, dtype=complex)
+    last = len(coeffs) - 1
     while last > 0 and coeffs[last] == 0:
         last -= 1
     return coeffs[: last + 1]
@@ -147,15 +127,6 @@ def path_monomials(rule: RuleTable, n: int) -> list[Monomial]:
     if n < 1:
         raise ValueError(f"path length must be at least 1, got {n}")
     g2 = pair_graph(rule)
-    diag = g2.diagonal_vertices()
-    seen: set[Monomial] = set()
-    for path in iter_paths(
-        g2,
-        diag,
-        diag,
-        edge_ok=lambda e: e.mismatch,
-        interior_ok=lambda v: not g2.is_diagonal_vertex(v),
-        exact_len=n,
-    ):
-        seen.add(Monomial.from_edges(path, rule.q))
-    return sorted(seen)
+    diagonal = g2.diagonal
+    return sorted({monomial_of(g2, path) for path in iter_paths(
+        g2, diagonal, diagonal, edge_mask=g2.mismatch, interior_mask=~diagonal, exact_len=n)})

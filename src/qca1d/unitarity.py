@@ -34,11 +34,11 @@ Each condition is first decided on numpy arrays indexed by config:
   diagonal (``graphs.cycle_exists``), P-iii and I-iii for a walk from the
   diagonal back to it (``graphs.reaches``).  These decisions are exact.
 
-A condition that holds returns no reports and builds no ``Edge`` graph.
-Cycles and paths are enumerated only to list the witnesses of a condition
-that fails, or to settle P-i, I-i or I-ii where the certificate cannot; the
-enumeration is unchanged, so reports, witnesses and margins are the same
-as enumeration alone gives.  QCA_CYCLE_CAP bounds the edges that this
+A condition that holds returns no reports and builds neither graph.
+Witnesses of a condition that fails are listed by enumerating cycles or
+paths of ``graphs.rule_graph`` / ``graphs.pair_graph``, over the same
+mismatch mask that decided it; enumeration also settles P-i, I-i or I-ii
+where the certificate cannot.  QCA_CYCLE_CAP bounds the edges that this
 listing examines, not the decisions.
 """
 
@@ -52,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import (
-    WeightedDiGraph,
+    Graph,
     cycle_exists,
     deterministic_sector,
     iter_cycles,
@@ -61,7 +61,6 @@ from .graphs import (
     norm_potential,
     pair_edges,
     pair_graph,
-    path_weight,
     reaches,
     resolve_cycle_cap,
     rule_graph,
@@ -183,11 +182,11 @@ class _RuleGraphs:
         self.rule = rule
 
     @cached_property
-    def norm(self) -> WeightedDiGraph:
+    def norm(self) -> Graph:
         return rule_graph(self.rule)
 
     @cached_property
-    def pair(self) -> WeightedDiGraph:
+    def pair(self) -> Graph:
         return pair_graph(self.rule)
 
     @cached_property
@@ -199,9 +198,22 @@ class _RuleGraphs:
         return mismatch_support(self.rule)
 
 
-def _sector_vertices(rule: RuleTable, sector) -> set[int]:
-    """Norm-graph vertices that are a prefix or suffix of a sector config."""
-    return {config_index(part, rule.q) for cfg in sector for part in (cfg[:-1], cfg[1:])}
+def _sector_vertices(rule: RuleTable, sector) -> np.ndarray:
+    """Mask of the norm-graph vertices that are a prefix or suffix of a
+    sector config."""
+    mask = np.zeros(rule.q ** (rule.k - 1), dtype=bool)
+    mask[[config_index(part, rule.q) for cfg in sector for part in (cfg[:-1], cfg[1:])]] = True
+    return mask
+
+
+def _mismatch_mask(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs) -> np.ndarray:
+    """The q^k x q^k mask of the mismatch edges a condition keeps: weight
+    above the tolerance and, for I-iv, both configs in the sector."""
+    if condition != "I-iv":
+        return graphs.support
+    inside = np.zeros(rule.q**rule.k, dtype=bool)
+    inside[[config_index(cfg, rule.q) for cfg in sector]] = True
+    return graphs.support & np.outer(inside, inside)
 
 
 def _holds(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs) -> bool:
@@ -216,19 +228,14 @@ def _holds(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs) -> bool
     if condition in ("P-i", "I-i", "I-ii"):
         phi, bound = graphs.potential
         if condition == "I-ii":
-            ends = sorted(_sector_vertices(rule, sector))
-            if len(ends) < 2:
+            ends = _sector_vertices(rule, sector)
+            if ends.sum() < 2:
                 return True  # every path between sector vertices is closed
             bound += float(np.ptp(phi[ends]))
         return math.expm1(bound) <= tol / 2
     q, k = rule.q, rule.k
     n = q ** (k - 1)
-    support = graphs.support
-    if condition == "I-iv":
-        inside = np.zeros(q**k, dtype=bool)
-        inside[[config_index(cfg, q) for cfg in sector]] = True
-        support = support & np.outer(inside, inside)
-    src, dst = pair_edges(support, q, k)
+    src, dst = pair_edges(*np.nonzero(_mismatch_mask(rule, condition, sector, graphs)), q, k)
     if condition in ("P-iii", "I-iii"):
         diagonal = np.zeros(n * n, dtype=bool)
         diagonal[np.arange(n) * (n + 1)] = True
@@ -245,42 +252,32 @@ def _violations(rule, condition, sector, graphs, max_violations, cap) -> list[Co
     mismatch edges is reported.  At least one report is kept when there is
     one, at most ``max_violations``.
     """
-    tol = rule.tolerance
     if condition in ("P-i", "I-i", "I-ii"):
-        g1 = graphs.norm
+        graph, target = graphs.norm, 1.0
         if condition == "I-ii":
             # Paths of the norm graph between (distinct) sector vertices,
             # interior clear of sector vertices; composite paths factor
             # through these.  Closed ones are cycles, handled by I-i.
             ends = _sector_vertices(rule, sector)
-            walks = (p for p in iter_paths(g1, ends, ends, cap=cap)
-                     if p[0].source != p[-1].target)
+            src, dst = graph.src.tolist(), graph.dst.tolist()
+            walks = (p for p in iter_paths(graph, ends, ends, cap=cap)
+                     if src[p[0]] != dst[p[-1]])
         else:
-            walks = (c.edges for c in iter_cycles(g1, cap=cap))
-        label, target = (lambda e: e.configs[0]), 1.0
+            walks = iter_cycles(graph, cap=cap)
     else:
-        g2 = graphs.pair
-
-        def edge_ok(e):
-            if not e.mismatch or abs(e.weight) <= tol:
-                return False
-            return sector is None or all(c in sector for c in e.configs)
-
-        off_diagonal = lambda v: not g2.is_diagonal_vertex(v)
+        graph, target = graphs.pair, 0.0
+        edges = _mismatch_mask(rule, condition, sector, graphs).ravel()
+        diagonal = graph.diagonal
         if condition in ("P-ii", "I-iv"):
-            walks = (c.edges for c in iter_cycles(
-                g2, edge_ok=edge_ok, vertex_ok=off_diagonal, cap=cap))
+            walks = iter_cycles(graph, edge_mask=edges, vertex_mask=~diagonal, cap=cap)
         else:
-            diag = g2.diagonal_vertices()
-            walks = iter_paths(g2, diag, diag, edge_ok=edge_ok, interior_ok=off_diagonal,
-                               cap=cap)
-        label, target = (lambda e: e.configs), 0.0
+            walks = iter_paths(graph, diagonal, diagonal, edge_mask=edges,
+                               interior_mask=~diagonal, cap=cap)
     reports = []
     for walk in walks:
-        w = path_weight(walk)
-        if target == 0.0 or abs(w - target) > tol:  # any surviving mismatch walk fails
-            reports.append(ConstraintReport(
-                condition, tuple(label(e) for e in walk), w, abs(w - target)))
+        w = graph.product(walk)
+        if target == 0.0 or abs(w - target) > rule.tolerance:  # any surviving mismatch walk fails
+            reports.append(ConstraintReport(condition, graph.configs(walk), w, abs(w - target)))
             if len(reports) >= max_violations:
                 break
     return reports

@@ -75,12 +75,14 @@ def test_criterion_1_constraint_lists():
     rule2 = make_family("f21", F21_SAMPLE)
     rule3 = make_family("f31", {"r1": 1.2, "r2": 0.7, "r6": 1.4})
 
-    cycles2 = enumerate_cycles(rule_graph(rule2))
-    assert {monomial_of(c, 2) for c in cycles2} == {mono(0), mono(3), mono(1, 2)}
+    g2 = rule_graph(rule2)
+    cycles2 = enumerate_cycles(g2)
+    assert {monomial_of(g2, c) for c in cycles2} == {mono(0), mono(3), mono(1, 2)}
     assert len(cycles2) == 3
 
-    cycles3 = enumerate_cycles(rule_graph(rule3))
-    assert {monomial_of(c, 2) for c in cycles3} == {
+    g3 = rule_graph(rule3)
+    cycles3 = enumerate_cycles(g3)
+    assert {monomial_of(g3, c) for c in cycles3} == {
         mono(0), mono(7), mono(2, 5), mono(1, 2, 4), mono(3, 6, 5), mono(1, 3, 6, 4)}
     assert len(cycles3) == 6
 

@@ -1,12 +1,14 @@
 import io
 import json
+import time
+import tracemalloc
 
 import numpy as np
 
 from qca1d import dump_rule, make_family, verdict_from_json
 from qca1d.cli import main
 
-from conftest import with_noise
+from conftest import quantized_shift, with_noise
 
 
 def write_rule(tmp_path, rule, name="rule.json"):
@@ -184,6 +186,47 @@ def test_simulate_with_state_file(tmp_path, capsys, f21):
     code, _, err = run(capsys, "simulate", rule_path, "--sites", "4", "--steps", "1",
                        "--initial", "00")
     assert code == 2
+
+
+def test_simulate_builds_the_evolution_once(tmp_path, capsys, monkeypatch, f21):
+    import qca1d.cli as cli
+
+    calls = []
+    original = cli.global_matrix
+    monkeypatch.setattr(cli, "global_matrix",
+                        lambda *a, **kw: calls.append(a[1]) or original(*a, **kw))
+    path = write_rule(tmp_path, f21)
+    code, out, _ = run(capsys, "simulate", path, "--sites", "8", "--steps", "4",
+                       "--initial", "00100110")
+    assert code == 0 and out.count("step ") == 5
+    assert calls == [8]
+    # past the dense cap every step is applied matrix-free
+    code, _, _ = run(capsys, "simulate", path, "--sites", "13", "--steps", "1",
+                     "--initial", "0010011000101")
+    assert code == 0 and calls == [8]
+
+
+def test_huge_k_is_rejected_at_once(tmp_path, capsys):
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps({"q": 2, "k": 100_000_000, "amplitudes": {"0": [[1, 0], [0, 0]]}}))
+    started = time.perf_counter()
+    code, _, err = run(capsys, "verify", str(path), "--mode", "periodic")
+    assert code == 2 and "'k'" in err
+    assert time.perf_counter() - started < 0.1
+
+
+def test_pair_graph_commands_exit_3_before_allocating(tmp_path, capsys):
+    # q^(2k) = 3^14 pair weights is over MAX_PAIR_ENTRIES
+    path = write_rule(tmp_path, quantized_shift(3, 7))
+    for argv in (("paths", path, "--max-len", "2"), ("graph", path, "--which", "g2")):
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and "cap" in err
+        assert peak < 16 * 2**20  # the weights alone would take 73 MiB
 
 
 def test_seeded_output_is_stable(tmp_path, capsys, f21):

@@ -53,16 +53,18 @@ def _grid(seed):
 def _mismatch_cycle_exists(g2, sector, tol):
     """Plain depth-first cycle search over the mismatch edges of a pair
     graph: the reference when listing the first witness hits the cap."""
-    def usable(e):
-        return (e.mismatch and abs(e.weight) > tol
-                and (sector is None or all(c in sector for c in e.configs))
-                and not g2.is_diagonal_vertex(e.source)
-                and not g2.is_diagonal_vertex(e.target))
+    mismatch, diagonal = g2.mismatch, g2.diagonal
+
+    def usable(e, configs):
+        return (mismatch[e] and abs(g2.weight[e]) > tol
+                and (sector is None or all(c in sector for c in configs))
+                and not diagonal[g2.src[e]]
+                and not diagonal[g2.dst[e]])
 
     succ = {}
-    for e in g2.edges:
-        if usable(e):
-            succ.setdefault(e.source, []).append(e.target)
+    for e, configs in enumerate(g2.configs(range(len(g2.edges)))):
+        if usable(e, configs):
+            succ.setdefault(int(g2.src[e]), []).append(int(g2.dst[e]))
     state = {}  # 1 on the stack, 2 done
     for root in succ:
         if root in state:
@@ -119,7 +121,7 @@ def test_array_decision_matches_enumeration(seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_unitary_rules_build_no_edge_graph(seed, monkeypatch):
     def refuse(rule):
-        raise AssertionError("an Edge graph was built")
+        raise AssertionError("a graph was built")
 
     monkeypatch.setattr("qca1d.unitarity.rule_graph", refuse)
     monkeypatch.setattr("qca1d.unitarity.pair_graph", refuse)
@@ -169,11 +171,11 @@ def test_noisy_shift_listing_stops_at_cap(tmp_path, capsys):
 def test_cap_counts_examined_edges_not_cycles():
     # the mismatch region of the shift has no cycle, yet the search works
     g2 = pair_graph(quantized_shift(2, 3))
-    no_diagonal = lambda v: not g2.is_diagonal_vertex(v)
-    mismatch = lambda e: e.mismatch and abs(e.weight) > 1e-9
-    assert list(iter_cycles(g2, edge_ok=mismatch, vertex_ok=no_diagonal)) == []
+    no_diagonal = ~g2.diagonal
+    mismatch = g2.mismatch & (np.abs(g2.weight) > 1e-9)
+    assert list(iter_cycles(g2, edge_mask=mismatch, vertex_mask=no_diagonal)) == []
     with pytest.raises(CycleCapExceeded, match="examined edges"):
-        list(iter_cycles(g2, edge_ok=mismatch, vertex_ok=no_diagonal, cap=10))
+        list(iter_cycles(g2, edge_mask=mismatch, vertex_mask=no_diagonal, cap=10))
 
 
 def test_pair_size_guard_exits_3(tmp_path, capsys):

@@ -29,14 +29,19 @@ def mono(*pairs):
     return Monomial(tuple(sorted(factors)))
 
 
-def cycle_monomials(cycles):
-    return {monomial_of(c, 2) for c in cycles}
+def cycle_monomials(graph, cycles):
+    return {monomial_of(graph, c) for c in cycles}
+
+
+def edge_configs(graph):
+    """The config (norm graph) or config pair (pair graph) of every edge."""
+    return graph.configs(range(len(graph.edges)))
 
 
 def test_rule_graph_k2(f21):
     g = rule_graph(f21)
-    assert len(g.vertices) == 2 and len(g.edges) == 4
-    weights = {e.configs[0]: e.weight for e in g.edges}
+    assert g.n_vertices == 2 and len(g.edges) == 4
+    weights = dict(zip(edge_configs(g), g.weight))
     for cfg in f21.configs():
         assert weights[cfg] == pytest.approx(inner(f21, cfg, cfg))
     rho = 1.5
@@ -47,70 +52,75 @@ def test_rule_graph_k2(f21):
 def test_rule_graph_k3():
     rule = make_family("f31", {"r1": 1.0, "r2": 1.0, "r6": 1.0})
     g = rule_graph(rule)
-    assert len(g.vertices) == 4 and len(g.edges) == 8
-    for e in g.edges:
-        assert e.source == config_index(e.configs[0][:-1], 2)
-        assert e.target == config_index(e.configs[0][1:], 2)
+    assert g.n_vertices == 4 and len(g.edges) == 8
+    for e, cfg in enumerate(edge_configs(g)):
+        assert g.src[e] == config_index(cfg[:-1], 2)
+        assert g.dst[e] == config_index(cfg[1:], 2)
 
 
 def test_rule_graph_k1_degenerate():
     amps = np.array([[1, 0], [0, 1]], dtype=complex)
     rule = RuleTable(2, 1, amps)
     g = rule_graph(rule)
-    assert len(g.vertices) == 1
+    assert g.n_vertices == 1
     assert len(g.edges) == 2
-    assert all(e.source == e.target == 0 for e in g.edges)
+    assert all(s == t == 0 for s, t in zip(g.src, g.dst))
     assert len(enumerate_cycles(g)) == 2
 
 
 def test_pair_graph_k2(f21):
     g2 = pair_graph(f21)
-    assert len(g2.vertices) == 4 and len(g2.edges) == 16
-    assert sum(e.mismatch for e in g2.edges) == 12
-    g1_weights = {e.configs[0]: e.weight for e in rule_graph(f21).edges}
-    for e in g2.edges:
-        if e.diagonal:
-            assert e.weight == pytest.approx(g1_weights[e.configs[0]])
-        assert e.weight == pytest.approx(inner(f21, e.configs[0], e.configs[1]))
-    w01 = [e.weight for e in g2.edges if e.configs == ((0, 0), (0, 1))]
+    assert g2.n_vertices == 4 and len(g2.edges) == 16
+    assert sum(g2.mismatch) == 12
+    g1 = rule_graph(f21)
+    g1_weights = dict(zip(edge_configs(g1), g1.weight))
+    for e, (ca, cb) in enumerate(edge_configs(g2)):
+        if not g2.mismatch[e]:
+            assert g2.weight[e] == pytest.approx(g1_weights[ca])
+        assert g2.weight[e] == pytest.approx(inner(f21, ca, cb))
+    w01 = [w for cfgs, w in zip(edge_configs(g2), g2.weight) if cfgs == ((0, 0), (0, 1))]
     assert w01[0] == pytest.approx(inner(f21, "00", "01"))
 
 
 def test_pair_graph_k3():
     rule = make_family("f30", {"r1": 1.1, "r2": 0.9, "r6": 1.2})
     g2 = pair_graph(rule)
-    assert len(g2.vertices) == 16 and len(g2.edges) == 64
+    assert g2.n_vertices == 16 and len(g2.edges) == 64
 
 
 def test_cycles_g1_k2(ident):
-    cycles = enumerate_cycles(rule_graph(ident))
-    assert cycle_monomials(cycles) == {mono(0), mono(3), mono(1, 2)}
-    assert all(c.weight == pytest.approx(1.0) for c in cycles)
-    covered = {e.configs[0] for c in cycles for e in c.edges}
+    g = rule_graph(ident)
+    cycles = enumerate_cycles(g)
+    assert cycle_monomials(g, cycles) == {mono(0), mono(3), mono(1, 2)}
+    assert all(g.product(c) == pytest.approx(1.0) for c in cycles)
+    covered = {cfg for c in cycles for cfg in g.configs(c)}
     assert covered == set(ident.configs())
 
 
 def test_cycles_g1_k3():
     rule = make_family("f31", {"r1": 1.3, "r2": 0.6, "r6": 0.8,
                                "p1": 0.2, "p4": 1.1, "theta": 0.7})
-    cycles = enumerate_cycles(rule_graph(rule))
-    assert cycle_monomials(cycles) == {
+    g = rule_graph(rule)
+    cycles = enumerate_cycles(g)
+    assert cycle_monomials(g, cycles) == {
         mono(0), mono(7), mono(2, 5), mono(1, 2, 4), mono(3, 6, 5), mono(1, 3, 6, 4)}
-    assert all(abs(c.weight - 1) < 1e-9 for c in cycles)
-    covered = {e.configs[0] for c in cycles for e in c.edges}
+    assert all(abs(g.product(c) - 1) < 1e-9 for c in cycles)
+    covered = {cfg for c in cycles for cfg in g.configs(c)}
     assert covered == set(rule.configs())
 
 
 def test_cycles_mismatch_k2(f21):
-    cycles = enumerate_cycles(pair_graph(f21), restrict="mismatch")
-    assert cycle_monomials(cycles) == {mono((0, 3)), mono((1, 2), (1, 2))}
+    g2 = pair_graph(f21)
+    cycles = enumerate_cycles(g2, restrict="mismatch")
+    assert cycle_monomials(g2, cycles) == {mono((0, 3)), mono((1, 2), (1, 2))}
 
 
 def test_cycles_mismatch_k3():
     rule = make_family("f31", {"r1": 1.3, "r2": 0.6, "r6": 0.8})
     by_len = {}
-    for c in enumerate_cycles(pair_graph(rule), restrict="mismatch"):
-        by_len.setdefault(len(c.edges), set()).add(monomial_of(c, 2))
+    g2 = pair_graph(rule)
+    for c in enumerate_cycles(g2, restrict="mismatch"):
+        by_len.setdefault(len(c), set()).add(monomial_of(g2, c))
     assert by_len[1] == {mono((0, 7))}
     assert by_len[2] == {mono((2, 5), (2, 5)), mono((0, 2), (0, 5)), mono((2, 7), (5, 7))}
     # four length-3 mismatch cycles match the constraint analysis; the fifth
@@ -132,10 +142,11 @@ def test_cycle_cap(ident):
 
 
 def test_cycle_order_deterministic(f21):
-    a = enumerate_cycles(pair_graph(f21))
-    b = enumerate_cycles(pair_graph(f21))
-    assert [tuple(e.configs for e in c.edges) for c in a] == \
-           [tuple(e.configs for e in c.edges) for c in b]
+    ga, gb = pair_graph(f21), pair_graph(f21)
+    a = enumerate_cycles(ga)
+    b = enumerate_cycles(gb)
+    assert [ga.configs(c) for c in a] == \
+           [gb.configs(c) for c in b]
 
 
 def closure_holds(rule, sector):
@@ -191,16 +202,16 @@ def test_sector_prunes_unit_configs_off_cycles():
 
 def test_sector_subgraph(ident, f21_00):
     d1 = sector_subgraph(rule_graph(f21_00), deterministic_sector(f21_00))
-    assert [(e.source, e.target) for e in d1.edges] == [(0, 0)]
+    assert list(zip(d1.src.tolist(), d1.dst.tolist())) == [(0, 0)]
 
     rule = make_family("f31_000_111", {"m1": 1.4, "m2": 0.8})
     d2 = sector_subgraph(pair_graph(rule), deterministic_sector(rule))
-    assert {e.configs for e in d2.edges} == {
+    assert set(edge_configs(d2)) == {
         ((0, 0, 0), (0, 0, 0)), ((0, 0, 0), (1, 1, 1)),
         ((1, 1, 1), (0, 0, 0)), ((1, 1, 1), (1, 1, 1))}
 
     empty = sector_subgraph(rule_graph(ident), frozenset())
-    assert empty.edges == ()
+    assert len(empty.edges) == 0
 
 
 def test_dot_export(f21):

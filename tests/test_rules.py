@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -148,6 +149,17 @@ def test_rule_dict_errors(ident):
         breakage(data)
         with pytest.raises(RuleFormatError):
             rule_from_dict(data)
+
+
+def test_rule_dict_rejects_bad_q_and_k_before_sizing(ident):
+    good = rule_to_dict(ident)
+    for q, k, name in ((2, 0, "'k'"), (2, -3, "'k'"), (1, 2, "'q'"), (2, 10**8, "'k'")):
+        data = dict(good, q=q, k=k)
+        started = time.perf_counter()
+        with pytest.raises(RuleFormatError, match=name):
+            rule_from_dict(data)
+        # q**k for k = 10**8 took seconds before k was checked
+        assert time.perf_counter() - started < 0.1
 
 
 def test_table_validation():

@@ -14,6 +14,8 @@ from qca1d import (
 )
 from qca1d.transfer import Monomial
 
+from conftest import quantized_shift
+
 
 def mono(*pairs):
     return Monomial(tuple(sorted(tuple(sorted(p)) if not isinstance(p, int) else (p,)
@@ -99,6 +101,18 @@ def test_z_polynomial_matches_direct_determinant():
         direct = np.linalg.det(np.eye(7) - t * a)
         series = sum(c * t**i for i, c in enumerate(z))
         assert abs(series - direct) <= 1e-8 * abs(direct)
+
+
+def test_z_polynomial_pair_graph_64x64():
+    # the raw pair-graph matrix of a quantized shift(2,4) is 64 x 64; the
+    # Faddeev-LeVerrier recurrence read 0.0635 for its t^64 coefficient
+    a = transfer_matrix(pair_graph(quantized_shift(2, 4)))
+    assert a.shape == (64, 64)
+    z = z_polynomial(a)
+    for t in (0.5, -0.8, 1.0, 0.6 + 0.6j, 1.5, -2.0):
+        direct = np.linalg.det(np.eye(64) - t * a)
+        series = sum(c * t**i for i, c in enumerate(z))
+        assert abs(series - direct) <= 1e-9 * max(1.0, abs(direct))
 
 
 def test_trace_series_identity():
