@@ -28,10 +28,11 @@ from .graphs import (
 from .oracle import (
     DEFAULT_MAX_DIM,
     DimensionCapExceeded,
-    apply_global,
     basis_state,
     defect_estimate,
+    evolution_step,
     global_matrix,
+    state_dim,
     unitarity_defect,
 )
 from .rules import DEFAULT_TOLERANCE, RuleFormatError, RuleTable, config_str, dump_rule, index_config, load_rule
@@ -82,7 +83,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     rule = _load(args)
-    dim = rule.q**args.sites
+    dim = state_dim(rule.q, args.sites)
     rng = np.random.default_rng(args.seed)
     exact = dim <= DEFAULT_MAX_DIM
     if exact:
@@ -106,6 +107,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _parse_initial(value: str, q: int, n_sites: int) -> np.ndarray:
+    dim = state_dim(q, n_sites)
     if len(value) == n_sites and all(c.isdigit() and int(c) < q for c in value):
         return basis_state(q, n_sites, value)
     try:
@@ -115,19 +117,17 @@ def _parse_initial(value: str, q: int, n_sites: int) -> np.ndarray:
         raise RuleFormatError(
             f"--initial {value!r} is neither a length-{n_sites} config string nor a "
             f"readable state file: {exc}")
-    if not isinstance(data, list) or len(data) != q**n_sites:
-        raise RuleFormatError(f"state file must hold {q**n_sites} [re, im] pairs")
+    if not isinstance(data, list) or len(data) != dim:
+        raise RuleFormatError(f"state file must hold {dim} [re, im] pairs")
     return np.array([complex(p[0], p[1]) for p in data])
 
 
 def _cmd_simulate(args) -> int:
+    if args.steps < 0:
+        raise ValueError(f"--steps must be nonnegative, got {args.steps}")
     rule = _load(args)
     state = _parse_initial(args.initial, rule.q, args.sites)
-    if rule.q**args.sites <= DEFAULT_MAX_DIM:
-        matrix = global_matrix(rule, args.sites)
-        advance = lambda s: matrix @ s
-    else:
-        advance = lambda s: apply_global(rule, args.sites, s)
+    advance = evolution_step(rule, args.sites)
     print(f"sites: {args.sites}, steps: {args.steps}")
     for step in range(args.steps + 1):
         if step:

@@ -3,26 +3,27 @@
 The global evolution matrix on N sites has entries
 F[out, in] = prod_x f(out_x | in_(x+E)) with periodic indexing, site 0 most
 significant in the configuration index.  Unitarity is measured as the
-max-norm defect of F^dagger F - I.  States can also be evolved without
-materializing F, by contracting the per-site amplitude tensor along the
-ring; that path reaches lattice sizes whose dense matrix would not fit.
+max-norm defect of F^dagger F - I.  The dense build multiplies the
+amplitude columns of every site's window index, site by site in Kronecker
+order.  The matrix-free path applies F or F^dagger one site at a time, as a
+batched matmul over the window cells a site shares with its neighbours;
+ring states of more than MAX_STATE_DIM amplitudes are refused up front.
 """
 
 from __future__ import annotations
 
-import string
-from functools import reduce
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .rules import RuleTable, all_configs, config_index
+from .rules import RuleTable, all_configs, as_config, config_digits, config_index, window_indices
 
 DEFAULT_MAX_DIM = 4096
+MAX_STATE_DIM = 2**24
 
 
 class DimensionCapExceeded(RuntimeError):
-    """The requested dense matrix exceeds the configured size cap."""
+    """The requested dense matrix or ring state exceeds the configured size cap."""
 
 
 def neighborhood_offsets(offsets: Sequence[int] | None, k: int) -> tuple[int, ...]:
@@ -37,17 +38,33 @@ def neighborhood_offsets(offsets: Sequence[int] | None, k: int) -> tuple[int, ..
     return offs
 
 
-def basis_state(q: int, n_sites: int, config: Sequence[int] | str) -> np.ndarray:
-    from .rules import as_config
+def state_dim(q: int, n_sites: int) -> int:
+    """q^N for an N-site ring, refused past MAX_STATE_DIM before any allocation."""
+    if n_sites < 1:
+        raise ValueError(f"need at least one site, got {n_sites}")
+    if n_sites >= MAX_STATE_DIM.bit_length() or q**n_sites > MAX_STATE_DIM:
+        raise DimensionCapExceeded(
+            f"ring state dimension {q}^{n_sites} exceeds the cap {MAX_STATE_DIM}")
+    return q**n_sites
 
-    cfg = as_config(config, q, n_sites)
-    state = np.zeros(q**n_sites, dtype=complex)
-    state[config_index(cfg, q)] = 1.0
+
+def basis_state(q: int, n_sites: int, config: Sequence[int] | str) -> np.ndarray:
+    state = np.zeros(state_dim(q, n_sites), dtype=complex)
+    state[config_index(as_config(config, q, n_sites), q)] = 1.0
+    return state
+
+
+def _checked_state(state: np.ndarray, q: int, n_sites: int) -> np.ndarray:
+    dim = state_dim(q, n_sites)
+    state = np.asarray(state, dtype=complex)
+    if state.shape != (dim,):
+        raise ValueError(f"state has shape {state.shape}, expected ({dim},)")
     return state
 
 
 def random_state(q: int, n_sites: int, rng: np.random.Generator) -> np.ndarray:
-    state = rng.normal(size=q**n_sites) + 1j * rng.normal(size=q**n_sites)
+    dim = state_dim(q, n_sites)
+    state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return state / np.linalg.norm(state)
 
 
@@ -63,23 +80,20 @@ def global_matrix(
     vectors of the windows read from the input configuration; for a
     deterministic rule every column is a standard basis vector.
     """
-    if n_sites < 1:
-        raise ValueError(f"need at least one site, got {n_sites}")
-    q = rule.q
-    dim = q**n_sites
+    q, k = rule.q, rule.k
+    dim = state_dim(q, n_sites)
     if dim > max_dim:
         raise DimensionCapExceeded(
             f"dense matrix dimension {dim} exceeds the cap {max_dim}; raise max_dim "
             "or use the matrix-free evolution")
-    offs = neighborhood_offsets(offsets, rule.k)
-    amps = rule.amplitudes
-    matrix = np.empty((dim, dim), dtype=complex)
-    for col, cfg in enumerate(all_configs(q, n_sites)):
-        windows = [
-            config_index(tuple(cfg[(x + e) % n_sites] for e in offs), q)
-            for x in range(n_sites)
-        ]
-        matrix[:, col] = reduce(np.kron, (amps[w] for w in windows))
+    offs = neighborhood_offsets(offsets, k)
+    cells = config_digits(q, n_sites)[[(offs[0] + t) % n_sites for t in range(n_sites + k - 1)]]
+    windows = window_indices(cells, q, k)
+    # np.take keeps every factor, and so the matrix, C-contiguous
+    matrix = np.take(rule.amplitudes.T, windows[0], axis=1)
+    for x in range(1, n_sites):
+        factor = np.take(rule.amplitudes.T, windows[x], axis=1)
+        matrix = (matrix[:, None, :] * factor[None, :, :]).reshape(-1, dim)
     return matrix
 
 
@@ -87,66 +101,48 @@ def unitarity_defect(matrix: np.ndarray) -> float:
     """Max-norm of F^dagger F - I; zero iff the matrix is unitary."""
     matrix = np.asarray(matrix)
     gram = matrix.conj().T @ matrix
-    return float(np.max(np.abs(gram - np.eye(matrix.shape[0]))))
+    gram.flat[::len(gram) + 1] -= 1.0  # in place: no identity or difference matrix
+    return float(np.max(np.abs(gram)))
 
 
-# ---------------------------------------------------------------------------
-# Matrix-free application
-# ---------------------------------------------------------------------------
+def _transfer(rule: RuleTable, n: int, vec: np.ndarray, adjoint: bool) -> np.ndarray:
+    """F @ vec, or F^dagger @ vec, for offsets 0..k-1.
 
-
-def _roll_axes(state: np.ndarray, q: int, n: int, shift: int) -> np.ndarray:
-    if shift % n == 0:
-        return state
-    tensor = state.reshape((q,) * n)
-    axes = [(i + shift) % n for i in range(n)]
-    return np.transpose(tensor, axes).reshape(-1)
-
-
-def _apply_forward(rule: RuleTable, n: int, vec: np.ndarray) -> np.ndarray:
+    Cells 0..k-2, which the last windows read around the wrap (every cell
+    when n < k), are fixed to one value at a time and are no axes of the
+    state.  Step x multiplies the state, read as [mid, rest, a], by
+    kernel[mid, a, b], mid being the window's other free cells.  Forward, a
+    is input x, b output x, and the state runs [inputs x.., outputs ..x-1];
+    adjoint, a is output x, b input x+k-1, and it runs [outputs x.., inputs k-1..].
+    """
     q, k = rule.q, rule.k
-    b = k - 1
-    letters = string.ascii_letters
-    if b + 2 * n > len(letters):
-        raise ValueError(f"lattice of {n} sites is too large for the contraction ladder")
-    p_l, s_l, o_l = letters[:b], letters[b:b + n], letters[b + n:b + 2 * n]
+    b = min(k - 1, n)
     tensor = rule.amplitudes.reshape((q,) * k + (q,))
-    # Boundary cells are duplicated up front so that wrapped windows can read
-    # them after the originals have been summed away.
-    if b:
-        c = np.zeros((q**b, q**b, q ** (n - b)), dtype=complex)
-        vr = vec.reshape(q**b, -1)
-        for p in range(q**b):
-            c[p, p, :] = vr[p]
-        c = c.reshape((q,) * (b + n))
-    else:
-        c = vec.reshape((q,) * n).copy()
-    for x in range(n):
-        c_sub = p_l + s_l[x:] + o_l[:x]
-        window = "".join(s_l[pos] if pos < n else p_l[pos - n] for pos in range(x, x + k))
-        out_sub = p_l + s_l[x + 1:] + o_l[:x + 1]
-        c = np.einsum(f"{c_sub},{window}{o_l[x]}->{out_sub}", c, tensor)
-    if b:
-        c = c.sum(axis=tuple(range(b)))
-    return c.reshape(-1)
-
-
-def _apply_adjoint(rule: RuleTable, n: int, vec: np.ndarray) -> np.ndarray:
-    q, k = rule.q, rule.k
-    letters = string.ascii_letters
-    if 2 * n > len(letters):
-        raise ValueError(f"lattice of {n} sites is too large for the contraction ladder")
-    s_l, o_l = letters[:n], letters[n:2 * n]
-    tensor = rule.amplitudes.conj().reshape((q,) * k + (q,))
-    c = vec.reshape((q,) * n)
-    introduced = 0
-    for x in range(n):
-        c_sub = s_l[:introduced] + o_l[x:]
-        window = "".join(s_l[(x + j) % n] for j in range(k))
-        introduced = min(n, x + k)
-        out_sub = s_l[:introduced] + o_l[x + 1:]
-        c = np.einsum(f"{c_sub},{window}{o_l[x]}->{out_sub}", c, tensor)
-    return c.reshape(-1)
+    if adjoint:
+        tensor = tensor.conj()
+    rows = vec.reshape(q**b, -1)
+    out = np.zeros_like(rows)
+    for p, border in enumerate(all_configs(q, b)):
+        c = vec if adjoint else rows[p]
+        for x in range(n):
+            cells = [(x + j) % n for j in range(k)]
+            t = tensor[tuple(border[y] if y < b else slice(None) for y in cells)]
+            if adjoint:
+                mid = q ** sum(y >= b for y in cells[:-1])
+                kernel = t.reshape(mid, -1, q).transpose(0, 2, 1)
+                legs = c.reshape(q, -1, mid).transpose(2, 1, 0)
+                c = np.empty((legs.shape[1], mid, kernel.shape[2]), dtype=complex)
+                np.matmul(legs, kernel, out=c.transpose(1, 0, 2))
+            else:
+                mid = q ** sum(y >= b for y in cells[1:])
+                kernel = t.reshape(-1, mid, q).transpose(1, 0, 2)
+                c = c.reshape(kernel.shape[1], mid, -1).transpose(1, 2, 0) @ kernel
+            c = c.reshape(-1)
+        if adjoint:
+            out[p] = c
+        else:
+            out += c.reshape(rows.shape)
+    return out.reshape(-1)
 
 
 def apply_global(
@@ -163,19 +159,26 @@ def apply_global(
     """
     q, k = rule.q, rule.k
     offs = neighborhood_offsets(offsets, k)
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (q**n_sites,):
-        raise ValueError(f"state has shape {state.shape}, expected ({q**n_sites},)")
-    if n_sites < k:
-        # Windows wrap more than once; the dense matrix is tiny here.
-        matrix = global_matrix(rule, n_sites, offsets=offs, max_dim=q**n_sites)
-        return matrix.conj().T @ state if adjoint else matrix @ state
-    base = offs[0]
+    state = _checked_state(state, q, n_sites)
+    # moving the first (base mod N) cells to the end transposes the index
+    head = q ** (offs[0] % n_sites)
     if adjoint:
-        out = _apply_adjoint(rule, n_sites, _roll_axes(state, q, n_sites, -base))
-    else:
-        out = _roll_axes(_apply_forward(rule, n_sites, state), q, n_sites, base)
-    return out
+        return _transfer(rule, n_sites, state.reshape(-1, head).T.reshape(-1), adjoint=True)
+    return _transfer(rule, n_sites, state, adjoint=False).reshape(head, -1).T.reshape(-1)
+
+
+def evolution_step(
+    rule: RuleTable,
+    n_sites: int,
+    offsets: Sequence[int] | None = None,
+    max_dense_dim: int = DEFAULT_MAX_DIM,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """One application of the evolution: a product with the dense matrix,
+    built once, while q^N <= max_dense_dim, and matrix-free past that."""
+    if rule.q**n_sites <= max_dense_dim:
+        matrix = global_matrix(rule, n_sites, offsets=offsets, max_dim=max_dense_dim)
+        return lambda state: matrix @ state
+    return lambda state: apply_global(rule, n_sites, state, offsets=offsets)
 
 
 def evolve(
@@ -189,17 +192,10 @@ def evolve(
     """Apply the evolution ``steps`` times to a configuration-space vector."""
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    q = rule.q
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (q**n_sites,):
-        raise ValueError(f"state has shape {state.shape}, expected ({q**n_sites},)")
-    if q**n_sites <= max_dense_dim:
-        matrix = global_matrix(rule, n_sites, offsets=offsets, max_dim=max_dense_dim)
-        for _ in range(steps):
-            state = matrix @ state
-        return state
+    state = _checked_state(state, rule.q, n_sites)
+    step = evolution_step(rule, n_sites, offsets=offsets, max_dense_dim=max_dense_dim)
     for _ in range(steps):
-        state = apply_global(rule, n_sites, state, offsets=offsets)
+        state = step(state)
     return state
 
 
@@ -211,6 +207,8 @@ def defect_estimate(
     offsets: Sequence[int] | None = None,
 ) -> float:
     """Estimate the unitarity defect as max |F^dag F v - v| over random unit vectors."""
+    if samples < 1:
+        raise ValueError(f"need at least one sample vector, got {samples}")
     rng = rng if rng is not None else np.random.default_rng(0)
     worst = 0.0
     for _ in range(samples):

@@ -43,6 +43,21 @@ def index_config(index: int, q: int, k: int) -> Config:
     return tuple(reversed(digits))
 
 
+def config_digits(q: int, length: int) -> np.ndarray:
+    """Cells of every string of the given length: entry [s, i] is cell s of string i."""
+    place = q ** np.arange(length - 1, -1, -1)
+    return np.arange(q**length)[None, :] // place[:, None] % q
+
+
+def window_indices(cells: np.ndarray, q: int, k: int) -> np.ndarray:
+    """Config index of every length-k run of rows: entry [j, i] reads cells[j:j+k, i]."""
+    count = len(cells) - k + 1
+    windows = cells[:count]
+    for j in range(1, k):
+        windows = windows * q + cells[j:j + count]
+    return windows
+
+
 def config_str(config: Sequence[int]) -> str:
     return "".join(str(s) for s in config)
 

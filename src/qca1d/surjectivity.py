@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphs import deterministic_sector
-from .rules import Config, RuleTable, all_configs, as_config, index_config
+from .rules import Config, RuleTable, all_configs, as_config, config_digits, index_config, window_indices
 from .unitarity import ConstraintReport
 
 
@@ -90,15 +90,15 @@ def restricted_evolution(
     if abs(rule.amplitude(right_out[-1], right) - 1.0) > rule.tolerance:
         raise ValueError(
             f"transition amplitude f({right_out[-1]}|...) on the right border is not 1")
-    q = rule.q
+    q, k = rule.q, rule.k
     dim = q**n
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for a_idx in range(dim):
-        alpha = index_config(a_idx, q, n)
-        input_string = left[1:] + alpha + right[:-1]
-        for b_idx in range(dim):
-            alpha_out = index_config(b_idx, q, n)
-            matrix[b_idx, a_idx] = window_amplitude(rule, alpha_out + right_out[:-1], input_string)
+    border = lambda cfg: np.repeat(np.array(cfg, dtype=np.intp).reshape(-1, 1), dim, axis=1)
+    cells = np.vstack([border(left[1:]), config_digits(q, n), border(right[:-1])])
+    # rows: the output cells read so far, free in the interior, right_out past it
+    matrix = np.ones((1, dim), dtype=complex)
+    for j, w in enumerate(window_indices(cells, q, k)):
+        factor = rule.amplitudes[w].T if j < n else rule.amplitudes[w, right_out[j - n]][None]
+        matrix = (matrix[:, None, :] * factor[None, :, :]).reshape(-1, dim)
     return matrix
 
 
@@ -130,15 +130,9 @@ def reduced_evolution(
     q = rule.q
     matrix = np.ones((1, 1), dtype=complex)
     for m in range(n):
-        dim = q**m
-        new = np.zeros((dim * q, dim * q), dtype=complex)
-        for a_idx in range(dim):
-            alpha = index_config(a_idx, q, m)
-            phi = extension_matrix(rule, _column_prefix(rule, left, alpha, m))
-            for i in range(q):
-                for j in range(q):
-                    new[j::q, a_idx * q + i] = matrix[:, a_idx] * phi[i, j]
-        matrix = new
+        phi = np.array([extension_matrix(rule, _column_prefix(rule, left, index_config(a, q, m), m))
+                        for a in range(q**m)])
+        matrix = (matrix[:, None, :, None] * phi.transpose(2, 0, 1)[None]).reshape(q ** (m + 1), -1)
     return matrix
 
 

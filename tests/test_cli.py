@@ -189,11 +189,11 @@ def test_simulate_with_state_file(tmp_path, capsys, f21):
 
 
 def test_simulate_builds_the_evolution_once(tmp_path, capsys, monkeypatch, f21):
-    import qca1d.cli as cli
+    import qca1d.oracle as oracle
 
     calls = []
-    original = cli.global_matrix
-    monkeypatch.setattr(cli, "global_matrix",
+    original = oracle.global_matrix
+    monkeypatch.setattr(oracle, "global_matrix",
                         lambda *a, **kw: calls.append(a[1]) or original(*a, **kw))
     path = write_rule(tmp_path, f21)
     code, out, _ = run(capsys, "simulate", path, "--sites", "8", "--steps", "4",
@@ -227,6 +227,31 @@ def test_pair_graph_commands_exit_3_before_allocating(tmp_path, capsys):
             tracemalloc.stop()
         assert code == 3 and "cap" in err
         assert peak < 16 * 2**20  # the weights alone would take 73 MiB
+
+
+def test_ring_state_commands_exit_3_before_allocating(tmp_path, capsys, f21):
+    # 2^40 amplitudes is over MAX_STATE_DIM
+    path = write_rule(tmp_path, f21)
+    for argv in (("oracle", path, "--sites", "40"),
+                 ("simulate", path, "--sites", "40", "--steps", "1", "--initial", "01" * 20),
+                 ("simulate", path, "--sites", "40", "--steps", "1", "--initial", "state.json")):
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and "cap" in err
+        assert peak < 2**20
+
+
+def test_empty_oracle_sample_and_negative_steps_exit_2(tmp_path, capsys, f21):
+    path = write_rule(tmp_path, f21)
+    code, out, err = run(capsys, "oracle", path, "--sites", "13", "--samples", "0")
+    assert code == 2 and out == "" and "sample" in err
+    code, out, err = run(capsys, "simulate", path, "--sites", "4", "--steps", "-2",
+                         "--initial", "0010")
+    assert code == 2 and out == "" and "steps" in err
 
 
 def test_seeded_output_is_stable(tmp_path, capsys, f21):

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,25 @@ from qca1d import (
     unitarity_defect,
 )
 from qca1d.oracle import neighborhood_offsets
+
+
+def kron_columns(rule, n, cols, offsets=None):
+    """Columns of the ring evolution matrix, one Kronecker product per input config."""
+    offs = neighborhood_offsets(offsets, rule.k)
+    columns = []
+    for col in cols:
+        cfg = index_config(int(col), rule.q, n)
+        windows = [config_index([cfg[(x + e) % n] for e in offs], rule.q) for x in range(n)]
+        columns.append(reduce(np.kron, (rule.amplitudes[w] for w in windows)))
+    return np.stack(columns, axis=1)
+
+
+def random_rule(q, k, rng):
+    amps = rng.normal(size=(q**k, q)) + 1j * rng.normal(size=(q**k, q))
+    return RuleTable(q, k, amps / np.linalg.norm(amps, axis=1, keepdims=True))
+
+
+OFFSET_CHOICES = (lambda k: None, lambda k: tuple(range(1, k + 1)), lambda k: tuple(range(-1, k - 1)))
 
 
 def test_identity_map_global_matrix(ident):
@@ -116,6 +137,53 @@ def test_matrix_free_matches_dense(family, params, k):
             np.testing.assert_allclose(
                 apply_global(rule, n, state, adjoint=True, offsets=offsets),
                 f.conj().T @ state, atol=1e-12)
+
+
+@pytest.mark.parametrize("q", (3, 4))
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_matrix_free_matches_dense_larger_alphabets(q, k):
+    # all columns while q^N <= 1024, a sample of 16 past that
+    rng = np.random.default_rng(10 * q + k)
+    rule = random_rule(q, k, rng)
+    for n in range(1, 8):
+        dim = q**n
+        cols = np.arange(dim) if dim <= 1024 else rng.choice(dim, 16, replace=False)
+        for choice in OFFSET_CHOICES:
+            offsets = choice(k)
+            f = kron_columns(rule, n, cols, offsets)
+            coeffs = rng.normal(size=len(cols)) + 1j * rng.normal(size=len(cols))
+            state = np.zeros(dim, dtype=complex)
+            state[cols] = coeffs
+            np.testing.assert_allclose(
+                apply_global(rule, n, state, offsets=offsets), f @ coeffs, atol=1e-12)
+            state = random_state(q, n, rng)
+            np.testing.assert_allclose(
+                apply_global(rule, n, state, adjoint=True, offsets=offsets)[cols],
+                f.conj().T @ state, atol=1e-12)
+
+
+@pytest.mark.parametrize("rule", [
+    make_family("f21", {"theta": 0.5, "rho": 1.2}),
+    make_family("f31", {"r1": 1.1, "r2": 0.8, "r6": 1.3, "theta": 0.9}),
+    patt_rule(),
+    random_rule(3, 1, np.random.default_rng(7)),
+    random_rule(3, 2, np.random.default_rng(8)),
+], ids=["f21", "f31", "patt", "q3k1", "q3k2"])
+def test_global_matrix_equals_kron_loop(rule):
+    for n in range(1, 8):
+        for choice in OFFSET_CHOICES:
+            offsets = choice(rule.k)
+            f = global_matrix(rule, n, offsets=offsets)
+            assert np.array_equal(f, kron_columns(rule, n, range(rule.q**n), offsets))
+            assert f.flags.c_contiguous  # products with it round as before
+
+
+def test_deterministic_columns_are_exact_basis_vectors():
+    patt = patt_rule()
+    for n in range(1, 8):
+        f = global_matrix(patt, n)
+        assert np.all((f == 0) | (f == 1))
+        assert np.all((f == 1).sum(axis=0) == 1)
 
 
 def test_matrix_free_wrap_case():

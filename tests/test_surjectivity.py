@@ -59,6 +59,32 @@ def test_restricted_identity_rule(ident):
     np.testing.assert_allclose(f2, np.eye(4))
 
 
+def restricted_by_loop(rule, left, right, right_out, n):
+    """Entry-by-entry restricted evolution: one window amplitude per (output, input) pair."""
+    from qca1d import index_config
+
+    q = rule.q
+    left, right, right_out = rule.config(left), rule.config(right), rule.config(right_out)
+    matrix = np.zeros((q**n, q**n), dtype=complex)
+    for col in range(q**n):
+        inputs = left[1:] + index_config(col, q, n) + right[:-1]
+        for row in range(q**n):
+            matrix[row, col] = window_amplitude(
+                rule, index_config(row, q, n) + right_out[:-1], inputs)
+    return matrix
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_restricted_matches_loop(ident, f21_00, n):
+    f31_000 = make_family("f31_000", {"r1": 1.3, "m2": 0.7, "m6": 1.1, "p1": 0.4})
+    for rule, border in ((ident, "00"), (f21_00, "00"), (f31_000, "000")):
+        # same products in the same order; numpy's complex multiply may round
+        # the last bit differently from Python's
+        np.testing.assert_allclose(restricted_evolution(rule, border, border, border, n),
+                                   restricted_by_loop(rule, border, border, border, n),
+                                   rtol=1e-15, atol=1e-16)
+
+
 def test_restricted_preconditions(f21_00):
     with pytest.raises(ValueError, match="sector"):
         restricted_evolution(f21_00, "01", "00", "00", 1)
