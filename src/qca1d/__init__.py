@@ -60,7 +60,6 @@ from .surjectivity import (
     window_amplitude,
 )
 from .families import (
-    FamilySpec,
     ParameterError,
     family_names,
     frame_rule,

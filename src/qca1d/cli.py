@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .families import FAMILY_SCHEMAS, ParameterError, family_names, make_family
+from .families import FAMILIES, ParameterError, family_names, make_family
 from .graphs import (
     CycleCapExceeded,
     deterministic_sector,
@@ -157,9 +157,9 @@ def _parse_param(text: str):
 def _cmd_family(args) -> int:
     if args.list:
         for name in family_names():
-            schema = FAMILY_SCHEMAS[name]
-            print(f"{name}: {schema['doc']}")
-            for pname, desc in schema["params"].items():
+            family = FAMILIES[name]
+            print(f"{name}: {family.doc}")
+            for pname, desc in family.params.items():
                 print(f"  {pname}" + (f" ({desc})" if desc else ""))
         return 0
     if not args.name:

@@ -18,8 +18,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Mapping
+from functools import partial
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,8 @@ from .rules import (
     as_config,
     config_index,
     config_str,
+    deterministic_outputs,
     is_deterministic,
-    deterministic_output,
     parity_transform,
     rule_from_dict,
 )
@@ -40,12 +40,6 @@ from .rules import (
 
 class ParameterError(ValueError):
     """A family parameter is missing, unknown, or violates a constraint."""
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    name: str
-    params: Mapping = field(default_factory=dict)
 
 
 def _angle(params, name, default=0.0):
@@ -333,55 +327,141 @@ def quantize(det_rule: RuleTable, unitary: np.ndarray) -> RuleTable:
     defect = np.max(np.abs(u.conj().T @ u - np.eye(q)))
     if defect > max(det_rule.tolerance, 1e-12):
         raise ParameterError(f"rotation matrix is not unitary (defect {defect:.3e})")
-    amps = np.zeros_like(det_rule.amplitudes)
-    for cfg in det_rule.configs():
-        out = deterministic_output(det_rule, cfg)
-        amps[config_index(cfg, det_rule.q)] = u[:, out]
-    return RuleTable(det_rule.q, det_rule.k, amps, det_rule.tolerance)
+    return RuleTable(det_rule.q, det_rule.k, u.T[deterministic_outputs(det_rule)],
+                     det_rule.tolerance)
+
+
+# ---------------------------------------------------------------------------
+# Seeded parameter draws, honoring the excluded-submanifold margins
+# ---------------------------------------------------------------------------
+
+
+def _angles(rng, names):
+    return {p: float(rng.uniform(0.0, 2.0 * math.pi)) for p in names}
+
+
+def _scale(rng):
+    return float(np.exp(rng.uniform(-0.6, 0.6)))
+
+
+def _sampler(names, moduli, build=None, guarded=()):
+    """Draw an angle for each of ``names`` not in ``moduli``, then a scale
+    for each modulus, until every guarded amplitude f(out | cfg) of the
+    built rule is at least the margin."""
+    angle_names = [p for p in names if p not in moduli]
+
+    def sample(rng, margin):
+        while True:
+            params = _angles(rng, angle_names) | {p: _scale(rng) for p in moduli}
+            if not guarded:
+                return params
+            rule = build(params, DEFAULT_TOLERANCE)
+            if all(abs(rule.amplitude(out, cfg)) >= margin for cfg, out in guarded):
+                return params
+
+    return sample
+
+
+def _sample_f21_00(rng, margin):
+    params = _angles(rng, ("alpha", "beta", "phi1", "phi3")) | {"rho": _scale(rng)}
+    while True:
+        theta = float(rng.uniform(0.0, 2.0 * math.pi))
+        if abs(math.cos(theta)) >= margin:
+            return params | {"theta": theta}
 
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
-_ANGLES = "angles in radians"
 
-FAMILY_SCHEMAS: dict[str, dict] = {
-    "f21": {"params": {p: _ANGLES for p in _F21_PARAMS[:-1]} | {"rho": "positive scale"},
-            "doc": "size-2 periodic family, vectors framed by the last cell"},
-    "f2m1": {"params": {p: _ANGLES for p in _F21_PARAMS[:-1]} | {"rho": "positive scale"},
-             "doc": "parity transform of f21"},
-    "f21_00": {"params": {p: _ANGLES for p in _F21_00_PARAMS[:-1]} | {"rho": "positive scale"},
-               "doc": "size-2 infinite family with quiescent 00"},
-    "f2m1_00": {"params": {p: _ANGLES for p in _F21_00_PARAMS[:-1]} | {"rho": "positive scale"},
-                "doc": "parity transform of f21_00"},
-    "f31": {"params": {"theta": _ANGLES, "eta": _ANGLES, "xi": _ANGLES,
-                       "r1": "modulus", "r2": "modulus", "r6": "modulus",
-                       "p1..p6": _ANGLES, "z1..z6": "explicit complex scales (optional)"},
-            "doc": "size-3 periodic family framed by the last cell"},
-    "f30": {"params": {"theta": _ANGLES, "eta": _ANGLES, "xi": _ANGLES,
-                       "r1": "modulus", "r2": "modulus", "r6": "modulus",
-                       "p1..p6": _ANGLES, "z1..z6": "explicit complex scales (optional)"},
-            "doc": "size-3 periodic family framed by the middle cell"},
-    "f3m1": {"params": {"same as f31": ""}, "doc": "parity transform of f31"},
-    "f31_000": {"params": {p: "" for p in _F31_000_PARAMS},
-                "doc": "size-3 infinite family, deterministic sector {000}"},
-    "f3m1_000": {"params": {p: "" for p in _F31_000_PARAMS},
-                 "doc": "parity transform of f31_000"},
-    "f31_000_111": {"params": {p: "" for p in _F31_000_111_PARAMS},
-                    "doc": "size-3 infinite family, deterministic sector {000, 111}"},
-    "patt": {"params": {}, "doc": "reversible deterministic size-4 rule"},
-    "frame": {"params": {"q": "states", "k": "neighborhood", "j": "frame depth",
-                         "vectors": "config -> [[re,im] x q] mapping (or JSON file path)"},
-              "doc": "rule from explicit orthogonal vector classes"},
-    "quantized": {"params": {"base": "rule file path, family name, or rule dict",
-                             "unitary": "q x q matrix [[..]] (or JSON file path)"},
-                  "doc": "rigid rotation of a deterministic reversible rule"},
+def _patt(params, tolerance):
+    _check_known(params, (), "patt")
+    return patt_rule(tolerance)
+
+
+def _frame(params, tolerance):
+    _check_known(params, ("q", "k", "j", "vectors"), "frame")
+    try:
+        q, k, j = int(params["q"]), int(params["k"]), int(params["j"])
+    except KeyError as exc:
+        raise ParameterError(f"frame requires parameter {exc.args[0]!r}")
+    vectors = _load_json_param(params.get("vectors"), "vectors")
+    if not isinstance(vectors, Mapping):
+        raise ParameterError("parameter 'vectors' must map config strings to vectors")
+    return frame_rule(q, k, j, vectors, tolerance)
+
+
+def _quantized(params, tolerance):
+    _check_known(params, ("base", "unitary"), "quantized")
+    if "base" not in params or "unitary" not in params:
+        raise ParameterError("quantized requires parameters 'base' and 'unitary'")
+    base = _resolve_base_rule(params["base"], tolerance)
+    return quantize(base, _resolve_matrix(params["unitary"]))
+
+
+class Family(NamedTuple):
+    """One registry entry: the doc and parameter schema that ``qca1d family
+    --list`` prints, the builder and the seeded sampler (None: no draw)."""
+
+    doc: str
+    params: dict[str, str]
+    build: Callable[[dict, float], RuleTable]
+    sample: Callable[[np.random.Generator, float], dict] | None = None
+
+    def parity(self, name: str, params: dict[str, str] | None = None) -> "Family":
+        """The family of the parity transforms of this family's rules."""
+        return self._replace(doc=f"parity transform of {name}", params=params or self.params,
+                             build=lambda p, tolerance: parity_transform(self.build(p, tolerance)))
+
+
+_ANGLES = "angles in radians"
+_F21 = Family("size-2 periodic family, vectors framed by the last cell",
+              dict.fromkeys(_F21_PARAMS[:-1], _ANGLES) | {"rho": "positive scale"},
+              _f21, _sampler(_F21_PARAMS, ("rho",)))
+_F21_00 = Family("size-2 infinite family with quiescent 00",
+                 dict.fromkeys(_F21_00_PARAMS[:-1], _ANGLES) | {"rho": "positive scale"},
+                 _f21_00, _sample_f21_00)
+_F31 = Family("size-3 periodic family framed by the last cell",
+              {"theta": _ANGLES, "eta": _ANGLES, "xi": _ANGLES,
+               "r1": "modulus", "r2": "modulus", "r6": "modulus",
+               "p1..p6": _ANGLES, "z1..z6": "explicit complex scales (optional)"},
+              _f31, _sampler(_F31_CHART_PARAMS, ("r1", "r2", "r6")))
+_F31_000 = Family("size-3 infinite family, deterministic sector {000}",
+                  dict.fromkeys(_F31_000_PARAMS, ""), _f31_000,
+                  _sampler(_F31_000_PARAMS, ("r1", "m2", "m6"), _f31_000,
+                           (((0, 1, 0), 0), ((1, 0, 0), 0), ((1, 1, 0), 0))))
+
+FAMILIES: dict[str, Family] = {
+    "f21": _F21,
+    "f2m1": _F21.parity("f21"),
+    "f21_00": _F21_00,
+    "f2m1_00": _F21_00.parity("f21_00"),
+    "f31": _F31,
+    "f30": _F31._replace(doc="size-3 periodic family framed by the middle cell",
+                         build=partial(_f31, middle=True)),
+    "f3m1": _F31.parity("f31", {"same as f31": ""}),
+    "f31_000": _F31_000,
+    "f3m1_000": _F31_000.parity("f31_000"),
+    "f31_000_111": Family(
+        "size-3 infinite family, deterministic sector {000, 111}",
+        dict.fromkeys(_F31_000_111_PARAMS, ""), _f31_000_111,
+        _sampler(_F31_000_111_PARAMS, ("m1", "m2"), _f31_000_111,
+                 (((0, 1, 0), 0), ((1, 0, 0), 0), ((0, 1, 1), 1), ((1, 0, 1), 1)))),
+    "patt": Family("reversible deterministic size-4 rule", {}, _patt, lambda rng, margin: {}),
+    "frame": Family("rule from explicit orthogonal vector classes",
+                    {"q": "states", "k": "neighborhood", "j": "frame depth",
+                     "vectors": "config -> [[re,im] x q] mapping (or JSON file path)"},
+                    _frame),
+    "quantized": Family("rigid rotation of a deterministic reversible rule",
+                        {"base": "rule file path, family name, or rule dict",
+                         "unitary": "q x q matrix [[..]] (or JSON file path)"},
+                        _quantized),
 }
 
 
 def family_names() -> list[str]:
-    return list(FAMILY_SCHEMAS)
+    return list(FAMILIES)
 
 
 def _load_json_param(value, what):
@@ -397,7 +477,7 @@ def _resolve_base_rule(value, tolerance):
     if isinstance(value, RuleTable):
         return value
     if isinstance(value, str):
-        if value in FAMILY_SCHEMAS:
+        if value in FAMILIES:
             return make_family(value, {}, tolerance=tolerance)
         data = _load_json_param(value, "base rule")
         return rule_from_dict(data)
@@ -416,104 +496,20 @@ def _resolve_matrix(value):
 
 
 def make_family(
-    spec: FamilySpec | str,
+    name: str,
     params: Mapping | None = None,
     *,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> RuleTable:
     """Build a rule table from a family name and its parameters."""
-    if isinstance(spec, FamilySpec):
-        name, params = spec.name, dict(spec.params)
-    else:
-        name, params = spec, dict(params or {})
-    if name == "f21":
-        return _f21(params, tolerance)
-    if name == "f2m1":
-        return parity_transform(_f21(params, tolerance))
-    if name == "f21_00":
-        return _f21_00(params, tolerance)
-    if name == "f2m1_00":
-        return parity_transform(_f21_00(params, tolerance))
-    if name == "f31":
-        return _f31(params, tolerance)
-    if name == "f30":
-        return _f31(params, tolerance, middle=True)
-    if name == "f3m1":
-        return parity_transform(_f31(params, tolerance))
-    if name == "f31_000":
-        return _f31_000(params, tolerance)
-    if name == "f3m1_000":
-        return parity_transform(_f31_000(params, tolerance))
-    if name == "f31_000_111":
-        return _f31_000_111(params, tolerance)
-    if name == "patt":
-        _check_known(params, (), "patt")
-        return patt_rule(tolerance)
-    if name == "frame":
-        _check_known(params, ("q", "k", "j", "vectors"), "frame")
-        try:
-            q, k, j = int(params["q"]), int(params["k"]), int(params["j"])
-        except KeyError as exc:
-            raise ParameterError(f"frame requires parameter {exc.args[0]!r}")
-        vectors = _load_json_param(params.get("vectors"), "vectors")
-        if not isinstance(vectors, Mapping):
-            raise ParameterError("parameter 'vectors' must map config strings to vectors")
-        return frame_rule(q, k, j, vectors, tolerance)
-    if name == "quantized":
-        _check_known(params, ("base", "unitary"), "quantized")
-        if "base" not in params or "unitary" not in params:
-            raise ParameterError("quantized requires parameters 'base' and 'unitary'")
-        base = _resolve_base_rule(params["base"], tolerance)
-        return quantize(base, _resolve_matrix(params["unitary"]))
-    raise ParameterError(f"unknown family {name!r}; known: {', '.join(family_names())}")
-
-
-# ---------------------------------------------------------------------------
-# Seeded parameter draws, honoring the excluded-submanifold margins
-# ---------------------------------------------------------------------------
+    if name not in FAMILIES:
+        raise ParameterError(f"unknown family {name!r}; known: {', '.join(family_names())}")
+    return FAMILIES[name].build(dict(params or {}), tolerance)
 
 
 def random_params(name: str, rng: np.random.Generator, margin: float = 0.1) -> dict:
     """Draw generic parameters; amplitudes that must stay nonzero for the
     infinite families are kept at least ``margin`` away from zero."""
-
-    def angles(names):
-        return {p: float(rng.uniform(0.0, 2.0 * math.pi)) for p in names}
-
-    def scale():
-        return float(np.exp(rng.uniform(-0.6, 0.6)))
-
-    if name in ("f21", "f2m1"):
-        return angles(("alpha", "beta", "theta", "phi1", "phi2")) | {"rho": scale()}
-    if name in ("f21_00", "f2m1_00"):
-        params = angles(("alpha", "beta", "phi1", "phi3")) | {"rho": scale()}
-        while True:
-            theta = float(rng.uniform(0.0, 2.0 * math.pi))
-            if abs(math.cos(theta)) >= margin:
-                params["theta"] = theta
-                return params
-    if name in ("f31", "f30", "f3m1"):
-        return (angles(("theta", "eta", "xi", "p1", "p2", "p3", "p4", "p5", "p6"))
-                | {"r1": scale(), "r2": scale(), "r6": scale()})
-    if name in ("f31_000", "f3m1_000", "f31_000_111"):
-        if name == "f31_000_111":
-            moduli = {"m1": scale, "m2": scale}
-            angle_names = ("p1", "p6", "theta01", "delta01", "phi010", "phi011",
-                           "theta10", "delta10", "phi100", "phi101")
-            guarded = (((0, 1, 0), 0), ((1, 0, 0), 0), ((0, 1, 1), 1), ((1, 0, 1), 1))
-            base_name = "f31_000_111"
-        else:
-            moduli = {"r1": scale, "m2": scale, "m6": scale}
-            angle_names = ("p1", "theta01", "delta01", "phi010", "phi011",
-                           "theta10", "delta10", "phi100", "phi101",
-                           "theta11", "delta11", "phi110", "phi111")
-            guarded = (((0, 1, 0), 0), ((1, 0, 0), 0), ((1, 1, 0), 0))
-            base_name = "f31_000"
-        while True:
-            params = angles(angle_names) | {p: draw() for p, draw in moduli.items()}
-            rule = make_family(base_name, params)
-            if all(abs(rule.amplitude(out, cfg)) >= margin for cfg, out in guarded):
-                return params
-    if name == "patt":
-        return {}
-    raise ParameterError(f"no random draw defined for family {name!r}")
+    if name not in FAMILIES or FAMILIES[name].sample is None:
+        raise ParameterError(f"no random draw defined for family {name!r}")
+    return FAMILIES[name].sample(rng, margin)

@@ -17,11 +17,14 @@ Both graphs are numpy arrays indexed by config (:class:`Graph`): norm edge
 i is config i, pair edge i is the pair (i // q^k, i % q^k).  The unitarity
 conditions are decided on such arrays by two kernels, ``cycle_exists`` and
 ``reaches``; ``iter_cycles`` and ``iter_paths`` enumerate cycles and paths
-as tuples of edge indices to list witnesses.
+as tuples of edge indices to list witnesses.  The deterministic sector is a
+greatest fixpoint on a boolean mask over the configs, its cycle test run by
+``reaches`` and its closure test on arrays of window indices.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from functools import cache, cached_property
@@ -29,7 +32,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .rules import Config, RuleTable, all_configs, config_index, config_str, index_config, unit_configs
+from .rules import (Config, RuleTable, all_configs, config_index, config_str,
+                    deterministic_outputs, index_config, unit_hits)
 
 DEFAULT_CYCLE_CAP = 10**6
 MAX_PAIR_ENTRIES = 1 << 22  # q^(2k) pair weights, 64 MiB as complex128
@@ -157,11 +161,17 @@ def pair_graph(rule: RuleTable) -> Graph:
     return Graph("pair", rule.q, rule.k, np.arange(gram.size), gram.ravel())
 
 
+def sector_mask(sector: Iterable[Config], q: int, k: int) -> np.ndarray:
+    """Boolean mask over the q^k config indices of the configs in ``sector``."""
+    inside = np.zeros(q**k, dtype=bool)
+    inside[[config_index(cfg, q) for cfg in sector]] = True
+    return inside
+
+
 def sector_subgraph(graph: Graph, sector: Iterable[Config]) -> Graph:
     """Edges whose configuration(s) all lie in the deterministic sector."""
     q, k = graph.q, graph.k
-    inside = np.zeros(q**k, dtype=bool)
-    inside[[config_index(cfg, q) for cfg in sector]] = True
+    inside = sector_mask(sector, q, k)
     if graph.kind == "single":
         keep = inside[graph.edges]
     else:
@@ -390,87 +400,44 @@ def iter_paths(
 # ---------------------------------------------------------------------------
 
 
-def _cycle_supported(rule: RuleTable, sector: set[Config]) -> set[Config]:
-    """Configs whose norm-graph edge lies on a cycle using sector edges only."""
-    q, k = rule.q, rule.k
-    succ: dict[Config, set[Config]] = {}
-    for cfg in sector:
-        succ.setdefault(cfg[:-1], set()).add(cfg[1:])
-    reach_cache: dict[Config, set[Config]] = {}
-
-    def reachable(v: Config) -> set[Config]:
-        if v not in reach_cache:
-            seen = {v}
-            frontier = [v]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for w in succ.get(u, ()):
-                        if w not in seen:
-                            seen.add(w)
-                            nxt.append(w)
-                frontier = nxt
-            reach_cache[v] = seen
-        return reach_cache[v]
-
-    return {cfg for cfg in sector if cfg[:-1] in reachable(cfg[1:])}
-
-
-def _closure_stable(rule: RuleTable, sector: set[Config]) -> set[Config]:
-    """Drop configs breaking closure under the deterministic update.
-
-    Every k consecutive sector edges spell a string of length 2k-1 whose k
-    windows each produce a unique output state; the produced string must
-    itself be a sector config.  Windows with no unique unit component, and
-    all windows of a producing path whose output escapes the sector, are
-    removed.
-    """
-    from .rules import deterministic_output
-
-    out: dict[Config, int] = {}
-    bad: set[Config] = set()
-    for cfg in sector:
-        o = deterministic_output(rule, cfg)
-        if o is None:
-            bad.add(cfg)
-        else:
-            out[cfg] = o
-    live = sector - bad
-    if not live:
-        return live
-
-    # Depth-first extension of strings whose windows all stay in the sector.
-    def walk(string: tuple[int, ...], windows: tuple[Config, ...]):
-        if len(windows) == rule.k:
-            produced = tuple(out[w] for w in windows)
-            if produced not in live:
-                bad.update(windows)
-            return
-        for s in range(rule.q):
-            nxt = string + (s,)
-            window = nxt[-rule.k:]
-            if window in live:
-                walk(nxt, windows + (window,))
-
-    for first in sorted(live):
-        walk(first, (first,))
-    return sector - bad
-
-
 def deterministic_sector(rule: RuleTable) -> frozenset[Config]:
     """Largest set of unit-component configs supporting deterministic ends.
 
-    Computed as the greatest fixpoint of two prunings applied to the set of
-    unit-component configs: every config must lie on a norm-graph cycle made
-    of sector configs, and the sector must be closed under the deterministic
-    update.  The result may be empty.
+    The greatest fixpoint, on one boolean mask over the q^k configs, of two
+    prunings of the unit-component configs.  A config a, the norm-graph
+    edge a // q -> a % q^(k-1), stays when it is a self-loop or its suffix
+    ``reaches`` its prefix over sector edges; and when every walk of k
+    sector windows with unique outputs through it (window w is followed by
+    (w % q^(k-1)) * q + s) produces a config that is again such a window.
+    Walks grow from blocks of start windows, sized so that no walk array
+    holds more than ``MAX_PAIR_ENTRIES`` indices; the smallest block is one
+    start window, with up to q^(k-1) walks.  The result may be empty.
     """
-    sector = set(unit_configs(rule))
+    q, k = rule.q, rule.k
+    n = q ** (k - 1)
+    config = np.arange(q**k)
+    pre, suf = config // q, config % n
+    succ = suf[:, None] * q + np.arange(q)  # the q windows that may follow each window
+    out = deterministic_outputs(rule)
+    place = q ** np.arange(k - 1, -1, -1)
+    block = max(1, MAX_PAIR_ENTRIES // (k * n))  # a start window has at most n walks
+    sector = unit_hits(rule).any(axis=1)
     while True:
-        pruned = _cycle_supported(rule, sector)
-        pruned = _closure_stable(rule, pruned)
-        if pruned == sector:
-            return frozenset(sector)
+        src, dst = pre[sector], suf[sector]
+        live = sector & (out >= 0)
+        for a in np.flatnonzero(live & (pre != suf)):
+            live[a] = reaches(src, dst, config[:n] == suf[a], config[:n] == pre[a])
+        pruned = live.copy()
+        starts = np.flatnonzero(live)
+        for first in range(0, starts.size, block):
+            walks = starts[first:first + block, None]
+            for _ in range(k - 1):
+                step = succ[walks[:, -1]]
+                row, s = np.nonzero(live[step])
+                walks = np.column_stack((walks[row], step[row, s]))
+            pruned[walks[~live[out[walks] @ place]]] = False
+        if np.array_equal(pruned, sector):
+            return frozenset(itertools.compress(rule.configs(), sector.tolist()))
         sector = pruned
 
 

@@ -171,29 +171,29 @@ def state_transpose(rule: RuleTable, perm: Sequence[int], side: str = "both") ->
     return RuleTable(rule.q, rule.k, amps, rule.tolerance)
 
 
+def unit_hits(rule: RuleTable) -> np.ndarray:
+    """Entry [a, i]: whether |f(i|a) - 1| <= tolerance.  A component of
+    modulus one but nonzero phase does not qualify."""
+    return np.abs(rule.amplitudes - 1.0) <= rule.tolerance
+
+
 def unit_configs(rule: RuleTable) -> frozenset[Config]:
-    """Neighborhoods whose amplitude vector has a component equal to 1.
-
-    Equality means |f(i|config) - 1| <= tolerance; a component of modulus
-    one but nonzero phase does not qualify.
-    """
-    hit = np.any(np.abs(rule.amplitudes - 1.0) <= rule.tolerance, axis=1)
-    return frozenset(cfg for cfg, h in zip(rule.configs(), hit) if h)
+    """Neighborhoods whose amplitude vector has a component equal to 1."""
+    return frozenset(itertools.compress(rule.configs(), unit_hits(rule).any(axis=1).tolist()))
 
 
-def deterministic_output(rule: RuleTable, config: str | Sequence[int]) -> int | None:
-    """The unique output state with amplitude 1, or None if not unique."""
-    vec = rule.vector(config)
-    hits = np.flatnonzero(np.abs(vec - 1.0) <= rule.tolerance)
-    return int(hits[0]) if len(hits) == 1 else None
+def deterministic_outputs(rule: RuleTable) -> np.ndarray:
+    """Per config index, the unique output state with amplitude 1, or -1
+    where there is none or more than one."""
+    hits = unit_hits(rule)
+    return np.where(hits.sum(axis=1) == 1, hits.argmax(axis=1), -1)
 
 
 def is_deterministic(rule: RuleTable) -> bool:
     """True when every amplitude vector is a unit basis vector (within tolerance)."""
-    amps = rule.amplitudes
-    ones = np.abs(amps - 1.0) <= rule.tolerance
-    zeros = np.abs(amps) <= rule.tolerance
-    return bool(np.all(np.sum(ones, axis=1) == 1) and np.all(np.sum(ones | zeros, axis=1) == rule.q))
+    hits = unit_hits(rule)
+    zeros = np.abs(rule.amplitudes) <= rule.tolerance
+    return bool(np.all(hits.sum(axis=1) == 1) and np.all(hits | zeros))
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,9 @@ from .graphs import (
     reaches,
     resolve_cycle_cap,
     rule_graph,
+    sector_mask,
 )
-from .rules import Config, RuleTable, config_index, config_str
+from .rules import Config, RuleTable, config_str
 
 PERIODIC_CONDITIONS = ("P-i", "P-ii", "P-iii")
 INFINITE_CONDITIONS = ("I-i", "I-ii", "I-iii", "I-iv", "I-v")
@@ -201,9 +202,9 @@ class _RuleGraphs:
 def _sector_vertices(rule: RuleTable, sector) -> np.ndarray:
     """Mask of the norm-graph vertices that are a prefix or suffix of a
     sector config."""
-    mask = np.zeros(rule.q ** (rule.k - 1), dtype=bool)
-    mask[[config_index(part, rule.q) for cfg in sector for part in (cfg[:-1], cfg[1:])]] = True
-    return mask
+    q, n = rule.q, rule.q ** (rule.k - 1)
+    inside = sector_mask(sector, q, rule.k)  # config a = prefix * q + s = s' * n + suffix
+    return inside.reshape(n, q).any(axis=1) | inside.reshape(q, n).any(axis=0)
 
 
 def _mismatch_mask(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs) -> np.ndarray:
@@ -211,8 +212,7 @@ def _mismatch_mask(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs)
     above the tolerance and, for I-iv, both configs in the sector."""
     if condition != "I-iv":
         return graphs.support
-    inside = np.zeros(rule.q**rule.k, dtype=bool)
-    inside[[config_index(cfg, rule.q) for cfg in sector]] = True
+    inside = sector_mask(sector, rule.q, rule.k)
     return graphs.support & np.outer(inside, inside)
 
 
@@ -283,6 +283,16 @@ def _violations(rule, condition, sector, graphs, max_violations, cap) -> list[Co
     return reports
 
 
+def _nonempty_sector(rule: RuleTable, sector: frozenset[Config] | None = None) -> frozenset[Config]:
+    """The sector, computed when None; raises when it is empty."""
+    sector = deterministic_sector(rule) if sector is None else sector
+    if not sector:
+        raise NoDeterministicSector(
+            "the rule has no deterministic sector; no configuration is admissible "
+            "on the infinite lattice")
+    return sector
+
+
 def evaluate_condition(
     rule: RuleTable,
     condition: str,
@@ -306,14 +316,7 @@ def evaluate_condition(
         raise ValueError("condition I-v is evaluated by surjectivity.check_surjectivity")
     if condition not in PERIODIC_CONDITIONS + INFINITE_CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}")
-    if condition not in ("I-ii", "I-iv"):
-        sector = None
-    elif sector is None:
-        sector = deterministic_sector(rule)
-    if sector is not None and not sector:
-        raise NoDeterministicSector(
-            "the rule has no deterministic sector; no configuration is admissible "
-            "on the infinite lattice")
+    sector = _nonempty_sector(rule, sector) if condition in ("I-ii", "I-iv") else None
     graphs = graphs or _RuleGraphs(rule)
     if _holds(rule, condition, sector, graphs):
         return []
@@ -350,11 +353,7 @@ def check_infinite(
     """
     from .surjectivity import check_surjectivity
 
-    sector = deterministic_sector(rule)
-    if not sector:
-        raise NoDeterministicSector(
-            "the rule has no deterministic sector; no configuration is admissible "
-            "on the infinite lattice")
+    sector = _nonempty_sector(rule)
     graphs = _RuleGraphs(rule)
     reports: list[ConstraintReport] = []
     for condition in ("I-i", "I-ii", "I-iii", "I-iv"):

@@ -1,8 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from qca1d import (
-    FamilySpec,
     ParameterError,
     check_periodic,
     deterministic_sector,
@@ -88,11 +89,6 @@ def test_parameter_validation():
         make_family("f21", {"omega": 1.0})
     with pytest.raises(ParameterError, match="unknown family"):
         make_family("f99", {})
-
-
-def test_family_spec_entry_point():
-    spec = FamilySpec("f21", {"theta": 0.3})
-    assert make_family(spec).approx_equal(make_family("f21", {"theta": 0.3}))
 
 
 def test_f31_000_sector_and_norms():
@@ -220,3 +216,31 @@ def test_family_names_cover_registry():
     for expected in ("f21", "f2m1", "f21_00", "f2m1_00", "f31", "f30", "f3m1",
                      "f31_000", "f3m1_000", "f31_000_111", "frame", "patt", "quantized"):
         assert expected in names
+
+
+# sha256 prefixes of the draws random_params(name, default_rng(s)), s = 0..49,
+# each followed by the generator's next uniform, so that both the draws and
+# the generator state they leave are pinned; rule files built from seeded
+# draws stay byte-identical while these hold
+DRAW_DIGESTS = {
+    ("f21", "f2m1"): "fb1685391fcf9c8f5c75ab093424e33a",
+    ("f21_00", "f2m1_00"): "f54763fba40abf615cafd144e75c0aae",
+    ("f31", "f30", "f3m1"): "0d21926818bab9576bda8a246c11b356",
+    ("f31_000", "f3m1_000"): "3ce3812df6cd096524c7cd162f71aac8",
+    ("f31_000_111",): "fe422a640ba3677bb57136aecbda046b",
+    ("patt",): "6bc74d87a58ed179626e878ecfa1284d",
+}
+
+
+def test_random_params_draws_pinned():
+    for names, digest in DRAW_DIGESTS.items():
+        for name in names:
+            h = hashlib.sha256()
+            for s in range(50):
+                rng = np.random.default_rng(s)
+                params = random_params(name, rng)
+                h.update(repr((sorted(params.items()), rng.uniform())).encode())
+            assert h.hexdigest()[:32] == digest, name
+    for name in ("frame", "quantized", "f99"):
+        with pytest.raises(ParameterError, match=f"no random draw defined for family '{name}'"):
+            random_params(name, np.random.default_rng(0))

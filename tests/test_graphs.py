@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from qca1d import (
     to_dot,
     unit_configs,
 )
+from qca1d.graphs import MAX_PAIR_ENTRIES
 from qca1d.transfer import Monomial
 
 
@@ -149,23 +152,78 @@ def test_cycle_order_deterministic(f21):
            [gb.configs(c) for c in b]
 
 
-def closure_holds(rule, sector):
-    from qca1d.rules import deterministic_output
+def unit_outputs(rule):
+    """Per config, the unique output state with amplitude 1, or None."""
+    out = {}
+    for cfg in rule.configs():
+        hits = [i for i, z in enumerate(rule.vector(cfg)) if abs(z - 1) <= rule.tolerance]
+        out[cfg] = hits[0] if len(hits) == 1 else None
+    return out
 
+
+def closure_breaks(rule, sector):
+    """Windows of the strings of k consecutive sector windows whose produced
+    config is not in the sector."""
+    out = unit_outputs(rule)
     k = rule.k
     strings = [(c, (c,)) for c in sector]
-    ok = True
+    broken = set()
     while strings:
         string, windows = strings.pop()
         if len(windows) == k:
-            produced = tuple(deterministic_output(rule, w) for w in windows)
-            ok &= produced in sector
+            if tuple(out[w] for w in windows) not in sector:
+                broken.update(windows)
             continue
         for s in range(rule.q):
             nxt = string + (s,)
             if nxt[-k:] in sector:
                 strings.append((nxt, windows + (nxt[-k:],)))
-    return ok
+    return broken
+
+
+def closure_holds(rule, sector):
+    return not closure_breaks(rule, sector)
+
+
+def on_sector_cycles(sector):
+    """Configs whose norm-graph edge lies on a cycle of sector edges."""
+    succ = {}
+    for cfg in sector:
+        succ.setdefault(cfg[:-1], set()).add(cfg[1:])
+
+    def reachable(v):
+        seen, frontier = {v}, [v]
+        while frontier:
+            frontier = [w for u in frontier for w in succ.get(u, ()) if w not in seen]
+            seen.update(frontier)
+        return seen
+
+    return {cfg for cfg in sector if cfg[:-1] in reachable(cfg[1:])}
+
+
+def reference_sector(rule):
+    """Set-based greatest fixpoint of the two prunings, and its round count."""
+    out = unit_outputs(rule)
+    sector = set(unit_configs(rule))
+    rounds = 1
+    while True:
+        live = {cfg for cfg in on_sector_cycles(sector) if out[cfg] is not None}
+        pruned = live - closure_breaks(rule, live)
+        if pruned == sector:
+            return frozenset(sector), rounds
+        sector, rounds = pruned, rounds + 1
+
+
+def random_sector_rule(rng):
+    """q in {2, 3}, k in 1..4; each row a unit basis vector, all ones, or
+    random, with basis rows the most common."""
+    q, k = int(rng.integers(2, 4)), int(rng.integers(1, 5))
+    amps = rng.normal(size=(q**k, q)) + 1j * rng.normal(size=(q**k, q))
+    kind = rng.uniform(size=q**k)
+    share = rng.uniform(0.5, 1.0)
+    amps[kind < share] = np.eye(q)[rng.integers(q, size=int(np.sum(kind < share)))]
+    amps[(kind >= share) & (kind < (1 + share) / 2)] = 1.0
+    return RuleTable(q, k, amps)
 
 
 def test_sector_identity(ident):
@@ -198,6 +256,37 @@ def test_sector_prunes_unit_configs_off_cycles():
     rule = RuleTable(2, 2, amps)
     assert unit_configs(rule) == {(0, 0), (0, 1)}
     assert deterministic_sector(rule) == {(0, 0)}
+
+
+def test_sector_matches_set_reference():
+    rng = np.random.default_rng(2024)
+    nonempty = multi_round = 0
+    for _ in range(400):
+        rule = random_sector_rule(rng)
+        expected, rounds = reference_sector(rule)
+        assert deterministic_sector(rule) == expected
+        nonempty += bool(expected)
+        multi_round += rounds > 2  # two pruning rounds before the confirming one
+    assert nonempty > 150 and multi_round > 100
+
+
+def test_sector_walks_stay_within_block_bound():
+    # at (2,10) the closure walks hold 1024 * 512 * 10 indices, more than
+    # MAX_PAIR_ENTRIES; blocks of start windows keep the walk array, its
+    # extension copy and its gathered outputs within MAX_PAIR_ENTRIES each
+    q, k = 2, 10
+    amps = np.zeros((q**k, q), dtype=complex)
+    amps[np.arange(q**k), np.arange(q**k) % q] = 1.0
+    shift = RuleTable(q, k, amps)
+    assert q ** (k - 1) * q**k * k > MAX_PAIR_ENTRIES
+    tracemalloc.start()
+    try:
+        sector = deterministic_sector(shift)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sector) == q**k
+    assert peak <= 3 * MAX_PAIR_ENTRIES * np.dtype(np.intp).itemsize
 
 
 def test_sector_subgraph(ident, f21_00):
