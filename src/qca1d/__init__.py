@@ -24,7 +24,6 @@ from .rules import (
     parity_transform,
     rule_from_dict,
     rule_to_dict,
-    save_rule,
     state_transpose,
     unit_configs,
 )

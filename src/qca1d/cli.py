@@ -87,7 +87,7 @@ def _cmd_oracle(args) -> int:
     rng = np.random.default_rng(args.seed)
     exact = dim <= DEFAULT_MAX_DIM
     if exact:
-        defect = unitarity_defect(global_matrix(rule, args.sites))
+        defect = unitarity_defect(global_matrix(rule, args.sites), sites=args.sites)
     else:
         defect = defect_estimate(rule, args.sites, samples=args.samples, rng=rng)
     if args.defect_only:
@@ -134,7 +134,10 @@ def _cmd_simulate(args) -> int:
             state = advance(state)
         norm = float(np.linalg.norm(state))
         probs = np.abs(state) ** 2
-        order = np.argsort(-probs, kind="stable")[: args.top]
+        top = min(args.top, len(probs))  # stable argsort's first --top, of values >= top-th
+        cut = -np.partition(-probs, top - 1)[top - 1] if top > 0 else -np.inf
+        keep = np.flatnonzero(~(probs < cut))  # keeps NaN, which both sorts rank last
+        order = keep[np.argsort(-probs[keep], kind="stable")[: args.top]]
         tops = " ".join(
             f"{config_str(index_config(int(i), rule.q, args.sites))}:{probs[i]:.6f}"
             for i in order if probs[i] > 0)

@@ -41,7 +41,7 @@ MAX_PAIR_ENTRIES = 1 << 22  # q^(2k) pair weights, 64 MiB as complex128
 
 class CycleCapExceeded(RuntimeError):
     """Cycle or path enumeration examined more edges than the cap, or a
-    pair graph has more weights than ``MAX_PAIR_ENTRIES``."""
+    pair graph or transfer matrix has more entries than ``MAX_PAIR_ENTRIES``."""
 
 
 def resolve_cycle_cap(cap: int | None) -> int:
@@ -140,11 +140,10 @@ def rule_graph(rule: RuleTable) -> Graph:
     return Graph("single", rule.q, rule.k, np.arange(len(amps)), _vdots(amps, amps))
 
 
-def _check_pair_size(rule: RuleTable) -> None:
-    size = rule.q ** (2 * rule.k)
+def check_entries(size: int, what: str) -> None:
+    """Refuse ``what`` ("the pair graph has {} weights") past ``MAX_PAIR_ENTRIES``."""
     if size > MAX_PAIR_ENTRIES:
-        raise CycleCapExceeded(
-            f"the pair graph has {size} weights, over the cap of {MAX_PAIR_ENTRIES}")
+        raise CycleCapExceeded(f"{what.format(size)}, over the cap of {MAX_PAIR_ENTRIES}")
 
 
 def pair_graph(rule: RuleTable) -> Graph:
@@ -155,7 +154,7 @@ def pair_graph(rule: RuleTable) -> Graph:
     norm graph on the diagonal vertices.  Raises :class:`CycleCapExceeded`
     before allocating when q^(2k) exceeds ``MAX_PAIR_ENTRIES``.
     """
-    _check_pair_size(rule)
+    check_entries(rule.q ** (2 * rule.k), "the pair graph has {} weights")
     amps = rule.amplitudes
     gram = _vdots(amps[:, None, :], amps[None, :, :])
     return Graph("pair", rule.q, rule.k, np.arange(gram.size), gram.ravel())
@@ -221,7 +220,7 @@ def mismatch_support(rule: RuleTable) -> np.ndarray:
     :class:`CycleCapExceeded` before allocating when q^(2k) exceeds
     ``MAX_PAIR_ENTRIES``.
     """
-    _check_pair_size(rule)
+    check_entries(rule.q ** (2 * rule.k), "the pair graph has {} weights")
     amps, tol = rule.amplitudes, rule.tolerance
     magnitude = np.abs(amps.conj() @ amps.T)
     scale = max(float(np.max(np.sum(np.abs(amps) ** 2, axis=1))), tol)

@@ -2,12 +2,12 @@
 
 The global evolution matrix on N sites has entries
 F[out, in] = prod_x f(out_x | in_(x+E)) with periodic indexing, site 0 most
-significant in the configuration index.  Unitarity is measured as the
-max-norm defect of F^dagger F - I.  The dense build multiplies the
-amplitude columns of every site's window index, site by site in Kronecker
-order.  The matrix-free path applies F or F^dagger one site at a time, as a
-batched matmul over the window cells a site shares with its neighbours;
-ring states of more than MAX_STATE_DIM amplitudes are refused up front.
+significant in the configuration index.  F commutes with the cyclic shift,
+so its unitarity defect, the max-norm of F^dagger F - I, needs one Gram row
+per shift orbit.  The dense build multiplies the amplitude columns of every
+site's window index, site by site in Kronecker order.  The matrix-free path
+applies F or F^dagger one site at a time, as a batched matmul over the window
+cells a site shares with its neighbours; states over MAX_STATE_DIM are refused.
 """
 
 from __future__ import annotations
@@ -97,11 +97,28 @@ def global_matrix(
     return matrix
 
 
-def unitarity_defect(matrix: np.ndarray) -> float:
-    """Max-norm of F^dagger F - I; zero iff the matrix is unitary."""
+def shift_orbit_representatives(dim: int, n_sites: int) -> np.ndarray:
+    """Smallest index of each cyclic-shift orbit of the dim = q^N ring configurations."""
+    q = round(dim ** (1 / n_sites)) if n_sites >= 1 else 0
+    if q < 1 or q**n_sites != dim:
+        raise ValueError(f"dimension {dim} is not q^{n_sites} for an integer q")
+    index = rotated = smallest = np.arange(dim)
+    for _ in range(n_sites - 1):  # each pass moves site 0 to the end
+        rotated = rotated % (dim // q) * q + rotated // (dim // q)
+        smallest = np.minimum(smallest, rotated)
+    return np.flatnonzero(smallest == index)
+
+
+def unitarity_defect(matrix: np.ndarray, sites: int | None = None) -> float:
+    """Max-norm of F^dagger F - I; zero iff the matrix is unitary.
+
+    With ``sites=N``, F must be an N-site ring evolution.  It commutes with the
+    cyclic shift T, so (F^dagger F)[Tx, Ty] = (F^dagger F)[x, y]: the Gram rows of
+    one configuration per shift orbit hold every entry, up to rounding (~1e-15)."""
     matrix = np.asarray(matrix)
-    gram = matrix.conj().T @ matrix
-    gram.flat[::len(gram) + 1] -= 1.0  # in place: no identity or difference matrix
+    rows = slice(None) if sites is None else shift_orbit_representatives(len(matrix), sites)
+    gram = matrix[:, rows].conj().T @ matrix
+    gram[np.arange(len(gram)), np.arange(len(matrix))[rows]] -= 1.0  # row i is config rows[i]
     return float(np.max(np.abs(gram)))
 
 

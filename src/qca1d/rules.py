@@ -264,8 +264,3 @@ def load_rule(path: str) -> RuleTable:
     except json.JSONDecodeError as exc:
         raise RuleFormatError(f"rule file {path!r} is not valid JSON: {exc}") from exc
     return rule_from_dict(data)
-
-
-def save_rule(rule: RuleTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_rule(rule) + "\n")

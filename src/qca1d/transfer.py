@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, iter_paths, pair_graph
+from .graphs import Graph, check_entries, iter_paths, pair_graph
 from .rules import RuleTable
 
 
@@ -65,7 +65,9 @@ def transfer_matrix(graph: Graph, convention: str = "raw") -> np.ndarray:
     subgraph by bookkeeping weights: diagonal self-loops become 0, every
     other diagonal edge becomes 1, mismatch edges keep their true weights.
     Only mismatch-path weights then survive in the generating function.
+    Past ``MAX_PAIR_ENTRIES`` entries it raises ``CycleCapExceeded`` first.
     """
+    check_entries(graph.n_vertices**2, "the transfer matrix has {} entries")
     if convention not in ("raw", "simplified"):
         raise ValueError(f"unknown convention {convention!r}")
     if convention == "simplified" and graph.kind != "pair":

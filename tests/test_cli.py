@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 
-from qca1d import dump_rule, make_family, verdict_from_json
+from qca1d import config_str, dump_rule, index_config, make_family, verdict_from_json
 from qca1d.cli import main
 
 from conftest import quantized_shift, with_noise
@@ -188,6 +188,23 @@ def test_simulate_with_state_file(tmp_path, capsys, f21):
     assert code == 2
 
 
+def test_simulate_top_keeps_the_full_sort_order(tmp_path, capsys, f21):
+    # many ties, and a NaN, which a stable argsort of -probs ranks last
+    rule_path = write_rule(tmp_path, f21)
+    rng = np.random.default_rng(9)
+    for state in (rng.choice([0, 0.5, 1, 1j], size=256), np.r_[np.nan, rng.random(255)]):
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps([[z.real, z.imag] for z in state.astype(complex)]))
+        probs = np.abs(state) ** 2
+        for top in (-3, 0, 1, 5, 8, 100, 255, 256, 300):
+            code, out, _ = run(capsys, "simulate", rule_path, "--sites", "8", "--steps", "0",
+                               "--initial", str(state_path), "--top", str(top))
+            order = np.argsort(-probs, kind="stable")[:top]
+            expected = " ".join(f"{config_str(index_config(int(i), 2, 8))}:{probs[i]:.6f}"
+                                for i in order if probs[i] > 0)
+            assert code == 0 and out.splitlines()[1].split("top: ")[1] == expected
+
+
 def test_simulate_builds_the_evolution_once(tmp_path, capsys, monkeypatch, f21):
     import qca1d.oracle as oracle
 
@@ -216,9 +233,12 @@ def test_huge_k_is_rejected_at_once(tmp_path, capsys):
 
 
 def test_pair_graph_commands_exit_3_before_allocating(tmp_path, capsys):
-    # q^(2k) = 3^14 pair weights is over MAX_PAIR_ENTRIES
+    # q^(2k) = 3^14 pair weights is over MAX_PAIR_ENTRIES; 2^16 are not, but
+    # the 2^14-square transfer matrix of zpoly would take 4 GiB
     path = write_rule(tmp_path, quantized_shift(3, 7))
-    for argv in (("paths", path, "--max-len", "2"), ("graph", path, "--which", "g2")):
+    wide = write_rule(tmp_path, quantized_shift(2, 8), "wide.json")
+    for argv in (("paths", path, "--max-len", "2"), ("graph", path, "--which", "g2"),
+                 ("zpoly", wide, "--which", "g2")):
         tracemalloc.start()
         try:
             code, _, err = run(capsys, *argv)

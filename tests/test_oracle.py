@@ -6,6 +6,7 @@ import pytest
 from qca1d import (
     DimensionCapExceeded,
     RuleTable,
+    all_configs,
     apply_global,
     basis_state,
     config_index,
@@ -17,10 +18,13 @@ from qca1d import (
     make_family,
     patt_rule,
     probabilities,
+    random_params,
     random_state,
     unitarity_defect,
 )
-from qca1d.oracle import neighborhood_offsets
+from qca1d.oracle import DEFAULT_MAX_DIM, neighborhood_offsets, shift_orbit_representatives
+
+from conftest import quantized_shift, with_noise
 
 
 def kron_columns(rule, n, cols, offsets=None):
@@ -242,3 +246,77 @@ def test_offset_validation():
 def test_site_count_validation(f21):
     with pytest.raises(ValueError):
         global_matrix(f21, 0)
+
+
+def permutation_rule(q, k, rng):
+    """f(i | a) = delta(i, pi(a_j)) for a random cell j and alphabet permutation pi:
+    a site-wise permutation after a shift, so F is a permutation matrix."""
+    j, pi = rng.integers(k), rng.permutation(q)
+    amps = np.zeros((q**k, q))
+    for cfg in all_configs(q, k):
+        amps[config_index(cfg, q), pi[cfg[j]]] = 1.0
+    return RuleTable(q, k, amps)
+
+
+def ring_rules(q, k, seed):
+    """(rule, exact) pairs: unitary rules, the same with 1e-3 noise, and a
+    deterministic permutation rule, whose defects are exactly 0."""
+    rng = np.random.default_rng(seed)
+    unitary = [quantized_shift(q, k, seed)]
+    if q == 2 and k > 1:
+        name = "f21" if k == 2 else "f31"
+        unitary.append(make_family(name, random_params(name, rng)))
+    noisy = [with_noise(rule, 1e-3, seed) for rule in unitary]
+    return [(rule, False) for rule in unitary + noisy] + [(permutation_rule(q, k, rng), True)]
+
+
+def assert_orbit_defect_matches(matrix, n, exact):
+    full, orbit = unitarity_defect(matrix), unitarity_defect(matrix, sites=n)
+    if exact:
+        assert full == orbit == 0.0
+    assert abs(orbit - full) <= 1e-13 + 1e-12 * full
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_orbit_defect_matches_full_gram(q, k):
+    # every rule and offset on rings of at most 512 configurations
+    for rule, exact in ring_rules(q, k, 100 * q + k):
+        for n in range(1, 10):
+            if q**n > 512:
+                break
+            for choice in OFFSET_CHOICES:
+                f = global_matrix(rule, n, offsets=choice(k))
+                assert_orbit_defect_matches(f, n, exact)
+
+
+@pytest.mark.parametrize("q,n", ((2, 10), (2, 11), (2, 12), (3, 6), (3, 7), (4, 5)))
+def test_orbit_defect_matches_full_gram_up_to_dense_cap(q, n):
+    # (4, 6) is left out for test time; (2, 12) has its size, 4096
+    assert 512 < q**n <= DEFAULT_MAX_DIM
+    rule = with_noise(quantized_shift(q, 2, n), 1e-3, n)
+    assert_orbit_defect_matches(global_matrix(rule, n, offsets=(-1, 0)), n, exact=False)
+
+
+def necklaces(q, n):
+    """(1/N) sum over d | N of phi(d) q^(N/d): the number of shift orbits."""
+    phi = [sum(np.gcd(d, i) == 1 for i in range(1, d + 1)) for d in range(n + 1)]
+    return sum(phi[d] * q ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+def test_orbit_representatives_count_necklaces():
+    for q in (1, 2, 3, 4, 5):
+        for n in range(1, 17):
+            if q**n > 2**16:
+                break
+            reps = shift_orbit_representatives(q**n, n)
+            assert len(reps) == necklaces(q, n)
+            assert reps[0] == 0 and np.all(np.diff(reps) > 0)
+    assert shift_orbit_representatives(4, 2).tolist() == [0, 1, 3]  # 00, 01 ~ 10, 11
+
+
+def test_orbit_defect_rejects_a_size_that_is_no_ring():
+    for dim, n in ((6, 2), (8, 2), (4, 0), (4, -1)):
+        with pytest.raises(ValueError):
+            unitarity_defect(np.eye(dim), sites=n)
+    assert unitarity_defect(np.eye(9), sites=2) == 0.0
