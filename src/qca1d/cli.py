@@ -1,10 +1,18 @@
 """Command-line front end.
 
 Exit codes: 0 success (or unitary verdict), 1 not-unitary verdict, 2 usage
-or rule-file error (including an empty deterministic sector), 3 resource
-cap exceeded.  The environment variable QCA_CYCLE_CAP overrides the cap on
+or rule-file error (including an empty deterministic sector, and a
+``simulate`` state that is not finite or not normalized), 3 resource cap
+exceeded.  The environment variable QCA_CYCLE_CAP overrides the cap on
 the edges that witness listing examines.  Identical inputs and --seed
 produce identical output.
+
+In-process callers (test suites, benchmark harnesses, notebooks) may call
+``main(argv)`` many times: the argument parser is built on the first call
+and reused for the rest of the process, since parsing never changes it.  A
+shell run calls ``main`` once and gains nothing from this.
+``build_parser()`` returns a fresh parser for a caller that wants to change
+one.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -32,6 +41,7 @@ from .oracle import (
     defect_estimate,
     evolution_step,
     global_matrix,
+    probabilities,
     state_dim,
     unitarity_defect,
 )
@@ -106,7 +116,11 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _parse_initial(value: str, q: int, n_sites: int) -> np.ndarray:
+def _parse_initial(value: str, rule: RuleTable, n_sites: int) -> np.ndarray:
+    """A basis state from a config string, or a state read from a JSON file
+    of [re, im] pairs, which must be finite and of norm 1 within the rule's
+    tolerance."""
+    q = rule.q
     dim = state_dim(q, n_sites)
     if len(value) == n_sites and all(c.isdigit() and int(c) < q for c in value):
         return basis_state(q, n_sites, value)
@@ -119,14 +133,18 @@ def _parse_initial(value: str, q: int, n_sites: int) -> np.ndarray:
             f"readable state file: {exc}")
     if not isinstance(data, list) or len(data) != dim:
         raise RuleFormatError(f"state file must hold {dim} [re, im] pairs")
-    return np.array([complex(p[0], p[1]) for p in data])
+    state = np.array([complex(p[0], p[1]) for p in data])
+    if not np.isfinite(state).all():
+        raise RuleFormatError(f"state file {value!r} holds non-finite amplitudes")
+    probabilities(state, rule.tolerance)  # raises unless |norm^2 - 1| <= tolerance
+    return state
 
 
 def _cmd_simulate(args) -> int:
     if args.steps < 0:
         raise ValueError(f"--steps must be nonnegative, got {args.steps}")
     rule = _load(args)
-    state = _parse_initial(args.initial, rule.q, args.sites)
+    state = _parse_initial(args.initial, rule, args.sites)
     advance = evolution_step(rule, args.sites)
     print(f"sites: {args.sites}, steps: {args.steps}")
     for step in range(args.steps + 1):
@@ -271,10 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call: ``parse_args``
+    makes a new namespace per call and leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -108,7 +108,7 @@ class RuleTable:
             raise RuleFormatError(
                 f"amplitude table has shape {amps.shape}, expected {(self.q**self.k, self.q)}"
             )
-        if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
+        if not np.isfinite(amps).all():
             raise RuleFormatError("amplitude table contains non-finite entries")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -234,7 +234,10 @@ def rule_from_dict(data: dict) -> RuleTable:
         raise RuleFormatError("field 'amplitudes' must be an object keyed by config strings")
     if len(table) != q**k:
         raise RuleFormatError(f"field 'amplitudes' has {len(table)} entries, expected {q**k}")
-    amps = np.zeros((q**k, q), dtype=complex)
+    amps = _table_array(table, q, k)
+    if amps is not None:
+        return RuleTable(q, k, amps, float(tolerance))
+    amps = np.zeros((q**k, q), dtype=complex)  # something is malformed: find it in file order
     for key, entry in table.items():
         cfg = as_config(key, q, k)
         if not isinstance(entry, list) or len(entry) != q:
@@ -244,6 +247,26 @@ def rule_from_dict(data: dict) -> RuleTable:
                 raise RuleFormatError(f"entry {i} for config {key!r} is not an [re, im] pair")
             amps[config_index(cfg, q), i] = complex(pair[0], pair[1])
     return RuleTable(q, k, amps, float(tolerance))
+
+
+def _table_array(table: dict, q: int, k: int) -> np.ndarray | None:
+    """The (q^k, q) amplitude table of q^k well-formed entries, from one
+    array conversion and one scatter by config index.  None unless every key
+    is a length-k string of ASCII digits below q and the entries form a
+    (q^k, q, 2) array of numbers."""
+    try:
+        digits = "".join(table)
+        if set(map(len, table)) != {k} or not (digits.isascii() and digits.isdigit()):
+            return None
+        index = list(map(int, table, itertools.repeat(q)))  # base-q digits
+        values = np.array(list(table.values()))
+    except (TypeError, ValueError, OverflowError):  # a digit >= q, ragged entries
+        return None
+    if values.shape != (q**k, q, 2) or values.dtype.kind not in "biuf":
+        return None
+    amps = np.empty((q**k, q), dtype=complex)
+    amps[index] = values.astype(float).view(complex)[..., 0]
+    return amps
 
 
 def dump_rule(rule: RuleTable) -> str:

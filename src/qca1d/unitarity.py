@@ -101,13 +101,14 @@ class Verdict:
     reports: tuple[ConstraintReport, ...]
 
     def to_json(self) -> dict:
+        labels = _Labels()
         return {
             "unitary": self.unitary,
             "mode": self.mode,
             "reports": [
                 {
                     "condition": r.condition,
-                    "witness": witness_to_json(r.witness),
+                    "witness": witness_to_json(r.witness, labels),
                     "value": [r.value.real, r.value.imag],
                     "margin": r.margin,
                 }
@@ -116,16 +117,27 @@ class Verdict:
         }
 
 
-def witness_to_json(witness: tuple) -> list:
+class _Labels(dict):
+    """Config or config pair -> its witness label, rendered on first lookup:
+    a config string, or a shared (str, str) tuple for a pair.  One memo
+    serves the witnesses of one verdict, which revisit a few hundred
+    configs many times over."""
+
+    def __missing__(self, item: tuple):
+        label = self[item] = ((config_str(item[0]), config_str(item[1]))
+                              if isinstance(item[0], tuple) else config_str(item))
+        return label
+
+
+def witness_to_json(witness: tuple, labels: _Labels | None = None) -> list:
+    """A witness as JSON data: a list of config strings, of [str, str]
+    config pairs, or a tagged surjectivity list ("scalar"/"det" and config
+    strings).  Pair labels are shared (str, str) tuples, which ``json.dumps``
+    writes as lists; ``labels`` is the memo of one verdict, fresh when None.
+    """
     if witness and isinstance(witness[0], str):
         return [witness[0]] + [config_str(c) for c in witness[1:]]
-    out = []
-    for item in witness:
-        if isinstance(item[0], tuple):
-            out.append([config_str(item[0]), config_str(item[1])])
-        else:
-            out.append(config_str(item))
-    return out
+    return list(map((_Labels() if labels is None else labels).__getitem__, witness))
 
 
 def witness_from_json(data: list) -> tuple:
@@ -161,13 +173,8 @@ def witness_str(witness: tuple) -> str:
         gamma, rho, rho_out = witness[1], witness[2], witness[3]
         return (f"scalar gamma={config_str(gamma) or '()'} rho={config_str(rho)}"
                 f" rho'={config_str(rho_out)}")
-    parts = []
-    for item in witness:
-        if isinstance(item[0], tuple):
-            parts.append(config_str(item[0]) + "|" + config_str(item[1]))
-        else:
-            parts.append(config_str(item))
-    return " ".join(parts)
+    return " ".join(label if isinstance(label, str) else "|".join(label)
+                    for label in witness_to_json(witness))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,16 @@ import tracemalloc
 
 import numpy as np
 
-from qca1d import config_str, dump_rule, index_config, make_family, verdict_from_json
+import qca1d.cli as cli
+from qca1d import (
+    check_infinite,
+    check_periodic,
+    config_str,
+    dump_rule,
+    index_config,
+    make_family,
+    verdict_from_json,
+)
 from qca1d.cli import main
 
 from conftest import quantized_shift, with_noise
@@ -189,20 +198,31 @@ def test_simulate_with_state_file(tmp_path, capsys, f21):
 
 
 def test_simulate_top_keeps_the_full_sort_order(tmp_path, capsys, f21):
-    # many ties, and a NaN, which a stable argsort of -probs ranks last
+    # many ties, which a stable argsort of -probs keeps in index order
     rule_path = write_rule(tmp_path, f21)
     rng = np.random.default_rng(9)
-    for state in (rng.choice([0, 0.5, 1, 1j], size=256), np.r_[np.nan, rng.random(255)]):
-        state_path = tmp_path / "state.json"
-        state_path.write_text(json.dumps([[z.real, z.imag] for z in state.astype(complex)]))
-        probs = np.abs(state) ** 2
-        for top in (-3, 0, 1, 5, 8, 100, 255, 256, 300):
-            code, out, _ = run(capsys, "simulate", rule_path, "--sites", "8", "--steps", "0",
-                               "--initial", str(state_path), "--top", str(top))
-            order = np.argsort(-probs, kind="stable")[:top]
-            expected = " ".join(f"{config_str(index_config(int(i), 2, 8))}:{probs[i]:.6f}"
-                                for i in order if probs[i] > 0)
-            assert code == 0 and out.splitlines()[1].split("top: ")[1] == expected
+    state = rng.choice([0, 0.5, 1, 1j], size=256)
+    state = state / np.linalg.norm(state)
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps([[z.real, z.imag] for z in state]))
+    probs = np.abs(state) ** 2
+    for top in (-3, 0, 1, 5, 8, 100, 255, 256, 300):
+        code, out, _ = run(capsys, "simulate", rule_path, "--sites", "8", "--steps", "0",
+                           "--initial", str(state_path), "--top", str(top))
+        order = np.argsort(-probs, kind="stable")[:top]
+        expected = " ".join(f"{config_str(index_config(int(i), 2, 8))}:{probs[i]:.6f}"
+                            for i in order if probs[i] > 0)
+        assert code == 0 and out.splitlines()[1].split("top: ")[1] == expected
+    # a NaN amplitude or a norm off 1 by more than the tolerance exits 2 at once
+    for bad, message in ((np.r_[np.nan, state[1:]], "non-finite"),
+                         (state * (1 + 1e-6), "not normalized")):
+        state_path.write_text(json.dumps([[z.real, z.imag] for z in bad]))
+        code, out, err = run(capsys, "simulate", rule_path, "--sites", "8", "--steps", "0",
+                             "--initial", str(state_path))
+        assert code == 2 and out == "" and message in err
+    code, _, _ = run(capsys, "simulate", rule_path, "--sites", "8", "--steps", "0",
+                     "--initial", str(state_path), "--tolerance", "1e-3")
+    assert code == 0
 
 
 def test_simulate_builds_the_evolution_once(tmp_path, capsys, monkeypatch, f21):
@@ -289,3 +309,55 @@ def test_tolerance_override(tmp_path, capsys, f21):
     code, _, _ = run(capsys, "verify", path, "--mode", "periodic",
                      "--tolerance", "1e-18")
     assert code == 1
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch, f21):
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+    cli._parser.cache_clear()
+    path = write_rule(tmp_path, f21)
+    calls = [[sub, "--help"] for sub in
+             ("verify", "oracle", "simulate", "family", "graph", "paths", "zpoly")]
+    calls += [["--help"], ["verify", path], ["verify", path, "--mode", "sideways"],
+              ["verify", str(tmp_path / "missing.json"), "--mode", "periodic"],
+              ["verify", path, "--mode", "periodic"]]
+    first = [run(capsys, *argv) for argv in calls]
+    again = [run(capsys, *argv) for argv in reversed(calls)][::-1]
+    assert first == again
+    assert built == [1]
+    assert [code for code, _, _ in first] == [0] * 8 + [2, 2, 2, 0]
+    assert "usage: qca1d verify" in first[8][2] and "sideways" in first[9][2]
+    # build_parser itself still returns a fresh parser each time
+    fresh = original()
+    assert fresh is not original() and fresh is not cli._parser()
+    assert fresh.format_help() == cli._parser().format_help()
+
+
+def _reference_witness_str(witness):
+    """The text witness, one config_str per element."""
+    if witness[0] == "det":
+        return f"det gamma={config_str(witness[1]) or '()'}"
+    if witness[0] == "scalar":
+        return (f"scalar gamma={config_str(witness[1]) or '()'} rho={config_str(witness[2])}"
+                f" rho'={config_str(witness[3])}")
+    return " ".join(config_str(item[0]) + "|" + config_str(item[1])
+                    if isinstance(item[0], tuple) else config_str(item) for item in witness)
+
+
+def test_verify_text_witnesses_match_reference(tmp_path, capsys):
+    from qca1d import RuleTable
+
+    rule = make_family("f31_000_111", {"m1": 1.5, "m2": 0.6})
+    amps = rule.amplitudes.copy()
+    amps[7] = amps[0]
+    for mode, rule, check in (("periodic", with_noise(quantized_shift(2, 3), 1e-3), check_periodic),
+                              ("infinite", RuleTable(2, 3, amps), check_infinite)):
+        path = write_rule(tmp_path, rule)
+        code, out, _ = run(capsys, "verify", path, "--mode", mode)
+        listed = [line.split("witness: ")[1] for line in out.splitlines() if "witness: " in line]
+        reports = check(rule).reports
+        assert code == 1 and len(listed) == len(reports) > 0
+        for text, report in zip(listed, reports):
+            assert text == _reference_witness_str(report.witness)
+    assert {r.witness[0] for r in reports} >= {"scalar", "det"}

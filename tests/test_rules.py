@@ -151,6 +151,31 @@ def test_rule_dict_errors(ident):
             rule_from_dict(data)
 
 
+def test_rule_dict_reads_keys_in_any_order_and_reports_the_first_error():
+    rule = RuleTable(3, 2, np.arange(27).reshape(9, 3) * (1 - 0.5j))
+    good = rule_to_dict(rule)
+    table = good["amplitudes"]
+    shuffled = dict(good, amplitudes={key: table[key] for key in reversed(list(table))})
+    assert np.array_equal(rule_from_dict(shuffled).amplitudes, rule.amplitudes)
+    # non-ASCII digits are read one key at a time, as int() reads them
+    arabic = dict(good, amplitudes={key.replace("1", "\u0661"): v for key, v in table.items()})
+    assert np.array_equal(rule_from_dict(arabic).amplitudes, rule.amplitudes)
+    for entries, message in (
+            ({"0x": [[0, 0]], "22": [[0, 0]] * 3}, "'0x' has non-digit"),
+            ({"22": [[0, 0]], "0x": [[0, 0]] * 3}, "'22' must list 3"),
+            ({"03": [[0, 0]] * 3}, "outside 0..2"),
+            ({"012": [[0, 0]] * 3}, "has length 3"),
+            ({"12": [[0, 0], [0], [0, 0]]}, "entry 1 for config '12'")):
+        rest = [(key, v) for key, v in table.items() if key not in entries]
+        data = dict(good, amplitudes={**entries, **dict(rest[:len(table) - len(entries)])})
+        with pytest.raises(RuleFormatError, match=message):
+            rule_from_dict(data)
+    data = json.loads(json.dumps(good))
+    data["amplitudes"]["12"] = [["1.5", 0], [0, 0], [0, 0]]
+    with pytest.raises(TypeError):  # complex() takes no strings, and neither does the table
+        rule_from_dict(data)
+
+
 def test_rule_dict_rejects_bad_q_and_k_before_sizing(ident):
     good = rule_to_dict(ident)
     for q, k, name in ((2, 0, "'k'"), (2, -3, "'k'"), (1, 2, "'q'"), (2, 10**8, "'k'")):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from qca1d import (
     check_infinite,
     check_periodic,
     config_index,
+    config_str,
     evaluate_condition,
     global_matrix,
     make_family,
@@ -17,7 +20,7 @@ from qca1d import (
 )
 from qca1d.transfer import Monomial
 
-from conftest import F21_00_SAMPLE, F21_SAMPLE
+from conftest import F21_00_SAMPLE, F21_SAMPLE, quantized_shift, with_noise
 
 
 def witness_monomial(witness):
@@ -170,3 +173,38 @@ def test_parity_and_transpose_covariance(f21, f21_00):
     assert check_periodic(state_transpose(f21, (1, 0), "both")).unitary
     assert check_infinite(parity_transform(f21_00)).unitary
     assert check_infinite(state_transpose(f21_00, (1, 0), "both")).unitary
+
+
+def _reference_to_json(verdict) -> dict:
+    """Verdict.to_json rendered with one config_str call per witness element."""
+    def witness(w):
+        if isinstance(w[0], str):
+            return [w[0]] + [config_str(c) for c in w[1:]]
+        return [[config_str(x[0]), config_str(x[1])] if isinstance(x[0], tuple) else config_str(x)
+                for x in w]
+
+    return {"unitary": verdict.unitary, "mode": verdict.mode,
+            "reports": [{"condition": r.condition, "witness": witness(r.witness),
+                         "value": [r.value.real, r.value.imag], "margin": r.margin}
+                        for r in verdict.reports]}
+
+
+def test_witness_rendering_matches_per_element_reference():
+    sector_path = make_family("f31_000_111", {"m1": 1.5, "m2": 0.6, "theta01": 0.3,
+                                              "theta10": 1.1}).amplitudes.copy()
+    sector_path[1] *= 1.1
+    sector_loop = make_family("f31_000_111", {"m1": 1.5, "m2": 0.6}).amplitudes.copy()
+    sector_loop[7] = sector_loop[0]
+    verdicts = (check_periodic(with_noise(quantized_shift(2, 3), 1e-3)),  # P-i, P-ii, P-iii
+                check_infinite(RuleTable(2, 3, sector_path)),  # I-i, I-ii
+                check_infinite(RuleTable(2, 3, sector_loop)))  # I-iii, I-iv, I-v
+    conditions, kinds = set(), set()
+    for verdict in verdicts:
+        data = verdict.to_json()
+        assert json.dumps(data) == json.dumps(_reference_to_json(verdict))
+        assert verdict_from_json(data) == verdict
+        assert verdict_from_json(json.loads(json.dumps(data))) == verdict
+        conditions |= {r.condition for r in verdict.reports}
+        kinds |= {r.witness[0] for r in verdict.reports if isinstance(r.witness[0], str)}
+    assert conditions == {"P-i", "P-ii", "P-iii", "I-i", "I-ii", "I-iii", "I-iv", "I-v"}
+    assert kinds == {"scalar", "det"}
