@@ -77,6 +77,7 @@ from .oracle import (
     is_permutation_matrix,
     probabilities,
     random_state,
+    ring_defect,
     unitarity_defect,
 )
 

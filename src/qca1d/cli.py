@@ -40,10 +40,9 @@ from .oracle import (
     basis_state,
     defect_estimate,
     evolution_step,
-    global_matrix,
     probabilities,
+    ring_defect,
     state_dim,
-    unitarity_defect,
 )
 from .rules import DEFAULT_TOLERANCE, RuleFormatError, RuleTable, config_str, dump_rule, index_config, load_rule
 from .transfer import path_monomials, transfer_matrix, z_polynomial
@@ -97,7 +96,7 @@ def _cmd_oracle(args) -> int:
     rng = np.random.default_rng(args.seed)
     exact = dim <= DEFAULT_MAX_DIM
     if exact:
-        defect = unitarity_defect(global_matrix(rule, args.sites), sites=args.sites)
+        defect = ring_defect(rule, args.sites)
     else:
         defect = defect_estimate(rule, args.sites, samples=args.samples, rng=rng)
     if args.defect_only:
@@ -131,9 +130,13 @@ def _parse_initial(value: str, rule: RuleTable, n_sites: int) -> np.ndarray:
         raise RuleFormatError(
             f"--initial {value!r} is neither a length-{n_sites} config string nor a "
             f"readable state file: {exc}")
-    if not isinstance(data, list) or len(data) != dim:
+    if not isinstance(data, list) or len(data) != dim or not all(
+            isinstance(p, list) and len(p) == 2 for p in data):
         raise RuleFormatError(f"state file must hold {dim} [re, im] pairs")
-    state = np.array([complex(p[0], p[1]) for p in data])
+    try:
+        state = np.array([complex(re, im) for re, im in data])
+    except TypeError:
+        raise RuleFormatError(f"state file {value!r} holds a pair that is not two numbers") from None
     if not np.isfinite(state).all():
         raise RuleFormatError(f"state file {value!r} holds non-finite amplitudes")
     probabilities(state, rule.tolerance)  # raises unless |norm^2 - 1| <= tolerance
@@ -306,8 +309,8 @@ def main(argv=None) -> int:
     except (CycleCapExceeded, DimensionCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError) as exc:
-        # covers rule-format, parameter and empty-sector errors
+    except (ValueError, OSError) as exc:
+        # covers rule-format, parameter and empty-sector errors, and unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

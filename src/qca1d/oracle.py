@@ -2,12 +2,17 @@
 
 The global evolution matrix on N sites has entries
 F[out, in] = prod_x f(out_x | in_(x+E)) with periodic indexing, site 0 most
-significant in the configuration index.  F commutes with the cyclic shift,
-so its unitarity defect, the max-norm of F^dagger F - I, needs one Gram row
-per shift orbit.  The dense build multiplies the amplitude columns of every
-site's window index, site by site in Kronecker order.  The matrix-free path
-applies F or F^dagger one site at a time, as a batched matmul over the window
-cells a site shares with its neighbours; states over MAX_STATE_DIM are refused.
+significant in the configuration index.  Summing over the outputs site by
+site, every Gram entry is a product of N neighborhood inner products:
+(F^dagger F)[y, x] = prod_s <f(.|w_s(y)), f(.|w_s(x))>, w_s(x) being the
+window site s reads from x.  ``ring_defect`` builds the rows of one
+configuration per shift orbit from that identity, without forming F, in
+memory of order #orbits * q^N, about 1/N of F.  The dense build
+``global_matrix`` multiplies the amplitude columns of every site's window
+index, site by site in Kronecker order; ``unitarity_defect`` forms the full
+Gram of any matrix.  The matrix-free path applies F or F^dagger one site at
+a time, as a batched matmul over the window cells a site shares with its
+neighbours; states over MAX_STATE_DIM are refused.
 """
 
 from __future__ import annotations
@@ -109,16 +114,49 @@ def shift_orbit_representatives(dim: int, n_sites: int) -> np.ndarray:
     return np.flatnonzero(smallest == index)
 
 
-def unitarity_defect(matrix: np.ndarray, sites: int | None = None) -> float:
-    """Max-norm of F^dagger F - I; zero iff the matrix is unitary.
-
-    With ``sites=N``, F must be an N-site ring evolution.  It commutes with the
-    cyclic shift T, so (F^dagger F)[Tx, Ty] = (F^dagger F)[x, y]: the Gram rows of
-    one configuration per shift orbit hold every entry, up to rounding (~1e-15)."""
+def unitarity_defect(matrix: np.ndarray) -> float:
+    """Max-norm of F^dagger F - I over the full Gram; zero iff the matrix is unitary."""
     matrix = np.asarray(matrix)
-    rows = slice(None) if sites is None else shift_orbit_representatives(len(matrix), sites)
-    gram = matrix[:, rows].conj().T @ matrix
-    gram[np.arange(len(gram)), np.arange(len(matrix))[rows]] -= 1.0  # row i is config rows[i]
+    gram = matrix.conj().T @ matrix
+    gram[np.diag_indices(len(gram))] -= 1.0
+    return float(np.max(np.abs(gram)))
+
+
+def ring_defect(rule: RuleTable, n_sites: int) -> float:
+    """Max-norm of F^dagger F - I for the N-site ring evolution F, without forming F.
+
+    F commutes with the cyclic shift T, so (F^dagger F)[Tx, Ty] = (F^dagger F)[x, y]
+    and the Gram rows y of one configuration per shift orbit hold every entry.
+    Row y is a broadcast product over the N cell axes of x, one multiply per
+    site s, of the inner products <f(.|w_s(y)), f(.|w_s(x))>, which depend on
+    the window cells of x alone.  A neighborhood offset m gives F T^m, whose
+    Gram is a shift conjugate of this one, so the defect takes no offsets.
+    """
+    q, k = rule.q, rule.k
+    dim = state_dim(q, n_sites)
+    if dim > DEFAULT_MAX_DIM:
+        raise DimensionCapExceeded(
+            f"ring dimension {dim} exceeds the exact-defect cap {DEFAULT_MAX_DIM}")
+    reps = shift_orbit_representatives(dim, n_sites)
+    cells = config_digits(q, n_sites)[np.arange(n_sites + k - 1) % n_sites][:, reps]
+    rep_windows = window_indices(cells, q, k)
+    # a window reads m distinct cells, repeated around the ring when N < k;
+    # local[a] is the window index of assignment a of cells s, s+1, .. (mod N)
+    m = min(k, n_sites)
+    local = window_indices(config_digits(q, m)[np.arange(k) % m], q, k)[0]
+    columns = rule.amplitudes[local].T
+    gram = np.empty((len(reps), dim), dtype=complex)
+    for s in range(n_sites):
+        wrap = max(0, s + m - n_sites)  # window cells 0..wrap-1 read past the end
+        factor = rule.amplitudes[rep_windows[s]].conj() @ columns
+        factor = factor.reshape(len(reps), q ** (m - wrap), q**wrap).transpose(0, 2, 1)
+        # axes: cells 0..wrap-1, wrap..s-1, s..s+m-wrap-1, the rest
+        view = gram.reshape(len(reps), q**wrap, q ** (s - wrap), q ** (m - wrap), -1)
+        if s:
+            view *= factor[:, :, None, :, None]
+        else:
+            view[...] = factor[:, :, None, :, None]
+    gram[np.arange(len(reps)), reps] -= 1.0
     return float(np.max(np.abs(gram)))
 
 

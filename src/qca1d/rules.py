@@ -245,7 +245,11 @@ def rule_from_dict(data: dict) -> RuleTable:
         for i, pair in enumerate(entry):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise RuleFormatError(f"entry {i} for config {key!r} is not an [re, im] pair")
-            amps[config_index(cfg, q), i] = complex(pair[0], pair[1])
+            try:
+                amps[config_index(cfg, q), i] = complex(pair[0], pair[1])
+            except TypeError:
+                raise RuleFormatError(
+                    f"entry {i} for config {key!r} is not a pair of numbers") from None
     return RuleTable(q, k, amps, float(tolerance))
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -9,6 +10,7 @@ from qca1d import (
     all_configs,
     apply_global,
     basis_state,
+    check_periodic,
     config_index,
     defect_estimate,
     evolve,
@@ -20,11 +22,12 @@ from qca1d import (
     probabilities,
     random_params,
     random_state,
+    ring_defect,
     unitarity_defect,
 )
 from qca1d.oracle import DEFAULT_MAX_DIM, neighborhood_offsets, shift_orbit_representatives
 
-from conftest import quantized_shift, with_noise
+from conftest import haar_unitary, quantized_shift, unitary_grid, with_noise
 
 
 def kron_columns(rule, n, cols, offsets=None):
@@ -232,6 +235,8 @@ def test_dimension_cap():
     rule = make_family("f21", {})
     with pytest.raises(DimensionCapExceeded):
         global_matrix(rule, 13)
+    with pytest.raises(DimensionCapExceeded):
+        ring_defect(rule, 13)
     global_matrix(rule, 5, max_dim=32)
 
 
@@ -270,24 +275,25 @@ def ring_rules(q, k, seed):
     return [(rule, False) for rule in unitary + noisy] + [(permutation_rule(q, k, rng), True)]
 
 
-def assert_orbit_defect_matches(matrix, n, exact):
-    full, orbit = unitarity_defect(matrix), unitarity_defect(matrix, sites=n)
-    if exact:
-        assert full == orbit == 0.0
-    assert abs(orbit - full) <= 1e-13 + 1e-12 * full
+def assert_orbit_defect_matches(rule, n, exact, offsets_choices=OFFSET_CHOICES):
+    """ring_defect against the full Gram of the dense matrix, at every offset."""
+    orbit = ring_defect(rule, n)
+    for choice in offsets_choices:
+        full = unitarity_defect(global_matrix(rule, n, offsets=choice(rule.k)))
+        if exact:
+            assert full == orbit == 0.0
+        assert abs(orbit - full) <= 1e-13 + 1e-12 * full
 
 
 @pytest.mark.parametrize("q", (2, 3, 4))
-@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_orbit_defect_matches_full_gram(q, k):
-    # every rule and offset on rings of at most 512 configurations
+    # every rule and offset on rings of at most 512 configurations, n < k included
     for rule, exact in ring_rules(q, k, 100 * q + k):
         for n in range(1, 10):
             if q**n > 512:
                 break
-            for choice in OFFSET_CHOICES:
-                f = global_matrix(rule, n, offsets=choice(k))
-                assert_orbit_defect_matches(f, n, exact)
+            assert_orbit_defect_matches(rule, n, exact)
 
 
 @pytest.mark.parametrize("q,n", ((2, 10), (2, 11), (2, 12), (3, 6), (3, 7), (4, 5)))
@@ -295,7 +301,40 @@ def test_orbit_defect_matches_full_gram_up_to_dense_cap(q, n):
     # (4, 6) is left out for test time; (2, 12) has its size, 4096
     assert 512 < q**n <= DEFAULT_MAX_DIM
     rule = with_noise(quantized_shift(q, 2, n), 1e-3, n)
-    assert_orbit_defect_matches(global_matrix(rule, n, offsets=(-1, 0)), n, exact=False)
+    assert_orbit_defect_matches(rule, n, exact=False, offsets_choices=[lambda k: (-1, 0)])
+
+
+def test_ring_defect_stays_the_size_of_its_ring():
+    # a (2, 10) rule on 8 sites: 36 orbit rows of 256 entries, never the
+    # 1024 x 1024 window Gram (16 MiB)
+    rule = with_noise(quantized_shift(2, 10, 3), 1e-3, 3)
+    tracemalloc.start()
+    try:
+        defect = ring_defect(rule, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert abs(defect - unitarity_defect(global_matrix(rule, 8))) <= 1e-13 + 1e-12 * defect
+
+
+@pytest.mark.parametrize("eps", (0.0, 1e-3))
+def test_defect_and_verdict_ignore_a_unitary_on_every_amplitude_vector(eps):
+    # f(.|a) -> U f(.|a) and f(.|a) -> e^(i phi) f(.|a) keep every inner product
+    for index, (label, rule, _) in enumerate(unitary_grid(11)):
+        rule = with_noise(rule, eps, index)
+        rng = np.random.default_rng(index)
+        verdict = check_periodic(rule)
+        for u in (haar_unitary(rng, rule.q), np.exp(2j * np.pi * rng.random()) * np.eye(rule.q)):
+            moved = RuleTable(rule.q, rule.k, rule.amplitudes @ u.T, rule.tolerance)
+            for n in range(1, 9):
+                if rule.q**n > 512:
+                    break
+                assert abs(ring_defect(moved, n) - ring_defect(rule, n)) <= 1e-13, (label, n)
+            moved_verdict = check_periodic(moved)
+            assert moved_verdict.unitary == verdict.unitary, label
+            assert ({r.condition for r in moved_verdict.reports}
+                    == {r.condition for r in verdict.reports}), label
 
 
 def necklaces(q, n):
@@ -318,5 +357,5 @@ def test_orbit_representatives_count_necklaces():
 def test_orbit_defect_rejects_a_size_that_is_no_ring():
     for dim, n in ((6, 2), (8, 2), (4, 0), (4, -1)):
         with pytest.raises(ValueError):
-            unitarity_defect(np.eye(dim), sites=n)
-    assert unitarity_defect(np.eye(9), sites=2) == 0.0
+            shift_orbit_representatives(dim, n)
+    assert shift_orbit_representatives(9, 2).tolist() == [0, 1, 2, 4, 5, 8]

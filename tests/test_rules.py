@@ -179,7 +179,7 @@ def test_rule_dict_reads_keys_in_any_order_and_reports_the_first_error():
             rule_from_dict(data)
     data = json.loads(json.dumps(good))
     data["amplitudes"]["12"] = [["1.5", 0], [0, 0], [0, 0]]
-    with pytest.raises(TypeError):  # complex() takes no strings, and neither does the table
+    with pytest.raises(RuleFormatError, match="entry 0 for config '12' is not a pair of numbers"):
         rule_from_dict(data)
 
 
