@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success (or unitary verdict), 1 not-unitary verdict, 2 usage
-or rule-file error (including an empty deterministic sector, and a
-``simulate`` state that is not finite or not normalized), 3 resource cap
+or rule-file error (including a path that cannot be read, an empty
+deterministic sector, and a ``simulate`` state that is not a list of
+[re, im] number pairs, not finite or not normalized), 3 resource cap
 exceeded.  The environment variable QCA_CYCLE_CAP overrides the cap on
 the edges that witness listing examines.  Identical inputs and --seed
 produce identical output.
@@ -135,7 +136,7 @@ def _parse_initial(value: str, rule: RuleTable, n_sites: int) -> np.ndarray:
         raise RuleFormatError(f"state file must hold {dim} [re, im] pairs")
     try:
         state = np.array([complex(re, im) for re, im in data])
-    except TypeError:
+    except (TypeError, OverflowError):  # a string, null, or an int past float range
         raise RuleFormatError(f"state file {value!r} holds a pair that is not two numbers") from None
     if not np.isfinite(state).all():
         raise RuleFormatError(f"state file {value!r} holds non-finite amplitudes")

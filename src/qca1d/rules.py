@@ -247,7 +247,7 @@ def rule_from_dict(data: dict) -> RuleTable:
                 raise RuleFormatError(f"entry {i} for config {key!r} is not an [re, im] pair")
             try:
                 amps[config_index(cfg, q), i] = complex(pair[0], pair[1])
-            except TypeError:
+            except (TypeError, OverflowError):  # a string, null, or an int past float range
                 raise RuleFormatError(
                     f"entry {i} for config {key!r} is not a pair of numbers") from None
     return RuleTable(q, k, amps, float(tolerance))

@@ -115,20 +115,25 @@ def test_unreadable_rule_path_exits_2(tmp_path, capsys):
 
 
 def test_rule_entry_that_is_no_number_exits_2(tmp_path, capsys, f21):
-    data = json.loads(dump_rule(f21))
-    data["amplitudes"]["01"][1] = ["1.5", 0]
-    path = tmp_path / "rule.json"
-    path.write_text(json.dumps(data))
-    code, out, err = run(capsys, "verify", str(path), "--mode", "periodic")
-    assert code == 2 and out == "" and "'01'" in err
+    for bad in (["1.5", 0], [10**400, 0]):  # a string; an int no float can hold
+        data = json.loads(dump_rule(f21))
+        data["amplitudes"]["01"][1] = bad
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(path), "--mode", "periodic")
+        assert code == 2 and out == "" and "'01'" in err
 
 
 def test_state_file_of_bare_numbers_exits_2(tmp_path, capsys, f21):
+    rule_path = write_rule(tmp_path, f21)
     state_path = tmp_path / "state.json"
-    state_path.write_text(json.dumps([1, 0, 0, 0]))
-    code, out, err = run(capsys, "simulate", write_rule(tmp_path, f21), "--sites", "2",
-                         "--steps", "1", "--initial", str(state_path))
-    assert code == 2 and out == "" and "[re, im] pairs" in err
+    for state, message in (([1, 0, 0, 0], "[re, im] pairs"),
+                           ([[1, 0], ["0", 0], [0, 0], [0, 0]], "not two numbers"),
+                           ([[1, 0], [10**400, 0], [0, 0], [0, 0]], "not two numbers")):
+        state_path.write_text(json.dumps(state))
+        code, out, err = run(capsys, "simulate", rule_path, "--sites", "2",
+                             "--steps", "1", "--initial", str(state_path))
+        assert code == 2 and out == "" and message in err
 
 
 def test_no_sector_exit_code(tmp_path, capsys):
