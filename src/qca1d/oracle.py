@@ -177,9 +177,6 @@ def _transfer(rule: RuleTable, n: int, vec: np.ndarray, adjoint: bool) -> np.nda
         tensor = tensor.conj()
     rows = vec.reshape(q**b, -1)
     out = np.zeros_like(rows)
-    # no state outgrows vec; steps alternate between two buffers, so the
-    # allocator hands out (and the OS faults in) no fresh pages per step
-    buffers = np.empty((2, vec.size), dtype=complex)
     for p, border in enumerate(all_configs(q, b)):
         c = vec if adjoint else rows[p]
         for x in range(n):
@@ -189,15 +186,13 @@ def _transfer(rule: RuleTable, n: int, vec: np.ndarray, adjoint: bool) -> np.nda
                 mid = q ** sum(y >= b for y in cells[:-1])
                 kernel = t.reshape(mid, -1, q).transpose(0, 2, 1)
                 legs = c.reshape(q, -1, mid).transpose(2, 1, 0)
+                c = np.empty((legs.shape[1], mid, kernel.shape[2]), dtype=complex)
+                np.matmul(legs, kernel, out=c.transpose(1, 0, 2))
             else:
                 mid = q ** sum(y >= b for y in cells[1:])
                 kernel = t.reshape(-1, mid, q).transpose(1, 0, 2)
-                legs = c.reshape(kernel.shape[1], mid, -1).transpose(1, 2, 0)
-            rest = legs.shape[1]
-            c = buffers[x % 2, :mid * rest * kernel.shape[2]]
-            # the product is [mid, rest, b]; the adjoint stores it as [rest, mid, b]
-            np.matmul(legs, kernel, out=c.reshape(rest, mid, -1).swapaxes(0, 1) if adjoint
-                      else c.reshape(mid, rest, -1))
+                c = c.reshape(kernel.shape[1], mid, -1).transpose(1, 2, 0) @ kernel
+            c = c.reshape(-1)
         if adjoint:
             out[p] = c
         else:
