@@ -191,7 +191,7 @@ def _cmd_family(args) -> int:
         raise ParameterError("family name required (or use --list)")
     params = dict(_parse_param(p) for p in args.param or [])
     rule = make_family(args.name, params,
-                       tolerance=args.tolerance if args.tolerance else DEFAULT_TOLERANCE)
+                       tolerance=DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance)
     print(dump_rule(rule))
     return 0
 

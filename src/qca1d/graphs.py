@@ -15,11 +15,11 @@ weights are products of edge weights.
 
 Both graphs are numpy arrays indexed by config (:class:`Graph`): norm edge
 i is config i, pair edge i is the pair (i // q^k, i % q^k).  The unitarity
-conditions are decided on such arrays by two kernels, ``cycle_exists`` and
-``reaches``; ``iter_cycles`` and ``iter_paths`` enumerate cycles and paths
-as tuples of edge indices to list witnesses.  The deterministic sector is a
-greatest fixpoint on a boolean mask over the configs, its cycle test run by
-``reaches`` and its closure test on arrays of window indices.
+conditions are decided on boolean config masks by ``cycle_exists`` and
+``reaches``, searches stepping by one de Bruijn kernel, ``advance``;
+``iter_cycles`` and ``iter_paths`` list witness cycles and paths as tuples
+of edge indices.  The deterministic sector is a greatest fixpoint on a
+config mask, tested by a batched ``reaches`` and by window-index walks.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ class Graph:
             self.src, self.dst = edges // q, edges % n
         else:
             self.n_vertices = n * n
-            self.src, self.dst = pair_edges(*np.divmod(edges, q**k), q, k)
+            a, b = np.divmod(edges, q**k)  # (a[:-1], b[:-1]) -> (a[1:], b[1:])
+            self.src, self.dst = (a // q) * n + b // q, (a % n) * n + b % n
 
     @property
     def mismatch(self) -> np.ndarray:
@@ -82,11 +83,9 @@ class Graph:
     @property
     def diagonal(self) -> np.ndarray:
         """Vertex mask of the vertices (u, u); every norm-graph vertex."""
-        v = np.arange(self.n_vertices)
         if self.kind == "single":
-            return np.ones(v.size, dtype=bool)
-        n = self.q ** (self.k - 1)
-        return v // n == v % n
+            return np.ones(self.n_vertices, dtype=bool)
+        return np.eye(self.q ** (self.k - 1), dtype=bool).ravel()
 
     @cached_property
     def out_edges(self) -> list[list[int]]:
@@ -232,45 +231,43 @@ def mismatch_support(rule: RuleTable) -> np.ndarray:
     return support
 
 
-def pair_edges(a: np.ndarray, b: np.ndarray, q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Source and target pair-vertex indices of the pair edges (a, b):
-    (a[:-1], b[:-1]) -> (a[1:], b[1:]), a vertex (u, v) having index
-    u * q^(k-1) + v."""
-    n = q ** (k - 1)
-    return (a // q) * n + b // q, (a % n) * n + b % n
+def advance(edges: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """The vertices one edge past the vertex mask ``frontier``: ``edges``
+    has one config axis of q^k per graph (norm or pair), ``frontier`` one
+    axis of n = q^(k-1) per graph after any batch axes.  Each config axis is
+    viewed as (prefix, appended digit) to AND in the frontier (repeated over
+    the digit on the last axis, so the AND runs along contiguous rows), then
+    as (dropped digit, suffix) to OR out the dropped digits."""
+    d, n = edges.ndim, frontier.shape[-1]
+    q, batch = edges.shape[0] // n, frontier.shape[:frontier.ndim - d]
+    rows = frontier.repeat(q, axis=-1).reshape(batch + (n, 1) * (d - 1) + (n * q,))
+    step = (edges.reshape((n, q) * (d - 1) + (n * q,)) & rows).reshape(batch + (q, n) * d)
+    return step.any(axis=tuple(range(len(batch), step.ndim, 2)))
 
 
-def cycle_exists(src: np.ndarray, dst: np.ndarray, n_vertices: int) -> bool:
-    """Whether the edges src[i] -> dst[i] contain a directed cycle.
-
-    Edges leaving a vertex without in-edges or entering a vertex without
-    out-edges lie on no cycle; trimming them until none is left leaves a
-    nonempty edge set exactly when a cycle exists.
-    """
-    while src.size:
-        keep = (np.bincount(dst, minlength=n_vertices) > 0)[src] \
-            & (np.bincount(src, minlength=n_vertices) > 0)[dst]
-        if keep.all():
-            return True
-        src, dst = src[keep], dst[keep]
-    return False
+def cycle_exists(edges: np.ndarray, inside: np.ndarray) -> bool:
+    """Whether the mask ``edges`` has a directed cycle within the vertex
+    mask ``inside``: dropping the vertices without an in-edge from the kept
+    ones until none is left leaves a nonempty set exactly when it does."""
+    kept = inside & advance(edges, inside)
+    while 0 < np.count_nonzero(kept) < np.count_nonzero(inside):
+        inside, kept = kept, kept & advance(edges, kept)
+    return bool(kept.any())
 
 
-def reaches(src: np.ndarray, dst: np.ndarray, start: np.ndarray, stop: np.ndarray) -> bool:
-    """Whether a walk of one or more edges src[i] -> dst[i] leads from a
-    vertex in the boolean mask ``start`` to one in ``stop``, its interior
-    vertices all outside ``stop``."""
-    seen = start.copy()
-    frontier = start
+def reaches(edges: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Whether a walk of one or more edges of the mask ``edges`` leads from
+    a vertex in the mask ``start`` to one in ``stop``, its interior vertices
+    all outside ``stop``; one answer per leading batch row of the masks."""
+    axes = tuple(range(-edges.ndim, 0))
+    found = np.zeros(start.shape[:start.ndim - edges.ndim], dtype=bool)
+    seen, frontier = start | stop, start
     while frontier.any():
-        hit = dst[frontier[src]]
-        if stop[hit].any():
-            return True
-        frontier = np.zeros_like(seen)
-        frontier[hit] = True
-        frontier &= ~seen
+        hit = advance(edges, frontier)
+        found |= (hit & stop).any(axis=axes)
+        frontier = hit & ~seen
         seen |= frontier
-    return False
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +402,12 @@ def deterministic_sector(rule: RuleTable) -> frozenset[Config]:
     The greatest fixpoint, on one boolean mask over the q^k configs, of two
     prunings of the unit-component configs.  A config a, the norm-graph
     edge a // q -> a % q^(k-1), stays when it is a self-loop or its suffix
-    ``reaches`` its prefix over sector edges; and when every walk of k
-    sector windows with unique outputs through it (window w is followed by
-    (w % q^(k-1)) * q + s) produces a config that is again such a window.
-    Walks grow from blocks of start windows, sized so that no walk array
-    holds more than ``MAX_PAIR_ENTRIES`` indices; the smallest block is one
-    start window, with up to q^(k-1) walks.  The result may be empty.
+    reaches its prefix over sector edges (one ``reaches`` row per config);
+    and when every walk of k sector windows with unique outputs through it
+    (window w is followed by (w % q^(k-1)) * q + s) produces a config that
+    is again such a window.  Search rows and walks run in blocks that keep
+    each array within ``MAX_PAIR_ENTRIES`` entries; the smallest walk block
+    is one start window, with up to q^(k-1) walks.  The result may be empty.
     """
     q, k = rule.q, rule.k
     n = q ** (k - 1)
@@ -420,12 +417,14 @@ def deterministic_sector(rule: RuleTable) -> frozenset[Config]:
     out = deterministic_outputs(rule)
     place = q ** np.arange(k - 1, -1, -1)
     block = max(1, MAX_PAIR_ENTRIES // (k * n))  # a start window has at most n walks
+    rows = max(1, MAX_PAIR_ENTRIES // n)  # frontier rows per search
     sector = unit_hits(rule).any(axis=1)
     while True:
-        src, dst = pre[sector], suf[sector]
         live = sector & (out >= 0)
-        for a in np.flatnonzero(live & (pre != suf)):
-            live[a] = reaches(src, dst, config[:n] == suf[a], config[:n] == pre[a])
+        cycle = np.flatnonzero(live & (pre != suf))
+        for first in range(0, cycle.size, rows):
+            a = cycle[first:first + rows, None]
+            live[a[:, 0]] = reaches(sector, config[:n] == suf[a], config[:n] == pre[a])
         pruned = live.copy()
         starts = np.flatnonzero(live)
         for first in range(0, starts.size, block):

@@ -32,7 +32,8 @@ Each condition is first decided on numpy arrays indexed by config:
   The weights are the Gram matrix conj(A) A^T of the amplitude table A
   (``graphs.mismatch_support``).  P-ii and I-iv then ask for a cycle off the
   diagonal (``graphs.cycle_exists``), P-iii and I-iii for a walk from the
-  diagonal back to it (``graphs.reaches``).  These decisions are exact.
+  diagonal back to it (``graphs.reaches``).  Both search the mask itself,
+  one de Bruijn step (``graphs.advance``) at a time, and are exact.
 
 A condition that holds returns no reports and builds neither graph.
 Witnesses of a condition that fails are listed by enumerating cycles or
@@ -52,6 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import (
+    CycleCapExceeded,
     Graph,
     cycle_exists,
     deterministic_sector,
@@ -59,7 +61,6 @@ from .graphs import (
     iter_paths,
     mismatch_support,
     norm_potential,
-    pair_edges,
     pair_graph,
     reaches,
     resolve_cycle_cap,
@@ -240,15 +241,11 @@ def _holds(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs) -> bool
                 return True  # every path between sector vertices is closed
             bound += float(np.ptp(phi[ends]))
         return math.expm1(bound) <= tol / 2
-    q, k = rule.q, rule.k
-    n = q ** (k - 1)
-    src, dst = pair_edges(*np.nonzero(_mismatch_mask(rule, condition, sector, graphs)), q, k)
+    edges = _mismatch_mask(rule, condition, sector, graphs)
+    diagonal = np.eye(rule.q ** (rule.k - 1), dtype=bool)
     if condition in ("P-iii", "I-iii"):
-        diagonal = np.zeros(n * n, dtype=bool)
-        diagonal[np.arange(n) * (n + 1)] = True
-        return not reaches(src, dst, diagonal, diagonal)
-    off = (src // n != src % n) & (dst // n != dst % n)
-    return not cycle_exists(src[off], dst[off], n * n)
+        return not reaches(edges, diagonal, diagonal)
+    return not cycle_exists(edges, ~diagonal)
 
 
 def _violations(rule, condition, sector, graphs, max_violations, cap) -> list[ConstraintReport]:
@@ -327,8 +324,11 @@ def evaluate_condition(
     graphs = graphs or _RuleGraphs(rule)
     if _holds(rule, condition, sector, graphs):
         return []
-    return _violations(rule, condition, sector, graphs, max_violations,
-                       resolve_cycle_cap(cycle_cap))
+    try:
+        return _violations(rule, condition, sector, graphs, max_violations,
+                           resolve_cycle_cap(cycle_cap))
+    except CycleCapExceeded as exc:
+        raise CycleCapExceeded(f"{condition}: {exc}") from None
 
 
 def check_periodic(

@@ -93,6 +93,12 @@ def test_family_errors(capsys):
     assert code == 2
 
 
+def test_family_refuses_zero_tolerance(capsys):
+    # 0 is an explicit tolerance, not "use the default"
+    code, out, err = run(capsys, "family", "f21", "--tolerance", "0")
+    assert code == 2 and out == "" and "tolerance 0.0 must be positive" in err
+
+
 def test_malformed_rule_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -151,7 +157,7 @@ def test_cycle_cap_exit_code(tmp_path, capsys, monkeypatch, f21):
     monkeypatch.setenv("QCA_CYCLE_CAP", "1")
     path = write_rule(tmp_path, with_noise(f21, 1e-3))
     code, _, err = run(capsys, "verify", path, "--mode", "periodic")
-    assert code == 3 and "cap" in err
+    assert code == 3 and "P-i: cycle enumeration exceeded the cap of 1 examined edges" in err
 
 
 def test_paths_output(tmp_path, capsys):

@@ -18,7 +18,8 @@ from qca1d import (
     to_dot,
     unit_configs,
 )
-from qca1d.graphs import MAX_PAIR_ENTRIES
+from qca1d import graphs
+from qca1d.graphs import MAX_PAIR_ENTRIES, advance, cycle_exists, reaches
 from qca1d.transfer import Monomial
 
 
@@ -152,6 +153,87 @@ def test_cycle_order_deterministic(f21):
            [gb.configs(c) for c in b]
 
 
+def mask_successors(edges, q):
+    """Plain-Python adjacency of a boolean config mask: one axis of q^k
+    configs per graph, config a running from a // q to a % q^(k-1); a pair
+    vertex is a tuple of one vertex per axis."""
+    n = edges.shape[0] // q
+    succ = {}
+    for cfgs in zip(*np.nonzero(edges)):
+        u = tuple(int(a) // q for a in cfgs)
+        succ.setdefault(u, set()).add(tuple(int(a) % n for a in cfgs))
+    return succ
+
+
+def as_vertices(mask):
+    return set(map(tuple, np.argwhere(mask).tolist()))
+
+
+def reference_reaches(succ, start, stop):
+    """Depth-first search from ``start`` that enters no ``stop`` vertex
+    except as the end of a walk."""
+    seen, todo = set(start), list(start)
+    while todo:
+        for w in succ.get(todo.pop(), ()):
+            if w in stop:
+                return True
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return False
+
+
+def reference_cycle_exists(succ, inside):
+    """Three-colour depth-first search for a back edge within ``inside``."""
+    colour = dict.fromkeys(inside, 0)  # 0 new, 1 on the stack, 2 done
+    for root in inside:
+        if colour[root]:
+            continue
+        colour[root] = 1
+        stack = [(root, iter(succ.get(root, ())))]
+        while stack:
+            u, it = stack[-1]
+            for w in it:
+                if w not in colour:
+                    continue
+                if colour[w] == 1:
+                    return True
+                if colour[w] == 0:
+                    colour[w] = 1
+                    stack.append((w, iter(succ.get(w, ()))))
+                    break
+            else:
+                colour[u] = 2
+                stack.pop()
+    return False
+
+
+@pytest.mark.parametrize("axes", [1, 2], ids=["norm", "pair"])
+@pytest.mark.parametrize("q,k", [(q, k) for q in (2, 3) for k in range(1, 5)])
+def test_step_kernels_match_plain_search(q, k, axes):
+    # sparse masks, about one out-edge per vertex, give the long chains and
+    # isolated cycles that rule tables do not
+    rng = np.random.default_rng([q, k, axes])
+    n = q ** (k - 1)
+    for _ in range(8):
+        edges = rng.uniform(size=(q**k,) * axes) < rng.uniform(0.3, 1.5) / q**axes
+        succ = mask_successors(edges, q)
+        frontier = rng.uniform(size=(3,) + (n,) * axes) < 0.3
+        stepped = advance(edges, frontier)
+        assert stepped.shape == frontier.shape
+        for row, got in zip(frontier, stepped):
+            expected = {w for u in as_vertices(row) for w in succ.get(u, ())}
+            assert as_vertices(got) == expected
+        assert np.array_equal(advance(edges, frontier[0]), stepped[0])
+        stop = rng.uniform(size=frontier.shape) < 0.2
+        found = reaches(edges, frontier, stop)
+        for row, start, end in zip(found, frontier, stop):
+            assert row == reference_reaches(succ, as_vertices(start), as_vertices(end))
+        assert reaches(edges, frontier[1], stop[1]) == found[1]
+        inside = rng.uniform(size=(n,) * axes) < 0.8
+        assert cycle_exists(edges, inside) == reference_cycle_exists(succ, as_vertices(inside))
+
+
 def unit_outputs(rule):
     """Per config, the unique output state with amplitude 1, or None."""
     out = {}
@@ -268,6 +350,28 @@ def test_sector_matches_set_reference():
         nonempty += bool(expected)
         multi_round += rounds > 2  # two pruning rounds before the confirming one
     assert nonempty > 150 and multi_round > 100
+
+
+def test_sector_matches_set_reference_in_small_blocks(monkeypatch):
+    # a bound of a few dozen entries splits both the cycle search and the
+    # closure walks into many blocks per pruning round
+    monkeypatch.setattr(graphs, "MAX_PAIR_ENTRIES", 36)
+    searches = []
+
+    def counted(edges, start, stop):
+        searches.append(len(start))
+        return reaches(edges, start, stop)
+
+    monkeypatch.setattr(graphs, "reaches", counted)
+    rng = np.random.default_rng(2024)
+    split = 0
+    for _ in range(200):
+        rule = random_sector_rule(rng)
+        searches.clear()
+        expected, rounds = reference_sector(rule)
+        assert deterministic_sector(rule) == expected
+        split += len(searches) > rounds  # some round searched in two or more blocks
+    assert split > 50
 
 
 def test_sector_walks_stay_within_block_bound():
