@@ -423,8 +423,8 @@ def deterministic_sector(rule: RuleTable) -> frozenset[Config]:
         live = sector & (out >= 0)
         cycle = np.flatnonzero(live & (pre != suf))
         for first in range(0, cycle.size, rows):
-            a = cycle[first:first + rows, None]
-            live[a[:, 0]] = reaches(sector, config[:n] == suf[a], config[:n] == pre[a])
+            a = cycle[first:first + rows]
+            live[a] = reaches(sector, config[:n] == suf[a, None], config[:n] == pre[a, None])
         pruned = live.copy()
         starts = np.flatnonzero(live)
         for first in range(0, starts.size, block):
