@@ -92,6 +92,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.samples < 1:  # checked on both branches, though the exact one reads no sample
+        raise ValueError(f"need at least one sample vector, got --samples {args.samples}")
     rule = _load(args)
     dim = state_dim(rule.q, args.sites)
     rng = np.random.default_rng(args.seed)
@@ -147,6 +149,8 @@ def _parse_initial(value: str, rule: RuleTable, n_sites: int) -> np.ndarray:
 def _cmd_simulate(args) -> int:
     if args.steps < 0:
         raise ValueError(f"--steps must be nonnegative, got {args.steps}")
+    if args.top < 0:
+        raise ValueError(f"--top must be nonnegative, got {args.top}")
     rule = _load(args)
     state = _parse_initial(args.initial, rule, args.sites)
     advance = evolution_step(rule, args.sites)

@@ -239,7 +239,7 @@ def test_simulate_top_keeps_the_full_sort_order(tmp_path, capsys, f21):
     state_path = tmp_path / "state.json"
     state_path.write_text(json.dumps([[z.real, z.imag] for z in state]))
     probs = np.abs(state) ** 2
-    for top in (-3, 0, 1, 5, 8, 100, 255, 256, 300):
+    for top in (0, 1, 5, 8, 100, 255, 256, 300):
         code, out, _ = run(capsys, "simulate", rule_path, "--sites", "8", "--steps", "0",
                            "--initial", str(state_path), "--top", str(top))
         order = np.argsort(-probs, kind="stable")[:top]
@@ -325,6 +325,24 @@ def test_empty_oracle_sample_and_negative_steps_exit_2(tmp_path, capsys, f21):
     code, out, err = run(capsys, "simulate", path, "--sites", "4", "--steps", "-2",
                          "--initial", "0010")
     assert code == 2 and out == "" and "steps" in err
+
+
+def test_oracle_without_samples_exits_2_on_both_branches(tmp_path, capsys, f21):
+    # the exact branch (q^N <= 4096) never reads --samples, the estimate does
+    path = write_rule(tmp_path, f21)
+    for sites in ("4", "13"):
+        code, out, err = run(capsys, "oracle", path, "--sites", sites, "--samples", "0")
+        assert code == 2 and out == "" and "sample" in err
+
+
+def test_simulate_negative_top_exits_2(tmp_path, capsys, f21):
+    path = write_rule(tmp_path, f21)
+    code, out, err = run(capsys, "simulate", path, "--sites", "3", "--steps", "1",
+                         "--initial", "010", "--top", "-1")
+    assert code == 2 and out == "" and "--top" in err
+    code, out, _ = run(capsys, "simulate", path, "--sites", "3", "--steps", "1",
+                       "--initial", "010", "--top", "0")
+    assert code == 0 and [line.split("top: ")[1] for line in out.splitlines()[1:]] == ["", ""]
 
 
 def test_seeded_output_is_stable(tmp_path, capsys, f21):

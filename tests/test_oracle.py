@@ -26,6 +26,7 @@ from qca1d import (
     unitarity_defect,
 )
 from qca1d.oracle import DEFAULT_MAX_DIM, neighborhood_offsets, shift_orbit_representatives
+from qca1d.rules import config_digits
 
 from conftest import haar_unitary, quantized_shift, unitary_grid, with_noise
 
@@ -167,6 +168,45 @@ def test_matrix_free_matches_dense_larger_alphabets(q, k):
             np.testing.assert_allclose(
                 apply_global(rule, n, state, adjoint=True, offsets=offsets)[cols],
                 f.conj().T @ state, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_matrix_free_block_remainders_match_dense(k):
+    # q = 2 steps over blocks of 4 sites: n = 1..12 meets every n mod 4, with
+    # and without a block clear of the border; n = 12 at one offset choice
+    # per k keeps the dense builds short
+    rng = np.random.default_rng(20 + k)
+    rule = random_rule(2, k, rng)
+    for n in range(1, 13):
+        state = random_state(2, n, rng)
+        for choice in OFFSET_CHOICES if n < 12 else OFFSET_CHOICES[k % 3:k % 3 + 1]:
+            offsets = choice(k)
+            f = global_matrix(rule, n, offsets=offsets)
+            np.testing.assert_allclose(
+                apply_global(rule, n, state, offsets=offsets), f @ state, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                apply_global(rule, n, state, adjoint=True, offsets=offsets),
+                f.conj().T @ state, rtol=0, atol=1e-12)
+
+
+def test_matrix_free_deterministic_shift_is_exact_past_the_dense_cap():
+    # f(i | a) = delta(i, a_3) at (2, 3) moves every cell two sites left
+    shift = RuleTable(2, 3, np.eye(2)[config_digits(2, 3)[-1]])
+    rng = np.random.default_rng(12)
+    for n in range(13, 17):
+        for index in rng.choice(2**n, 4, replace=False):
+            cfg = index_config(int(index), 2, n)
+            moved = basis_state(2, n, cfg[2:] + cfg[:2])
+            assert np.array_equal(apply_global(shift, n, basis_state(2, n, cfg)), moved)
+            assert np.array_equal(apply_global(shift, n, moved, adjoint=True), basis_state(2, n, cfg))
+
+
+def test_matrix_free_adjoint_is_the_adjoint_past_the_dense_cap():
+    rule = make_family("f31", {"r1": 1.1, "r2": 0.8, "r6": 1.3, "theta": 0.9})
+    rng = np.random.default_rng(13)
+    v, w = random_state(2, 14, rng), random_state(2, 14, rng)
+    lhs = np.vdot(apply_global(rule, 14, v), w)
+    assert abs(lhs - np.vdot(v, apply_global(rule, 14, w, adjoint=True))) <= 1e-12
 
 
 @pytest.mark.parametrize("rule", [
