@@ -171,20 +171,26 @@ def ring_defect(rule: RuleTable, n_sites: int) -> float:
     return float(np.max(np.abs(gram)))
 
 
-def _block_kernel(rule: RuleTable, cells: tuple[int, ...], length: int, adjoint: bool) -> np.ndarray:
-    """Kernel of one block step: sites x..x+length-1 read the window cells
-    x..x+length+k-2, given as their fixed value, or -1 for a free cell."""
+def _block_kernels(rule: RuleTable, cells: tuple[int, ...], length: int, adjoint: bool) -> np.ndarray:
+    """Kernels of the step over sites x..x+length-1, whose window cells
+    x..x+length+k-2 are given as a border cell, fixed, or -1, free: one per
+    assignment of the distinct border cells, in index order of those cells."""
     q, k = rule.q, rule.k
-    inputs = np.array(cells)
-    free = inputs < 0
-    inputs = np.repeat(inputs[:, None], q ** np.count_nonzero(free), axis=1)
-    inputs[free] = config_digits(q, np.count_nonzero(free))  # free cells in index order
-    block = _window_product(rule.amplitudes, window_indices(inputs, q, k))  # [outputs, free cells]
-    if adjoint:  # [cells x..x+k-2, outputs, cells x+k-1..]
-        block = block.conj().reshape(q**length, q ** np.count_nonzero(free[:k - 1]), -1)
-        block = block.transpose(1, 0, 2)
-    else:  # [cells x+length.., cells ..x+length-1, outputs]
-        block = block.reshape(q**length, -1, q ** np.count_nonzero(free[length:])).transpose(2, 1, 0)
+    cells = np.array(cells)
+    free = cells < 0
+    border = np.unique(cells[~free])
+    digits = config_digits(q, len(border) + np.count_nonzero(free))  # border cells, then free cells
+    inputs = np.empty((len(cells), digits.shape[1]), dtype=int)
+    inputs[~free] = digits[np.searchsorted(border, cells[~free])]
+    inputs[free] = digits[len(border):]
+    block = _window_product(rule.amplitudes, window_indices(inputs, q, k))
+    block = block.reshape(q**length, q ** len(border), -1)  # [outputs, border values, free cells]
+    if adjoint:  # [border values, cells x..x+k-2, outputs, cells x+k-1..]
+        block = block.conj().reshape(block.shape[:2] + (q ** np.count_nonzero(free[:k - 1]), -1))
+        block = block.transpose(1, 2, 0, 3)
+    else:  # [border values, cells x+length.., cells ..x+length-1, outputs]
+        block = block.reshape(block.shape[:2] + (-1, q ** np.count_nonzero(free[length:])))
+        block = block.transpose(1, 3, 2, 0)
     return np.ascontiguousarray(block)
 
 
@@ -200,26 +206,28 @@ def _transfer(rule: RuleTable, n: int, vec: np.ndarray, adjoint: bool) -> np.nda
     Forward, a is inputs x..x+L-1, b outputs x..x+L-1, mid the next k-1
     inputs, and the state runs [inputs x.., outputs ..x-1]; adjoint, a is
     the outputs, b inputs x+k-1..x+L+k-2, mid inputs x..x+k-2, and it runs
-    [outputs x.., inputs k-1..].  A kernel depends only on the fixed values
-    its cells read, so blocks clear of the border are built once per call.
+    [outputs x.., inputs k-1..].  The kernels of a step, one per value of the
+    fixed cells it reads, are built in one product before the first pass;
+    blocks clear of those cells share one kernel per call.
     """
     q, k = rule.q, rule.k
     b = min(k - 1, n)
     size = 1
     while q ** (size + 1) <= _BLOCK_DIM:
         size += 1
+    kernels, steps = {}, []
+    for x in range(0, n, size):
+        length = min(size, n - x)
+        cells = tuple(y if y < b else -1 for y in ((x + j) % n for j in range(length + k - 1)))
+        if cells not in kernels:
+            kernels[cells] = _block_kernels(rule, cells, length, adjoint)
+        steps.append((length, sorted(set(cells) - {-1}), kernels[cells]))
     rows = vec.reshape(q**b, -1)
     out = np.zeros_like(rows)
-    kernels = {}
-    for p, border in enumerate(all_configs(q, b)):
+    for p, values in enumerate(all_configs(q, b)):
         c = vec if adjoint else rows[p]
-        for x in range(0, n, size):
-            length = min(size, n - x)
-            cells = tuple(border[y] if y < b else -1
-                          for y in ((x + j) % n for j in range(length + k - 1)))
-            if cells not in kernels:
-                kernels[cells] = _block_kernel(rule, cells, length, adjoint)
-            kernel = kernels[cells]
+        for length, border, by_value in steps:
+            kernel = by_value[config_index([values[y] for y in border], q)]
             mid = kernel.shape[0]
             if adjoint:
                 legs = c.reshape(q**length, -1, mid).transpose(2, 1, 0)
