@@ -171,27 +171,25 @@ def ring_defect(rule: RuleTable, n_sites: int) -> float:
     return float(np.max(np.abs(gram)))
 
 
-def _block_kernels(rule: RuleTable, cells: tuple[int, ...], length: int, adjoint: bool) -> np.ndarray:
+def _block_kernels(rule: RuleTable, cells: tuple[int, ...], length: int,
+                   adjoint: bool) -> tuple[list[int], np.ndarray]:
     """Kernels of the step over sites x..x+length-1, whose window cells
-    x..x+length+k-2 are given as a border cell, fixed, or -1, free: one per
-    assignment of the distinct border cells, in index order of those cells."""
+    x..x+length+k-2 are given as a border cell, fixed, or -1, free: the
+    distinct border cells, and one kernel per assignment of them, in index order."""
     q, k = rule.q, rule.k
-    cells = np.array(cells)
-    free = cells < 0
-    border = np.unique(cells[~free])
-    digits = config_digits(q, len(border) + np.count_nonzero(free))  # border cells, then free cells
-    inputs = np.empty((len(cells), digits.shape[1]), dtype=int)
-    inputs[~free] = digits[np.searchsorted(border, cells[~free])]
-    inputs[free] = digits[len(border):]
+    border = sorted(set(cells) - {-1})
+    digits = config_digits(q, len(border) + cells.count(-1))  # border cells, then free cells
+    free = iter(digits[len(border):])
+    inputs = np.array([next(free) if y < 0 else digits[border.index(y)] for y in cells])
     block = _window_product(rule.amplitudes, window_indices(inputs, q, k))
     block = block.reshape(q**length, q ** len(border), -1)  # [outputs, border values, free cells]
     if adjoint:  # [border values, cells x..x+k-2, outputs, cells x+k-1..]
-        block = block.conj().reshape(block.shape[:2] + (q ** np.count_nonzero(free[:k - 1]), -1))
+        block = block.conj().reshape(block.shape[:2] + (q ** cells[:k - 1].count(-1), -1))
         block = block.transpose(1, 2, 0, 3)
     else:  # [border values, cells x+length.., cells ..x+length-1, outputs]
-        block = block.reshape(block.shape[:2] + (-1, q ** np.count_nonzero(free[length:])))
+        block = block.reshape(block.shape[:2] + (-1, q ** cells[length:].count(-1)))
         block = block.transpose(1, 3, 2, 0)
-    return np.ascontiguousarray(block)
+    return border, np.ascontiguousarray(block)
 
 
 def _transfer(rule: RuleTable, n: int, vec: np.ndarray, adjoint: bool) -> np.ndarray:
@@ -221,7 +219,7 @@ def _transfer(rule: RuleTable, n: int, vec: np.ndarray, adjoint: bool) -> np.nda
         cells = tuple(y if y < b else -1 for y in ((x + j) % n for j in range(length + k - 1)))
         if cells not in kernels:
             kernels[cells] = _block_kernels(rule, cells, length, adjoint)
-        steps.append((length, sorted(set(cells) - {-1}), kernels[cells]))
+        steps.append((length, *kernels[cells]))
     rows = vec.reshape(q**b, -1)
     out = np.zeros_like(rows)
     for p, values in enumerate(all_configs(q, b)):
