@@ -79,6 +79,7 @@ from .oracle import (
     random_state,
     ring_defect,
     unitarity_defect,
+    walk_defect,
 )
 
 __version__ = "0.1.0"

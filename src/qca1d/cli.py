@@ -36,13 +36,12 @@ from .graphs import (
     to_dot,
 )
 from .oracle import (
-    DEFAULT_MAX_DIM,
     DimensionCapExceeded,
     basis_state,
     defect_estimate,
     evolution_step,
+    exact_defect_kernel,
     probabilities,
-    ring_defect,
     state_dim,
 )
 from .rules import DEFAULT_TOLERANCE, RuleFormatError, RuleTable, config_str, dump_rule, index_config, load_rule
@@ -96,11 +95,12 @@ def _cmd_oracle(args) -> int:
         raise ValueError(f"need at least one sample vector, got --samples {args.samples}")
     rule = _load(args)
     dim = state_dim(rule.q, args.sites)
-    rng = np.random.default_rng(args.seed)
-    exact = dim <= DEFAULT_MAX_DIM
+    kernel = exact_defect_kernel(rule.q, rule.k, args.sites)
+    exact = kernel is not None
     if exact:
-        defect = ring_defect(rule, args.sites)
+        defect = kernel(rule, args.sites)
     else:
+        rng = np.random.default_rng(args.seed)
         defect = defect_estimate(rule, args.sites, samples=args.samples, rng=rng)
     if args.defect_only:
         print(repr(defect))
@@ -159,14 +159,19 @@ def _cmd_simulate(args) -> int:
         if step:
             state = advance(state)
         norm = float(np.linalg.norm(state))
-        probs = np.abs(state) ** 2
-        top = min(args.top, len(probs))  # stable argsort's first --top, of values >= top-th
-        cut = -np.partition(-probs, top - 1)[top - 1] if top > 0 else -np.inf
-        keep = np.flatnonzero(~(probs < cut))  # keeps NaN, which both sorts rank last
-        order = keep[np.argsort(-probs[keep], kind="stable")[: args.top]]
+        # rank by the probability rounded to the tolerance, then by config
+        # index, so that rounding in the evolution cannot reorder tied configs
+        rank = np.abs(state)
+        rank **= 2
+        rank /= rule.tolerance
+        np.rint(rank, out=rank)
+        top = min(args.top, len(rank))  # stable argsort's first --top, of values >= top-th
+        cut = -np.partition(-rank, top - 1)[top - 1] if top > 0 else -np.inf
+        keep = np.flatnonzero(~(rank < cut))  # keeps NaN, which both sorts rank last
+        order = keep[np.argsort(-rank[keep], kind="stable")[: args.top]]
         tops = " ".join(
-            f"{config_str(index_config(int(i), rule.q, args.sites))}:{probs[i]:.6f}"
-            for i in order if probs[i] > 0)
+            f"{config_str(index_config(int(i), rule.q, args.sites))}:{p:.6f}"
+            for i, p in zip(order, np.abs(state[order]) ** 2) if p > 0)
         print(f"step {step:4d}  norm={norm:.12f}  top: {tops}")
     return 0
 
@@ -236,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tolerance", type=float, default=None,
                         help="override the rule file's comparison tolerance")
     common.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized sampling")
+                        help="seed for any randomized sampling: the oracle's matrix-free "
+                             "estimate, which runs only when no exact kernel takes the ring")
     common.add_argument("--json", action="store_true",
                         help="machine-readable output where supported")
 
@@ -257,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sites", type=int, required=True)
     p.add_argument("--defect-only", action="store_true")
     p.add_argument("--samples", type=int, default=8,
-                   help="random vectors for the matrix-free estimate")
+                   help="random vectors for the matrix-free estimate, which runs only "
+                        "when no exact kernel takes the ring")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("simulate", parents=[common],

@@ -231,18 +231,23 @@ def mismatch_support(rule: RuleTable) -> np.ndarray:
     return support
 
 
-def advance(edges: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+def advance(edges: np.ndarray, frontier: np.ndarray,
+            times: np.ufunc = np.logical_and, plus: np.ufunc = np.logical_or) -> np.ndarray:
     """The vertices one edge past the vertex mask ``frontier``: ``edges``
     has one config axis of q^k per graph (norm or pair), ``frontier`` one
     axis of n = q^(k-1) per graph after any batch axes.  Each config axis is
     viewed as (prefix, appended digit) to AND in the frontier (repeated over
     the digit on the last axis, so the AND runs along contiguous rows), then
-    as (dropped digit, suffix) to OR out the dropped digits."""
+    as (dropped digit, suffix) to OR out the dropped digits.
+
+    Other ``times`` and ``plus`` step over another semiring: with
+    np.multiply and np.maximum, edge weights and a frontier of walk weights
+    give the heaviest walk weight one edge further."""
     d, n = edges.ndim, frontier.shape[-1]
     q, batch = edges.shape[0] // n, frontier.shape[:frontier.ndim - d]
     rows = frontier.repeat(q, axis=-1).reshape(batch + (n, 1) * (d - 1) + (n * q,))
-    step = (edges.reshape((n, q) * (d - 1) + (n * q,)) & rows).reshape(batch + (q, n) * d)
-    return step.any(axis=tuple(range(len(batch), step.ndim, 2)))
+    step = times(edges.reshape((n, q) * (d - 1) + (n * q,)), rows).reshape(batch + (q, n) * d)
+    return plus.reduce(step, axis=tuple(range(len(batch), step.ndim, 2)))
 
 
 def cycle_exists(edges: np.ndarray, inside: np.ndarray) -> bool:

@@ -26,10 +26,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .graphs import MAX_PAIR_ENTRIES, advance
 from .rules import RuleTable, all_configs, as_config, config_digits, config_index, window_indices
 
 DEFAULT_MAX_DIM = 4096
 MAX_STATE_DIM = 2**24
+MAX_WALK_COST = DEFAULT_MAX_DIM**2  # the orbit rows' cost at their cap, see walk_cost
 _BLOCK_DIM = 16  # q^L bound on the sites one matrix-free step contracts
 
 
@@ -171,6 +173,96 @@ def ring_defect(rule: RuleTable, n_sites: int) -> float:
     return float(np.max(np.abs(gram)))
 
 
+def walk_cost(q: int, k: int, n_sites: int) -> int:
+    """Estimated cost of ``walk_defect``, in Gram entries of ``ring_defect``.
+
+    Its pair-graph walk takes N steps over the q^(2k) pair edges, one batch
+    row per each of the q^(2(k-1)) start vertices, and an edge product took
+    about twice as long as a Gram entry (one BLAS thread, 2-core x86-64: at
+    (2, 5) and N = 12, 37 ms for 3.1M edge products against 80 ms for the
+    16.8M entries of the orbit rows).
+    """
+    return 2 * n_sites * q ** (4 * k - 2)
+
+
+def _closed_walks(q: int, first: np.ndarray, weights: np.ndarray, n_sites: int,
+                  plus: np.ufunc, zero: float) -> float:
+    """``plus`` over the closed walks of n_sites edges of their weight, the
+    product of ``first`` at the first edge and ``weights`` at the others.
+
+    The weights have one config axis per graph, as ``graphs.advance`` takes
+    them, and ``zero`` is the weight of no walk.  One batch row per start
+    vertex holds the walk weights ending at each vertex, stepped by
+    ``advance`` over (plus, x); rows run in blocks of at most
+    MAX_PAIR_ENTRIES edge products per step.
+    """
+    n = first.shape[0] // q
+    vertices = n**first.ndim
+    block = max(1, MAX_PAIR_ENTRIES // first.size)
+    best = zero
+    for low in range(0, vertices, block):
+        starts = np.arange(low, min(low + block, vertices))
+        walk = np.full((starts.size, vertices), zero)
+        walk[np.arange(starts.size), starts] = 1.0
+        walk = advance(first, walk.reshape((-1,) + (n,) * first.ndim), np.multiply, plus)
+        for _ in range(n_sites - 1):
+            walk = advance(weights, walk, np.multiply, plus)
+        closed = walk.reshape(starts.size, -1)[np.arange(starts.size), starts]
+        best = plus(best, plus.reduce(closed))
+    return float(best)
+
+
+def walk_defect(rule: RuleTable, n_sites: int) -> float:
+    """Max-norm of F^dagger F - I for the N-site ring evolution F, from
+    max-times closed walks over the norm and pair graphs.
+
+    The ring configurations x are the closed walks of N edges in the norm
+    graph, and the pairs (y, x) those in the pair graph, N < k included;
+    (F^dagger F)[y, x] is the product of the pair-edge weights
+    <<w_s(y) | w_s(x)>> along the walk.  So the modulus of an entry is the
+    product of the moduli of its weights, and each of the extremes below is
+    a walk over a (max, x) or (min, x) semiring, the same closed walks whose
+    sum Tr A^N the transfer matrices of ``qca1d.transfer`` count.
+    Diagonal entries are products of norms: the largest and smallest of
+    them come from a max-times and a min-times walk of the norm graph, where
+    an unreachable vertex holds inf and inf * 0 = nan, which np.fmin passes
+    over.  An off-diagonal walk has an edge (a, b) with a != b, and rotating
+    the ring makes it the first edge: the largest |entry| is the max-times
+    walk whose first edge is such a mismatch edge.  Refused with
+    :class:`DimensionCapExceeded` when ``walk_cost`` exceeds MAX_WALK_COST.
+    """
+    q, k = rule.q, rule.k
+    if n_sites < 1:
+        raise ValueError(f"need at least one site, got {n_sites}")
+    cost = walk_cost(q, k, n_sites)
+    if cost > MAX_WALK_COST:
+        raise DimensionCapExceeded(
+            f"the closed-walk defect costs {cost}, over the cap {MAX_WALK_COST}")
+    amps = rule.amplitudes
+    weights = np.abs(amps.conj() @ amps.T)
+    norms = weights.diagonal()
+    mismatch = weights.copy()
+    np.fill_diagonal(mismatch, 0.0)
+    high = _closed_walks(q, norms, norms, n_sites, np.maximum, 0.0)
+    with np.errstate(invalid="ignore"):
+        low = _closed_walks(q, norms, norms, n_sites, np.fmin, np.inf)
+    off = _closed_walks(q, mismatch, weights, n_sites, np.maximum, 0.0)
+    return max(high - 1.0, 1.0 - low, off)
+
+
+def exact_defect_kernel(q: int, k: int, n_sites: int) -> Callable[[RuleTable, int], float] | None:
+    """The exact ring-defect kernel of least estimated cost that takes an
+    N-site ring of a (q, k) rule, or None when both refuse: ``walk_defect``
+    costs ``walk_cost``, up to MAX_WALK_COST, and ``ring_defect`` q^(2N)
+    Gram entries, up to q^N = DEFAULT_MAX_DIM."""
+    kernels = []
+    if (cost := walk_cost(q, k, n_sites)) <= MAX_WALK_COST:
+        kernels.append((cost, walk_defect))
+    if n_sites < DEFAULT_MAX_DIM.bit_length() and q**n_sites <= DEFAULT_MAX_DIM:
+        kernels.append((q ** (2 * n_sites), ring_defect))
+    return min(kernels, key=lambda kernel: kernel[0])[1] if kernels else None
+
+
 def _block_kernels(rule: RuleTable, cells: tuple[int, ...], length: int,
                    adjoint: bool) -> tuple[list[int], np.ndarray]:
     """Kernels of the step over sites x..x+length-1, whose window cells
@@ -192,8 +284,8 @@ def _block_kernels(rule: RuleTable, cells: tuple[int, ...], length: int,
     return border, np.ascontiguousarray(block)
 
 
-def _transfer(rule: RuleTable, n: int, vec: np.ndarray, adjoint: bool) -> np.ndarray:
-    """F @ vec, or F^dagger @ vec, for offsets 0..k-1.
+def _transfer(rule: RuleTable, n: int, adjoint: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """The map vec -> F @ vec, or F^dagger @ vec, for offsets 0..k-1.
 
     Cells 0..k-2, which the last windows read around the wrap (every cell
     when n < k), are fixed to one value at a time and are no axes of the
@@ -205,8 +297,9 @@ def _transfer(rule: RuleTable, n: int, vec: np.ndarray, adjoint: bool) -> np.nda
     inputs, and the state runs [inputs x.., outputs ..x-1]; adjoint, a is
     the outputs, b inputs x+k-1..x+L+k-2, mid inputs x..x+k-2, and it runs
     [outputs x.., inputs k-1..].  The kernels of a step, one per value of the
-    fixed cells it reads, are built in one product before the first pass;
-    blocks clear of those cells share one kernel per call.
+    fixed cells it reads, are built in one product when the map is made, and
+    every call of the map reuses them; blocks clear of those cells share one
+    kernel.
     """
     q, k = rule.q, rule.k
     b = min(k - 1, n)
@@ -220,25 +313,44 @@ def _transfer(rule: RuleTable, n: int, vec: np.ndarray, adjoint: bool) -> np.nda
         if cells not in kernels:
             kernels[cells] = _block_kernels(rule, cells, length, adjoint)
         steps.append((length, *kernels[cells]))
-    rows = vec.reshape(q**b, -1)
-    out = np.zeros_like(rows)
-    for p, values in enumerate(all_configs(q, b)):
-        c = vec if adjoint else rows[p]
-        for length, border, by_value in steps:
-            kernel = by_value[config_index([values[y] for y in border], q)]
-            mid = kernel.shape[0]
+
+    def apply(vec: np.ndarray) -> np.ndarray:
+        rows = vec.reshape(q**b, -1)
+        out = np.zeros_like(rows)
+        for p, values in enumerate(all_configs(q, b)):
+            c = vec if adjoint else rows[p]
+            for length, border, by_value in steps:
+                kernel = by_value[config_index([values[y] for y in border], q)]
+                mid = kernel.shape[0]
+                if adjoint:
+                    legs = c.reshape(q**length, -1, mid).transpose(2, 1, 0)
+                    c = np.empty((legs.shape[1], mid, kernel.shape[2]), dtype=complex)
+                    np.matmul(legs, kernel, out=c.transpose(1, 0, 2))
+                else:
+                    c = c.reshape(kernel.shape[1], mid, -1).transpose(1, 2, 0) @ kernel
+                c = c.reshape(-1)
             if adjoint:
-                legs = c.reshape(q**length, -1, mid).transpose(2, 1, 0)
-                c = np.empty((legs.shape[1], mid, kernel.shape[2]), dtype=complex)
-                np.matmul(legs, kernel, out=c.transpose(1, 0, 2))
+                out[p] = c
             else:
-                c = c.reshape(kernel.shape[1], mid, -1).transpose(1, 2, 0) @ kernel
-            c = c.reshape(-1)
-        if adjoint:
-            out[p] = c
-        else:
-            out += c.reshape(rows.shape)
-    return out.reshape(-1)
+                out += c.reshape(rows.shape)
+        return out.reshape(-1)
+
+    return apply
+
+
+def _global_map(rule: RuleTable, n_sites: int, offsets: tuple[int, ...],
+                adjoint: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """The map of ``apply_global`` for validated offsets, its kernels built once.
+
+    A nonzero neighborhood base offset only relabels sites, so it is applied
+    as a cyclic rotation around the exact contraction for offsets 0..k-1.
+    """
+    transfer = _transfer(rule, n_sites, adjoint)
+    # moving the first (base mod N) cells to the end transposes the index
+    head = rule.q ** (offsets[0] % n_sites)
+    if adjoint:
+        return lambda state: transfer(state.reshape(-1, head).T.reshape(-1))
+    return lambda state: transfer(state).reshape(head, -1).T.reshape(-1)
 
 
 def apply_global(
@@ -248,19 +360,11 @@ def apply_global(
     adjoint: bool = False,
     offsets: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Apply the evolution (or its adjoint) without building the matrix.
-
-    A nonzero neighborhood base offset only relabels sites, so it is applied
-    as a cyclic rotation around the exact contraction for offsets 0..k-1.
-    """
-    q, k = rule.q, rule.k
-    offs = neighborhood_offsets(offsets, k)
-    state = _checked_state(state, q, n_sites)
-    # moving the first (base mod N) cells to the end transposes the index
-    head = q ** (offs[0] % n_sites)
-    if adjoint:
-        return _transfer(rule, n_sites, state.reshape(-1, head).T.reshape(-1), adjoint=True)
-    return _transfer(rule, n_sites, state, adjoint=False).reshape(head, -1).T.reshape(-1)
+    """Apply the evolution (or its adjoint) without building the matrix,
+    building the block kernels of the matrix-free step for this call."""
+    offs = neighborhood_offsets(offsets, rule.k)
+    state = _checked_state(state, rule.q, n_sites)
+    return _global_map(rule, n_sites, offs, adjoint)(state)
 
 
 def evolution_step(
@@ -270,11 +374,15 @@ def evolution_step(
     max_dense_dim: int = DEFAULT_MAX_DIM,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """One application of the evolution: a product with the dense matrix,
-    built once, while q^N <= max_dense_dim, and matrix-free past that."""
+    built once, while q^N <= max_dense_dim, and past that the matrix-free
+    step of ``apply_global``, its block kernels built once."""
     if rule.q**n_sites <= max_dense_dim:
         matrix = global_matrix(rule, n_sites, offsets=offsets, max_dim=max_dense_dim)
         return lambda state: matrix @ state
-    return lambda state: apply_global(rule, n_sites, state, offsets=offsets)
+    offs = neighborhood_offsets(offsets, rule.k)
+    state_dim(rule.q, n_sites)
+    step = _global_map(rule, n_sites, offs, adjoint=False)
+    return lambda state: step(_checked_state(state, rule.q, n_sites))
 
 
 def evolve(

@@ -14,6 +14,7 @@ from qca1d import (
     index_config,
     make_family,
     verdict_from_json,
+    walk_defect,
 )
 from qca1d.cli import main
 
@@ -198,12 +199,28 @@ def test_oracle_output(tmp_path, capsys, f21):
     assert data["exact"] and data["dimension"] == 8
 
 
-def test_oracle_estimate_path(tmp_path, capsys, f21):
-    path = write_rule(tmp_path, f21)
+def test_oracle_estimate_path(tmp_path, capsys):
+    # no exact kernel takes a (2, 7) rule on 13 sites: 2^13 configurations
+    # are past the orbit rows' cap, and the closed walks would cost 2 * 13 * 2^26
+    path = write_rule(tmp_path, quantized_shift(2, 7))
     code, out, _ = run(capsys, "oracle", path, "--sites", "13", "--json",
                        "--samples", "2", "--seed", "7")
     data = json.loads(out)
     assert code == 0 and not data["exact"] and data["defect"] <= 1e-9
+
+
+def test_oracle_is_exact_past_the_orbit_rows_cap(tmp_path, capsys, f21):
+    path = write_rule(tmp_path, f21)
+    code, out, _ = run(capsys, "oracle", path, "--sites", "20", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["exact"] and data["dimension"] == 2**20 and data["defect"] <= 1e-12
+    # the exact defect of a noisy rule, which is over its tolerance
+    noisy = with_noise(f21, 1e-3, 5)
+    path = write_rule(tmp_path, noisy, "noisy.json")
+    code, out, _ = run(capsys, "oracle", path, "--sites", "16")
+    assert code == 0 and "(exact)" in out and "within tolerance 1e-09: no" in out
+    code, out, _ = run(capsys, "oracle", path, "--sites", "16", "--defect-only")
+    assert float(out) == walk_defect(noisy, 16) > 1e-3
 
 
 def test_simulate_with_config_string(tmp_path, capsys, f21):
@@ -256,6 +273,26 @@ def test_simulate_top_keeps_the_full_sort_order(tmp_path, capsys, f21):
     code, _, _ = run(capsys, "simulate", rule_path, "--sites", "8", "--steps", "0",
                      "--initial", str(state_path), "--tolerance", "1e-3")
     assert code == 0
+
+
+def test_simulate_top_ranks_ties_by_config_index(tmp_path, capsys, f21):
+    # configs 001, 100, 110 and 111 have probability 1/4: exactly for 001
+    # and 110, one rounding step above it for 100 and below it for 111;
+    # 000 has less by more than the tolerance
+    rule_path = write_rule(tmp_path, f21)
+    half = 0.5
+    state = np.zeros(8, dtype=complex)
+    state[[1, 4, 6, 7]] = half, np.nextafter(half, 1.0), half, np.nextafter(half, 0.0)
+    state[0] = 1e-5
+    assert len({p for p in np.abs(state[[1, 4, 6, 7]]) ** 2}) == 3
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps([[z.real, z.imag] for z in state]))
+    for top, listed in ((1, ["001"]), (3, ["001", "100", "110"]),
+                        (5, ["001", "100", "110", "111", "000"])):
+        code, out, _ = run(capsys, "simulate", rule_path, "--sites", "3", "--steps", "0",
+                           "--initial", str(state_path), "--top", str(top))
+        tops = out.splitlines()[1].split("top: ")[1].split()
+        assert code == 0 and [entry.split(":")[0] for entry in tops] == listed
 
 
 def test_simulate_builds_the_evolution_once(tmp_path, capsys, monkeypatch, f21):
@@ -328,10 +365,11 @@ def test_empty_oracle_sample_and_negative_steps_exit_2(tmp_path, capsys, f21):
 
 
 def test_oracle_without_samples_exits_2_on_both_branches(tmp_path, capsys, f21):
-    # the exact branch (q^N <= 4096) never reads --samples, the estimate does
+    # the exact branch never reads --samples, the estimate does
     path = write_rule(tmp_path, f21)
-    for sites in ("4", "13"):
-        code, out, err = run(capsys, "oracle", path, "--sites", sites, "--samples", "0")
+    wide = write_rule(tmp_path, quantized_shift(2, 7), "wide.json")
+    for rule_path, sites in ((path, "4"), (path, "13"), (wide, "13")):
+        code, out, err = run(capsys, "oracle", rule_path, "--sites", sites, "--samples", "0")
         assert code == 2 and out == "" and "sample" in err
 
 
@@ -346,12 +384,13 @@ def test_simulate_negative_top_exits_2(tmp_path, capsys, f21):
 
 
 def test_seeded_output_is_stable(tmp_path, capsys, f21):
-    path = write_rule(tmp_path, f21)
+    # on the estimate branch, which alone reads the seed
+    path = write_rule(tmp_path, with_noise(quantized_shift(2, 7), 1e-3))
     _, out1, _ = run(capsys, "oracle", path, "--sites", "13", "--json",
                      "--samples", "2", "--seed", "3")
     _, out2, _ = run(capsys, "oracle", path, "--sites", "13", "--json",
                      "--samples", "2", "--seed", "3")
-    assert out1 == out2
+    assert out1 == out2 and not json.loads(out1)["exact"]
 
 
 def test_tolerance_override(tmp_path, capsys, f21):

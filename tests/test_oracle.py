@@ -24,8 +24,10 @@ from qca1d import (
     random_state,
     ring_defect,
     unitarity_defect,
+    walk_defect,
 )
-from qca1d.oracle import DEFAULT_MAX_DIM, neighborhood_offsets, shift_orbit_representatives
+from qca1d.oracle import (DEFAULT_MAX_DIM, MAX_WALK_COST, evolution_step, exact_defect_kernel,
+                          neighborhood_offsets, shift_orbit_representatives, walk_cost)
 from qca1d.rules import config_digits
 
 from conftest import haar_unitary, quantized_shift, unitary_grid, with_noise
@@ -233,6 +235,30 @@ def test_deterministic_columns_are_exact_basis_vectors():
         assert np.all((f == 1).sum(axis=0) == 1)
 
 
+def test_evolution_step_builds_its_kernels_once_and_equals_apply_global(monkeypatch):
+    import qca1d.oracle as oracle
+
+    rule = random_rule(2, 3, np.random.default_rng(14))
+    rng = np.random.default_rng(15)
+    builds = []
+    original = oracle._block_kernels
+    monkeypatch.setattr(oracle, "_block_kernels",
+                        lambda *a, **kw: builds.append(a[1]) or original(*a, **kw))
+    for n in range(13, 17):
+        for choice in OFFSET_CHOICES:
+            offsets = choice(rule.k)
+            before = len(builds)
+            step = evolution_step(rule, n, offsets=offsets)
+            built = len(builds) - before
+            state = expected = random_state(2, n, rng)
+            for _ in range(3):
+                state = step(state)
+                expected = apply_global(rule, n, expected, offsets=offsets)
+                assert np.array_equal(state, expected)
+            # apply_global builds the kernels on every call, the step never again
+            assert built > 0 and len(builds) - before == 4 * built
+
+
 def test_matrix_free_wrap_case():
     rule = make_family("f31", {"r1": 1.1, "r2": 0.8, "r6": 1.3})
     rng = np.random.default_rng(3)
@@ -315,14 +341,28 @@ def ring_rules(q, k, seed):
     return [(rule, False) for rule in unitary + noisy] + [(permutation_rule(q, k, rng), True)]
 
 
+def assert_walk_defect_matches(rule, n, reference, exact):
+    """walk_defect against a reference defect, or its refusal past its cap."""
+    if walk_cost(rule.q, rule.k, n) > MAX_WALK_COST:
+        with pytest.raises(DimensionCapExceeded):
+            walk_defect(rule, n)
+        return
+    walk = walk_defect(rule, n)
+    if exact:
+        assert walk == reference == 0.0
+    assert abs(walk - reference) <= 1e-13 + 1e-12 * reference
+
+
 def assert_orbit_defect_matches(rule, n, exact, offsets_choices=OFFSET_CHOICES):
-    """ring_defect against the full Gram of the dense matrix, at every offset."""
+    """ring_defect and walk_defect against the full Gram of the dense matrix,
+    at every offset."""
     orbit = ring_defect(rule, n)
     for choice in offsets_choices:
         full = unitarity_defect(global_matrix(rule, n, offsets=choice(rule.k)))
         if exact:
             assert full == orbit == 0.0
         assert abs(orbit - full) <= 1e-13 + 1e-12 * full
+    assert_walk_defect_matches(rule, n, full, exact)
 
 
 @pytest.mark.parametrize("q", (2, 3, 4))
@@ -342,6 +382,47 @@ def test_orbit_defect_matches_full_gram_up_to_dense_cap(q, n):
     assert 512 < q**n <= DEFAULT_MAX_DIM
     rule = with_noise(quantized_shift(q, 2, n), 1e-3, n)
     assert_orbit_defect_matches(rule, n, exact=False, offsets_choices=[lambda k: (-1, 0)])
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_walk_defect_matches_orbit_rows_up_to_their_cap(q, k):
+    # the rings past those the dense test above covers, up to 4096 configurations
+    for rule, exact in ring_rules(q, k, 100 * q + k):
+        for n in range(1, 13):
+            if q**n > DEFAULT_MAX_DIM:
+                break
+            if q**n > 512:
+                fits = walk_cost(q, k, n) <= MAX_WALK_COST
+                assert_walk_defect_matches(rule, n, ring_defect(rule, n) if fits else None, exact)
+
+
+def test_walk_defect_of_a_deterministic_shift_is_zero_past_the_orbit_rows_cap():
+    # f(i | a) = delta(i, a_3) at (2, 3) permutes every ring
+    shift = RuleTable(2, 3, np.eye(2)[config_digits(2, 3)[-1]])
+    for n in range(13, 21):
+        assert exact_defect_kernel(2, 3, n) is walk_defect
+        assert walk_defect(shift, n) == 0.0
+
+
+def test_walk_defect_reads_the_largest_entry_past_the_orbit_rows_cap(f21_00):
+    # the all-0 / all-1 entry of the two-frame family is w_{03}^N, its
+    # largest off-diagonal entry, as at N = 4 in the dense test above
+    w03 = abs(np.vdot(f21_00.vector("00"), f21_00.vector("11")))
+    for n in (4, 13, 16):
+        assert walk_defect(f21_00, n) == pytest.approx(w03**n, rel=1e-12)
+
+
+def test_exact_kernel_is_the_cheaper_one_that_takes_the_ring():
+    assert exact_defect_kernel(2, 2, 12) is walk_defect
+    assert exact_defect_kernel(2, 4, 8) is ring_defect  # 2^16 Gram entries against 2^18
+    assert exact_defect_kernel(4, 4, 6) is ring_defect  # the walk refuses (4, 4)
+    assert exact_defect_kernel(2, 7, 13) is None
+    assert exact_defect_kernel(2, 2, 10**9) is None
+    with pytest.raises(DimensionCapExceeded):
+        walk_defect(make_family("f21", {}), MAX_WALK_COST)
+    with pytest.raises(ValueError):
+        walk_defect(make_family("f21", {}), 0)
 
 
 def test_ring_defect_stays_the_size_of_its_ring():
@@ -371,6 +452,8 @@ def test_defect_and_verdict_ignore_a_unitary_on_every_amplitude_vector(eps):
                 if rule.q**n > 512:
                     break
                 assert abs(ring_defect(moved, n) - ring_defect(rule, n)) <= 1e-13, (label, n)
+                if walk_cost(rule.q, rule.k, n) <= MAX_WALK_COST:
+                    assert abs(walk_defect(moved, n) - walk_defect(rule, n)) <= 1e-13, (label, n)
             moved_verdict = check_periodic(moved)
             assert moved_verdict.unitary == verdict.unitary, label
             assert ({r.condition for r in moved_verdict.reports}
