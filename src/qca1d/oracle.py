@@ -5,9 +5,14 @@ F[out, in] = prod_x f(out_x | in_(x+E)) with periodic indexing, site 0 most
 significant in the configuration index.  Summing over the outputs site by
 site, every Gram entry is a product of N neighborhood inner products:
 (F^dagger F)[y, x] = prod_s <f(.|w_s(y)), f(.|w_s(x))>, w_s(x) being the
-window site s reads from x.  ``ring_defect`` builds the rows of one
-configuration per shift orbit from that identity, without forming F, in
-memory of order #orbits * q^N, about 1/N of F.  The dense build
+window site s reads from x.  Two exact defect kernels read max |F^dagger F - I|
+from that identity without forming F.  ``walk_defect`` takes the pairs
+(y, x) as the closed walks of N edges in the pair graph and finds the
+extreme products by max-times and min-times walks, stepped by
+``graphs.advance``, at a cost of about 2 N q^(4k-2) for any N.
+``ring_defect`` builds the Gram rows of one configuration per shift orbit,
+in memory of order #orbits * q^N, about 1/N of F, at a cost of about
+q^(2N); ``exact_defect_kernel`` picks the cheaper one.  The dense build
 ``global_matrix`` multiplies the amplitude columns of every site's window
 index, site by site in Kronecker order; ``unitarity_defect`` forms the full
 Gram of any matrix.  The matrix-free path applies F or F^dagger a block of

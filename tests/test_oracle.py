@@ -413,6 +413,15 @@ def test_walk_defect_reads_the_largest_entry_past_the_orbit_rows_cap(f21_00):
         assert walk_defect(f21_00, n) == pytest.approx(w03**n, rel=1e-12)
 
 
+def test_walk_defect_is_the_same_in_blocks_of_one_start_vertex(monkeypatch):
+    import qca1d.oracle as oracle
+
+    rule = with_noise(make_family("f31", {"r1": 1.1, "r2": 0.8, "r6": 1.3}), 1e-3, 16)
+    whole = [walk_defect(rule, n) for n in (1, 2, 5, 14)]
+    monkeypatch.setattr(oracle, "MAX_PAIR_ENTRIES", 64)  # the 64 pair edges of (2, 3)
+    assert [walk_defect(rule, n) for n in (1, 2, 5, 14)] == whole
+
+
 def test_exact_kernel_is_the_cheaper_one_that_takes_the_ring():
     assert exact_defect_kernel(2, 2, 12) is walk_defect
     assert exact_defect_kernel(2, 4, 8) is ring_defect  # 2^16 Gram entries against 2^18
