@@ -15,7 +15,7 @@ weights are products of edge weights.
 
 Both graphs are numpy arrays indexed by config (:class:`Graph`): norm edge
 i is config i, pair edge i is the pair (i // q^k, i % q^k).  The unitarity
-conditions are decided on boolean config masks by ``cycle_exists`` and
+conditions are decided on boolean config masks by ``cycle_reach`` and
 ``reaches``, searches stepping by one de Bruijn kernel, ``advance``;
 ``iter_cycles`` and ``iter_paths`` list witness cycles and paths as tuples
 of edge indices.  The deterministic sector is a greatest fixpoint on a
@@ -250,14 +250,15 @@ def advance(edges: np.ndarray, frontier: np.ndarray,
     return plus.reduce(step, axis=tuple(range(len(batch), step.ndim, 2)))
 
 
-def cycle_exists(edges: np.ndarray, inside: np.ndarray) -> bool:
-    """Whether the mask ``edges`` has a directed cycle within the vertex
-    mask ``inside``: dropping the vertices without an in-edge from the kept
-    ones until none is left leaves a nonempty set exactly when it does."""
+def cycle_reach(edges: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """The vertices of the mask ``inside`` that a directed cycle of the mask
+    ``edges`` within ``inside`` reaches, its own included: those left after
+    dropping the vertices without an in-edge from the kept ones until none
+    is left, so empty exactly when there is no such cycle."""
     kept = inside & advance(edges, inside)
     while 0 < np.count_nonzero(kept) < np.count_nonzero(inside):
         inside, kept = kept, kept & advance(edges, kept)
-    return bool(kept.any())
+    return kept
 
 
 def reaches(edges: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:

@@ -14,15 +14,17 @@ extreme products by max-times and min-times walks, stepped by
 in memory of order #orbits * q^N, about 1/N of F, at a cost of about
 q^(2N); ``exact_defect_kernel`` picks the cheaper one.  The dense build
 ``global_matrix`` multiplies the amplitude columns of every site's window
-index, site by site in Kronecker order; ``unitarity_defect`` forms the full
-Gram of any matrix.  The matrix-free path applies F or F^dagger a block of
-L sites at a time, L the largest with q^L <= 16 (4 sites for q = 2, 2 for
-q = 3 or 4, 1 for q >= 5), as a batched matmul over the window cells the
-block shares with its neighbours; its kernel is the same window-index
-product as ``global_matrix``, over the block's L + k - 1 cells.  The bound
-comes from a sweep on a shared 2-core x86-64 host with one BLAS thread: a
-forward f21 pass on 16 sites took 16.4, 8.1, 6.7, 6.2, 8.2, 7.6 and 22.9 ms
-at q^L = 2, 4, 8, 16, 32, 64 and 256.  States over MAX_STATE_DIM are refused.
+index, site by site in Kronecker order; it and ``unitarity_defect``, the
+full Gram of any matrix, are the references of the tests.  Every evolution
+applies F or F^dagger matrix-free, at every ring size: a block of L sites
+at a time, L the largest with q^L <= 16 (4 sites for q = 2, 2 for q = 3
+or 4, 1 for q >= 5), as a batched matmul over the window cells the block
+shares with its neighbours; its kernel is the same window-index product
+as ``global_matrix``, over the block's L + k - 1 cells.  The bound comes
+from a sweep on a shared 2-core x86-64 host with one BLAS thread: a
+forward f21 pass on 16 sites took 16.4, 8.1, 6.7, 6.2, 8.2, 7.6 and 22.9
+ms at q^L = 2, 4, 8, 16, 32, 64 and 256.  States over MAX_STATE_DIM are
+refused.
 """
 
 from __future__ import annotations
@@ -86,24 +88,20 @@ def random_state(q: int, n_sites: int, rng: np.random.Generator) -> np.ndarray:
     return state / np.linalg.norm(state)
 
 
-def global_matrix(
-    rule: RuleTable,
-    n_sites: int,
-    offsets: Sequence[int] | None = None,
-    max_dim: int = DEFAULT_MAX_DIM,
-) -> np.ndarray:
-    """Dense evolution matrix on the N-site ring.
+def global_matrix(rule: RuleTable, n_sites: int, offsets: Sequence[int] | None = None) -> np.ndarray:
+    """Dense evolution matrix on the N-site ring, refused past q^N = DEFAULT_MAX_DIM.
 
     Column `in` is the Kronecker product over sites of the amplitude
     vectors of the windows read from the input configuration; for a
-    deterministic rule every column is a standard basis vector.
+    deterministic rule every column is a standard basis vector.  It is the
+    reference the matrix-free evolution is tested against.
     """
     q, k = rule.q, rule.k
     dim = state_dim(q, n_sites)
-    if dim > max_dim:
+    if dim > DEFAULT_MAX_DIM:
         raise DimensionCapExceeded(
-            f"dense matrix dimension {dim} exceeds the cap {max_dim}; raise max_dim "
-            "or use the matrix-free evolution")
+            f"dense matrix dimension {dim} exceeds the cap {DEFAULT_MAX_DIM}; "
+            "apply_global and evolve apply the evolution without it")
     offs = neighborhood_offsets(offsets, k)
     cells = config_digits(q, n_sites)[[(offs[0] + t) % n_sites for t in range(n_sites + k - 1)]]
     return _window_product(rule.amplitudes, window_indices(cells, q, k))
@@ -289,9 +287,14 @@ def _block_kernels(rule: RuleTable, cells: tuple[int, ...], length: int,
     return border, np.ascontiguousarray(block)
 
 
-def _transfer(rule: RuleTable, n: int, adjoint: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """The map vec -> F @ vec, or F^dagger @ vec, for offsets 0..k-1.
+def _global_map(rule: RuleTable, n_sites: int, offsets: Sequence[int] | None,
+                adjoint: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """The map state -> F @ state, or F^dagger @ state, on the N-site ring.
 
+    The offsets and the ring size are validated, and the block kernels
+    built, once, when the map is made; the map checks every state it is
+    given.  A nonzero neighborhood base offset only relabels sites, so it is
+    applied as a cyclic rotation around the contraction for offsets 0..k-1.
     Cells 0..k-2, which the last windows read around the wrap (every cell
     when n < k), are fixed to one value at a time and are no axes of the
     state.  A step contracts the block of sites x..x+L-1, L being the largest
@@ -301,12 +304,15 @@ def _transfer(rule: RuleTable, n: int, adjoint: bool) -> Callable[[np.ndarray], 
     Forward, a is inputs x..x+L-1, b outputs x..x+L-1, mid the next k-1
     inputs, and the state runs [inputs x.., outputs ..x-1]; adjoint, a is
     the outputs, b inputs x+k-1..x+L+k-2, mid inputs x..x+k-2, and it runs
-    [outputs x.., inputs k-1..].  The kernels of a step, one per value of the
-    fixed cells it reads, are built in one product when the map is made, and
-    every call of the map reuses them; blocks clear of those cells share one
-    kernel.
+    [outputs x.., inputs k-1..].  A step has one kernel per value of the
+    fixed cells it reads, all built in one product; blocks clear of those
+    cells share one kernel.
     """
-    q, k = rule.q, rule.k
+    q, k, n = rule.q, rule.k, n_sites
+    base = neighborhood_offsets(offsets, k)[0]
+    state_dim(q, n)
+    # moving the first (base mod N) cells to the end transposes the index
+    head = q ** (base % n)
     b = min(k - 1, n)
     size = 1
     while q ** (size + 1) <= _BLOCK_DIM:
@@ -319,7 +325,10 @@ def _transfer(rule: RuleTable, n: int, adjoint: bool) -> Callable[[np.ndarray], 
             kernels[cells] = _block_kernels(rule, cells, length, adjoint)
         steps.append((length, *kernels[cells]))
 
-    def apply(vec: np.ndarray) -> np.ndarray:
+    def apply(state: np.ndarray) -> np.ndarray:
+        vec = _checked_state(state, q, n)
+        if adjoint:
+            vec = vec.reshape(-1, head).T.reshape(-1)
         rows = vec.reshape(q**b, -1)
         out = np.zeros_like(rows)
         for p, values in enumerate(all_configs(q, b)):
@@ -338,24 +347,9 @@ def _transfer(rule: RuleTable, n: int, adjoint: bool) -> Callable[[np.ndarray], 
                 out[p] = c
             else:
                 out += c.reshape(rows.shape)
-        return out.reshape(-1)
+        return out.reshape(-1) if adjoint else out.reshape(head, -1).T.reshape(-1)
 
     return apply
-
-
-def _global_map(rule: RuleTable, n_sites: int, offsets: tuple[int, ...],
-                adjoint: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """The map of ``apply_global`` for validated offsets, its kernels built once.
-
-    A nonzero neighborhood base offset only relabels sites, so it is applied
-    as a cyclic rotation around the exact contraction for offsets 0..k-1.
-    """
-    transfer = _transfer(rule, n_sites, adjoint)
-    # moving the first (base mod N) cells to the end transposes the index
-    head = rule.q ** (offsets[0] % n_sites)
-    if adjoint:
-        return lambda state: transfer(state.reshape(-1, head).T.reshape(-1))
-    return lambda state: transfer(state).reshape(head, -1).T.reshape(-1)
 
 
 def apply_global(
@@ -367,27 +361,17 @@ def apply_global(
 ) -> np.ndarray:
     """Apply the evolution (or its adjoint) without building the matrix,
     building the block kernels of the matrix-free step for this call."""
-    offs = neighborhood_offsets(offsets, rule.k)
-    state = _checked_state(state, rule.q, n_sites)
-    return _global_map(rule, n_sites, offs, adjoint)(state)
+    return _global_map(rule, n_sites, offsets, adjoint)(state)
 
 
 def evolution_step(
     rule: RuleTable,
     n_sites: int,
     offsets: Sequence[int] | None = None,
-    max_dense_dim: int = DEFAULT_MAX_DIM,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """One application of the evolution: a product with the dense matrix,
-    built once, while q^N <= max_dense_dim, and past that the matrix-free
-    step of ``apply_global``, its block kernels built once."""
-    if rule.q**n_sites <= max_dense_dim:
-        matrix = global_matrix(rule, n_sites, offsets=offsets, max_dim=max_dense_dim)
-        return lambda state: matrix @ state
-    offs = neighborhood_offsets(offsets, rule.k)
-    state_dim(rule.q, n_sites)
-    step = _global_map(rule, n_sites, offs, adjoint=False)
-    return lambda state: step(_checked_state(state, rule.q, n_sites))
+    """One application of the evolution: the matrix-free step of
+    ``apply_global``, its block kernels built once for every call."""
+    return _global_map(rule, n_sites, offsets, adjoint=False)
 
 
 def evolve(
@@ -396,13 +380,12 @@ def evolve(
     state: np.ndarray,
     steps: int,
     offsets: Sequence[int] | None = None,
-    max_dense_dim: int = DEFAULT_MAX_DIM,
 ) -> np.ndarray:
     """Apply the evolution ``steps`` times to a configuration-space vector."""
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     state = _checked_state(state, rule.q, n_sites)
-    step = evolution_step(rule, n_sites, offsets=offsets, max_dense_dim=max_dense_dim)
+    step = evolution_step(rule, n_sites, offsets=offsets)
     for _ in range(steps):
         state = step(state)
     return state
@@ -419,12 +402,12 @@ def defect_estimate(
     if samples < 1:
         raise ValueError(f"need at least one sample vector, got {samples}")
     rng = rng if rng is not None else np.random.default_rng(0)
+    forward = _global_map(rule, n_sites, offsets, adjoint=False)
+    backward = _global_map(rule, n_sites, offsets, adjoint=True)
     worst = 0.0
     for _ in range(samples):
         v = random_state(rule.q, n_sites, rng)
-        w = apply_global(rule, n_sites, apply_global(rule, n_sites, v, offsets=offsets),
-                         adjoint=True, offsets=offsets)
-        worst = max(worst, float(np.max(np.abs(w - v))))
+        worst = max(worst, float(np.max(np.abs(backward(forward(v)) - v))))
     return worst
 
 

@@ -31,16 +31,17 @@ Each condition is first decided on numpy arrays indexed by config:
   factor does, so mismatch edges with |weight| <= tolerance are deleted.
   The weights are the Gram matrix conj(A) A^T of the amplitude table A
   (``graphs.mismatch_support``).  P-ii and I-iv then ask for a cycle off the
-  diagonal (``graphs.cycle_exists``), P-iii and I-iii for a walk from the
+  diagonal (``graphs.cycle_reach``), P-iii and I-iii for a walk from the
   diagonal back to it (``graphs.reaches``).  Both search the mask itself,
   one de Bruijn step (``graphs.advance``) at a time, and are exact.
 
 A condition that holds returns no reports and builds neither graph.
 Witnesses of a condition that fails are listed by enumerating cycles or
 paths of ``graphs.rule_graph`` / ``graphs.pair_graph``, over the same
-mismatch mask that decided it; enumeration also settles P-i, I-i or I-ii
-where the certificate cannot.  QCA_CYCLE_CAP bounds the edges that this
-listing examines, not the decisions.
+mismatch mask that decided it, P-ii and I-iv cycles among the vertices
+the decision found a cycle reaches; enumeration also settles P-i, I-i or
+I-ii where the certificate cannot.  QCA_CYCLE_CAP bounds the edges that
+this listing examines, not the decisions.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import numpy as np
 from .graphs import (
     CycleCapExceeded,
     Graph,
-    cycle_exists,
+    cycle_reach,
     deterministic_sector,
     iter_cycles,
     iter_paths,
@@ -189,6 +190,7 @@ class _RuleGraphs:
 
     def __init__(self, rule: RuleTable):
         self.rule = rule
+        self.reach: dict[tuple, np.ndarray] = {}  # (condition, sector) -> _cycle_reach
 
     @cached_property
     def norm(self) -> Graph:
@@ -224,6 +226,17 @@ def _mismatch_mask(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs)
     return graphs.support & np.outer(inside, inside)
 
 
+def _cycle_reach(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs) -> np.ndarray:
+    """The n x n mask of the off-diagonal pair vertices that a mismatch cycle
+    of P-ii or I-iv reaches, trimmed once per condition and sector."""
+    key = (condition, sector)
+    if key not in graphs.reach:
+        off_diagonal = ~np.eye(rule.q ** (rule.k - 1), dtype=bool)
+        edges = _mismatch_mask(rule, condition, sector, graphs)
+        graphs.reach[key] = cycle_reach(edges, off_diagonal)
+    return graphs.reach[key]
+
+
 def _holds(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs) -> bool:
     """Decide a condition on arrays, without enumeration.
 
@@ -241,11 +254,11 @@ def _holds(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs) -> bool
                 return True  # every path between sector vertices is closed
             bound += float(np.ptp(phi[ends]))
         return math.expm1(bound) <= tol / 2
+    if condition in ("P-ii", "I-iv"):
+        return not _cycle_reach(rule, condition, sector, graphs).any()
     edges = _mismatch_mask(rule, condition, sector, graphs)
     diagonal = np.eye(rule.q ** (rule.k - 1), dtype=bool)
-    if condition in ("P-iii", "I-iii"):
-        return not reaches(edges, diagonal, diagonal)
-    return not cycle_exists(edges, ~diagonal)
+    return not reaches(edges, diagonal, diagonal)
 
 
 def _violations(rule, condition, sector, graphs, max_violations, cap) -> list[ConstraintReport]:
@@ -271,10 +284,11 @@ def _violations(rule, condition, sector, graphs, max_violations, cap) -> list[Co
     else:
         graph, target = graphs.pair, 0.0
         edges = _mismatch_mask(rule, condition, sector, graphs).ravel()
-        diagonal = graph.diagonal
         if condition in ("P-ii", "I-iv"):
-            walks = iter_cycles(graph, edge_mask=edges, vertex_mask=~diagonal, cap=cap)
+            reach = _cycle_reach(rule, condition, sector, graphs).ravel()
+            walks = iter_cycles(graph, edge_mask=edges, vertex_mask=reach, cap=cap)
         else:
+            diagonal = graph.diagonal
             walks = iter_paths(graph, diagonal, diagonal, edge_mask=edges,
                                interior_mask=~diagonal, cap=cap)
     reports = []

@@ -298,19 +298,24 @@ def test_simulate_top_ranks_ties_by_config_index(tmp_path, capsys, f21):
 def test_simulate_builds_the_evolution_once(tmp_path, capsys, monkeypatch, f21):
     import qca1d.oracle as oracle
 
-    calls = []
-    original = oracle.global_matrix
-    monkeypatch.setattr(oracle, "global_matrix",
-                        lambda *a, **kw: calls.append(a[1]) or original(*a, **kw))
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate built the dense matrix")
+
+    builds = []
+    original = oracle._block_kernels
+    monkeypatch.setattr(oracle, "global_matrix", refuse)
+    monkeypatch.setattr(oracle, "_block_kernels",
+                        lambda *a, **kw: builds.append(a[1]) or original(*a, **kw))
     path = write_rule(tmp_path, f21)
-    code, out, _ = run(capsys, "simulate", path, "--sites", "8", "--steps", "4",
-                       "--initial", "00100110")
-    assert code == 0 and out.count("step ") == 5
-    assert calls == [8]
-    # past the dense cap every step is applied matrix-free
-    code, _, _ = run(capsys, "simulate", path, "--sites", "13", "--steps", "1",
-                     "--initial", "0010011000101")
-    assert code == 0 and calls == [8]
+    for initial in ("00100110", "0010011000101"):
+        oracle.evolution_step(f21, len(initial))
+        once = builds.copy()
+        builds.clear()
+        code, out, _ = run(capsys, "simulate", path, "--sites", str(len(initial)), "--steps", "4",
+                           "--initial", initial)
+        assert code == 0 and out.count("step ") == 5
+        assert once and builds == once
+        builds.clear()
 
 
 def test_huge_k_is_rejected_at_once(tmp_path, capsys):

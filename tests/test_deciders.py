@@ -161,9 +161,10 @@ def test_noisy_shift_listing_stops_at_cap(tmp_path, capsys):
     # Complex noise at the tolerance leaves mismatch edges just above it,
     # and the depth-first search for P-ii witnesses examines millions of
     # edges between cycles (it ran for minutes when the cap counted cycles).
-    # The cap counts that work, so verify stops within seconds.
+    # The cap counts that work, so verify stops within seconds.  Seed 5 still
+    # exceeds it with the search kept to the vertices that cycles reach.
     path = tmp_path / "rule.json"
-    path.write_text(dump_rule(with_noise(quantized_shift(3, 3, seed=0), 1e-9, seed=0)))
+    path.write_text(dump_rule(with_noise(quantized_shift(3, 3, seed=5), 1e-9, seed=5)))
     code, _, err = run_verify(path, capsys)
     assert code == 3 and "cycle enumeration exceeded the cap" in err
 
@@ -183,6 +184,21 @@ def test_pair_size_guard_exits_3(tmp_path, capsys):
     path.write_text(dump_rule(quantized_shift(2, 12)))
     code, _, err = run_verify(path, capsys)
     assert code == 3 and "cap" in err
+
+
+def test_periodic_verdict_is_monotone_in_the_tolerance():
+    # a larger tolerance widens the band around 1 and deletes mismatch
+    # edges, so it can only take violated conditions away
+    tolerances = [10.0**-e for e in range(9, 0, -1)]
+    for index, (label, rule, _) in enumerate(unitary_grid(11)):
+        for eps in (1e-7, 1e-5, 1e-3):
+            noisy = with_noise(rule, eps, index)
+            before = set(PERIODIC_CONDITIONS)
+            for tol in tolerances:
+                verdict = check_periodic(noisy.with_tolerance(tol), max_violations=1)
+                violated = {r.condition for r in verdict.reports}
+                assert violated <= before, (label, eps, tol)
+                before = violated
 
 
 def test_gram_rounding_matches_per_edge_test():

@@ -19,7 +19,7 @@ from qca1d import (
     unit_configs,
 )
 from qca1d import graphs
-from qca1d.graphs import MAX_PAIR_ENTRIES, advance, cycle_exists, reaches
+from qca1d.graphs import MAX_PAIR_ENTRIES, advance, cycle_reach, reaches
 from qca1d.transfer import Monomial
 
 
@@ -208,6 +208,21 @@ def reference_cycle_exists(succ, inside):
     return False
 
 
+def reference_cycle_reach(succ, inside):
+    """The vertices of ``inside`` that a walk within ``inside`` reaches from
+    a vertex it can return to."""
+    def reached(roots):
+        seen, todo = set(), list(roots)
+        while todo:
+            for w in succ.get(todo.pop(), ()):
+                if w in inside and w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return seen
+
+    return reached(u for u in inside if u in reached([u]))
+
+
 @pytest.mark.parametrize("axes", [1, 2], ids=["norm", "pair"])
 @pytest.mark.parametrize("q,k", [(q, k) for q in (2, 3) for k in range(1, 5)])
 def test_step_kernels_match_plain_search(q, k, axes):
@@ -231,7 +246,9 @@ def test_step_kernels_match_plain_search(q, k, axes):
             assert row == reference_reaches(succ, as_vertices(start), as_vertices(end))
         assert reaches(edges, frontier[1], stop[1]) == found[1]
         inside = rng.uniform(size=(n,) * axes) < 0.8
-        assert cycle_exists(edges, inside) == reference_cycle_exists(succ, as_vertices(inside))
+        reach = cycle_reach(edges, inside)
+        assert reach.any() == reference_cycle_exists(succ, as_vertices(inside))
+        assert as_vertices(reach) == reference_cycle_reach(succ, as_vertices(inside))
 
 
 def unit_outputs(rule):

@@ -238,25 +238,35 @@ def test_deterministic_columns_are_exact_basis_vectors():
 def test_evolution_step_builds_its_kernels_once_and_equals_apply_global(monkeypatch):
     import qca1d.oracle as oracle
 
-    rule = random_rule(2, 3, np.random.default_rng(14))
-    rng = np.random.default_rng(15)
     builds = []
     original = oracle._block_kernels
     monkeypatch.setattr(oracle, "_block_kernels",
                         lambda *a, **kw: builds.append(a[1]) or original(*a, **kw))
-    for n in range(13, 17):
-        for choice in OFFSET_CHOICES:
-            offsets = choice(rule.k)
+    for q, seed in ((2, 14), (3, 16)):
+        rule = random_rule(q, 3, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1)
+        for n in range(1, 17):
+            if q**n > 2**16:
+                break
+            for choice in OFFSET_CHOICES:
+                offsets = choice(rule.k)
+                before = len(builds)
+                step = evolution_step(rule, n, offsets=offsets)
+                built = len(builds) - before
+                state = expected = random_state(q, n, rng)
+                for _ in range(3):
+                    state = step(state)
+                    expected = apply_global(rule, n, expected, offsets=offsets)
+                    assert np.array_equal(state, expected), (q, n)
+                # apply_global builds the kernels on every call, the step never again
+                assert built > 0 and len(builds) - before == 4 * built
+        # the estimate builds its forward and adjoint kernels once, for any sample count
+        counts = []
+        for samples in (1, 4):
             before = len(builds)
-            step = evolution_step(rule, n, offsets=offsets)
-            built = len(builds) - before
-            state = expected = random_state(2, n, rng)
-            for _ in range(3):
-                state = step(state)
-                expected = apply_global(rule, n, expected, offsets=offsets)
-                assert np.array_equal(state, expected)
-            # apply_global builds the kernels on every call, the step never again
-            assert built > 0 and len(builds) - before == 4 * built
+            defect_estimate(rule, 5, samples=samples)
+            counts.append(len(builds) - before)
+        assert counts[0] > 0 and counts[0] == counts[1]
 
 
 def test_matrix_free_wrap_case():
@@ -267,12 +277,23 @@ def test_matrix_free_wrap_case():
     np.testing.assert_allclose(apply_global(rule, 2, state), f @ state, atol=1e-12)
 
 
-def test_evolve_matrix_free_path(f21):
-    rng = np.random.default_rng(4)
-    state = random_state(2, 5, rng)
-    dense = evolve(f21, 5, state, 3)
-    free = evolve(f21, 5, state, 3, max_dense_dim=1)
-    np.testing.assert_allclose(free, dense, atol=1e-12)
+def test_evolve_matrix_free_path():
+    # evolve never builds F; repeated products with the dense reference agree
+    for q, seed in ((2, 40), (3, 41)):
+        rule = random_rule(q, 3, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        for n in range(1, 13):
+            if q**n > DEFAULT_MAX_DIM:
+                break
+            for choice in OFFSET_CHOICES:
+                offsets = choice(rule.k)
+                f = global_matrix(rule, n, offsets=offsets)
+                state = expected = random_state(q, n, rng)
+                for _ in range(3):
+                    expected = f @ expected
+                del f  # one dense reference alive at a time: 256 MiB at q^N = 4096
+                np.testing.assert_allclose(evolve(rule, n, state, 3, offsets=offsets), expected,
+                                           rtol=0, atol=1e-13, err_msg=f"q={q} n={n}")
 
 
 def test_defect_estimate(f21, f21_00):
@@ -298,12 +319,14 @@ def test_probabilities_after_evolution(f21):
 
 
 def test_dimension_cap():
-    rule = make_family("f21", {})
+    # the dense reference is refused past one fixed cap, at any q
+    f21 = make_family("f21", {})
+    for rule, refused in ((f21, 13), (random_rule(3, 2, np.random.default_rng(0)), 8)):
+        assert rule.q ** (refused - 1) <= DEFAULT_MAX_DIM < rule.q**refused
+        with pytest.raises(DimensionCapExceeded, match=f"the cap {DEFAULT_MAX_DIM}; apply_global"):
+            global_matrix(rule, refused)
     with pytest.raises(DimensionCapExceeded):
-        global_matrix(rule, 13)
-    with pytest.raises(DimensionCapExceeded):
-        ring_defect(rule, 13)
-    global_matrix(rule, 5, max_dim=32)
+        ring_defect(f21, 13)
 
 
 def test_offset_validation():
