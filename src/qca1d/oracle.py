@@ -1,8 +1,10 @@
 """Brute-force ground truth on periodic lattices.
 
 The global evolution matrix on N sites has entries
-F[out, in] = prod_x f(out_x | in_(x+E)) with periodic indexing, site 0 most
-significant in the configuration index.  Summing over the outputs site by
+F[out, in] = prod_x f(out_x | in_x..in_(x+k-1)) with periodic indexing,
+site 0 most significant in the configuration index: the neighborhood of
+site x is sites x..x+k-1, as everywhere in the package (one starting at
+x+m gives F T^m, T the cyclic shift).  Summing over the outputs site by
 site, every Gram entry is a product of N neighborhood inner products:
 (F^dagger F)[y, x] = prod_s <f(.|w_s(y)), f(.|w_s(x))>, w_s(x) being the
 window site s reads from x.  Two exact defect kernels read max |F^dagger F - I|
@@ -14,8 +16,8 @@ extreme products by max-times and min-times walks, stepped by
 in memory of order #orbits * q^N, about 1/N of F, at a cost of about
 q^(2N); ``exact_defect_kernel`` picks the cheaper one.  The dense build
 ``global_matrix`` multiplies the amplitude columns of every site's window
-index, site by site in Kronecker order; it and ``unitarity_defect``, the
-full Gram of any matrix, are the references of the tests.  Every evolution
+index, site by site in Kronecker order; it and ``unitarity_defect``, from
+the Gram of any matrix, are the references of the tests.  Every evolution
 applies F or F^dagger matrix-free, at every ring size: a block of L sites
 at a time, L the largest with q^L <= 16 (4 sites for q = 2, 2 for q = 3
 or 4, 1 for q >= 5), as a batched matmul over the window cells the block
@@ -44,18 +46,6 @@ _BLOCK_DIM = 16  # q^L bound on the sites one matrix-free step contracts
 
 class DimensionCapExceeded(RuntimeError):
     """The requested dense matrix or ring state exceeds the configured size cap."""
-
-
-def neighborhood_offsets(offsets: Sequence[int] | None, k: int) -> tuple[int, ...]:
-    """Validated neighborhood: k consecutive integers, default 0..k-1."""
-    if offsets is None:
-        return tuple(range(k))
-    offs = tuple(int(e) for e in offsets)
-    if len(offs) != k:
-        raise ValueError(f"expected {k} offsets, got {len(offs)}")
-    if any(b - a != 1 for a, b in zip(offs, offs[1:])):
-        raise ValueError(f"offsets {offs} must be consecutive ascending integers")
-    return offs
 
 
 def state_dim(q: int, n_sites: int) -> int:
@@ -88,7 +78,7 @@ def random_state(q: int, n_sites: int, rng: np.random.Generator) -> np.ndarray:
     return state / np.linalg.norm(state)
 
 
-def global_matrix(rule: RuleTable, n_sites: int, offsets: Sequence[int] | None = None) -> np.ndarray:
+def global_matrix(rule: RuleTable, n_sites: int) -> np.ndarray:
     """Dense evolution matrix on the N-site ring, refused past q^N = DEFAULT_MAX_DIM.
 
     Column `in` is the Kronecker product over sites of the amplitude
@@ -102,8 +92,7 @@ def global_matrix(rule: RuleTable, n_sites: int, offsets: Sequence[int] | None =
         raise DimensionCapExceeded(
             f"dense matrix dimension {dim} exceeds the cap {DEFAULT_MAX_DIM}; "
             "apply_global and evolve apply the evolution without it")
-    offs = neighborhood_offsets(offsets, k)
-    cells = config_digits(q, n_sites)[[(offs[0] + t) % n_sites for t in range(n_sites + k - 1)]]
+    cells = config_digits(q, n_sites)[np.arange(n_sites + k - 1) % n_sites]
     return _window_product(rule.amplitudes, window_indices(cells, q, k))
 
 
@@ -131,11 +120,16 @@ def shift_orbit_representatives(dim: int, n_sites: int) -> np.ndarray:
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
-    """Max-norm of F^dagger F - I over the full Gram; zero iff the matrix is unitary."""
+    """Max-norm of F^dagger F - I; zero iff the matrix is unitary.  The Gram is
+    Hermitian, so its upper block triangle, 512 rows at a time, holds every modulus."""
     matrix = np.asarray(matrix)
-    gram = matrix.conj().T @ matrix
-    gram[np.diag_indices(len(gram))] -= 1.0
-    return float(np.max(np.abs(gram)))
+    worst = 0.0
+    for i in range(0, matrix.shape[1], 512):
+        gram = matrix[:, i:i + 512].conj().T @ matrix[:, i:]
+        diag = np.arange(len(gram))
+        gram[diag, diag] -= 1.0
+        worst = max(worst, float(np.max(np.abs(gram))))
+    return worst
 
 
 def ring_defect(rule: RuleTable, n_sites: int) -> float:
@@ -145,8 +139,7 @@ def ring_defect(rule: RuleTable, n_sites: int) -> float:
     and the Gram rows y of one configuration per shift orbit hold every entry.
     Row y is a broadcast product over the N cell axes of x, one multiply per
     site s, of the inner products <f(.|w_s(y)), f(.|w_s(x))>, which depend on
-    the window cells of x alone.  A neighborhood offset m gives F T^m, whose
-    Gram is a shift conjugate of this one, so the defect takes no offsets.
+    the window cells of x alone.
     """
     q, k = rule.q, rule.k
     dim = state_dim(q, n_sites)
@@ -287,14 +280,11 @@ def _block_kernels(rule: RuleTable, cells: tuple[int, ...], length: int,
     return border, np.ascontiguousarray(block)
 
 
-def _global_map(rule: RuleTable, n_sites: int, offsets: Sequence[int] | None,
-                adjoint: bool) -> Callable[[np.ndarray], np.ndarray]:
+def _global_map(rule: RuleTable, n_sites: int, adjoint: bool) -> Callable[[np.ndarray], np.ndarray]:
     """The map state -> F @ state, or F^dagger @ state, on the N-site ring.
 
-    The offsets and the ring size are validated, and the block kernels
-    built, once, when the map is made; the map checks every state it is
-    given.  A nonzero neighborhood base offset only relabels sites, so it is
-    applied as a cyclic rotation around the contraction for offsets 0..k-1.
+    The ring size is validated, and the block kernels built, once, when the
+    map is made; the map checks every state it is given.
     Cells 0..k-2, which the last windows read around the wrap (every cell
     when n < k), are fixed to one value at a time and are no axes of the
     state.  A step contracts the block of sites x..x+L-1, L being the largest
@@ -309,10 +299,7 @@ def _global_map(rule: RuleTable, n_sites: int, offsets: Sequence[int] | None,
     cells share one kernel.
     """
     q, k, n = rule.q, rule.k, n_sites
-    base = neighborhood_offsets(offsets, k)[0]
     state_dim(q, n)
-    # moving the first (base mod N) cells to the end transposes the index
-    head = q ** (base % n)
     b = min(k - 1, n)
     size = 1
     while q ** (size + 1) <= _BLOCK_DIM:
@@ -327,8 +314,6 @@ def _global_map(rule: RuleTable, n_sites: int, offsets: Sequence[int] | None,
 
     def apply(state: np.ndarray) -> np.ndarray:
         vec = _checked_state(state, q, n)
-        if adjoint:
-            vec = vec.reshape(-1, head).T.reshape(-1)
         rows = vec.reshape(q**b, -1)
         out = np.zeros_like(rows)
         for p, values in enumerate(all_configs(q, b)):
@@ -347,7 +332,7 @@ def _global_map(rule: RuleTable, n_sites: int, offsets: Sequence[int] | None,
                 out[p] = c
             else:
                 out += c.reshape(rows.shape)
-        return out.reshape(-1) if adjoint else out.reshape(head, -1).T.reshape(-1)
+        return out.reshape(-1)
 
     return apply
 
@@ -357,21 +342,16 @@ def apply_global(
     n_sites: int,
     state: np.ndarray,
     adjoint: bool = False,
-    offsets: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Apply the evolution (or its adjoint) without building the matrix,
     building the block kernels of the matrix-free step for this call."""
-    return _global_map(rule, n_sites, offsets, adjoint)(state)
+    return _global_map(rule, n_sites, adjoint)(state)
 
 
-def evolution_step(
-    rule: RuleTable,
-    n_sites: int,
-    offsets: Sequence[int] | None = None,
-) -> Callable[[np.ndarray], np.ndarray]:
+def evolution_step(rule: RuleTable, n_sites: int) -> Callable[[np.ndarray], np.ndarray]:
     """One application of the evolution: the matrix-free step of
     ``apply_global``, its block kernels built once for every call."""
-    return _global_map(rule, n_sites, offsets, adjoint=False)
+    return _global_map(rule, n_sites, adjoint=False)
 
 
 def evolve(
@@ -379,13 +359,12 @@ def evolve(
     n_sites: int,
     state: np.ndarray,
     steps: int,
-    offsets: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Apply the evolution ``steps`` times to a configuration-space vector."""
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     state = _checked_state(state, rule.q, n_sites)
-    step = evolution_step(rule, n_sites, offsets=offsets)
+    step = evolution_step(rule, n_sites)
     for _ in range(steps):
         state = step(state)
     return state
@@ -396,14 +375,13 @@ def defect_estimate(
     n_sites: int,
     samples: int = 8,
     rng: np.random.Generator | None = None,
-    offsets: Sequence[int] | None = None,
 ) -> float:
     """Estimate the unitarity defect as max |F^dag F v - v| over random unit vectors."""
     if samples < 1:
         raise ValueError(f"need at least one sample vector, got {samples}")
     rng = rng if rng is not None else np.random.default_rng(0)
-    forward = _global_map(rule, n_sites, offsets, adjoint=False)
-    backward = _global_map(rule, n_sites, offsets, adjoint=True)
+    forward = _global_map(rule, n_sites, adjoint=False)
+    backward = _global_map(rule, n_sites, adjoint=True)
     worst = 0.0
     for _ in range(samples):
         v = random_state(rule.q, n_sites, rng)

@@ -238,8 +238,12 @@ def rule_from_dict(data: dict) -> RuleTable:
     if amps is not None:
         return RuleTable(q, k, amps, float(tolerance))
     amps = np.zeros((q**k, q), dtype=complex)  # something is malformed: find it in file order
+    seen = set()
     for key, entry in table.items():
         cfg = as_config(key, q, k)
+        if cfg in seen:  # q^k keys, so a repeat leaves another config's row unset
+            raise RuleFormatError(f"config key {key!r} names config {config_str(cfg)!r} again")
+        seen.add(cfg)
         if not isinstance(entry, list) or len(entry) != q:
             raise RuleFormatError(f"amplitude vector for {key!r} must list {q} [re, im] pairs")
         for i, pair in enumerate(entry):

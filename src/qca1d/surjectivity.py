@@ -19,7 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphs import deterministic_sector
-from .rules import Config, RuleTable, all_configs, as_config, config_digits, index_config, window_indices
+from .rules import (Config, RuleTable, all_configs, as_config, config_digits, config_index, index_config,
+                    window_indices)
 from .unitarity import ConstraintReport
 
 
@@ -164,14 +165,14 @@ def extension_det_product(rule: RuleTable, left: str | Sequence[int], n: int) ->
     """Product of extension-matrix determinants entering stage n -> n+1."""
     left = rule.config(left)
     q, k = rule.q, rule.k
+    dets = np.linalg.det(rule.amplitudes.reshape(-1, q, q)).tolist()  # by prefix index, see below
     value = complex(1.0)
     if n >= k - 1:
-        for gamma in all_configs(q, k - 1):
-            value *= complex(np.linalg.det(extension_matrix(rule, gamma))) ** (q ** (n - k + 1))
+        for det in dets:
+            value *= det ** (q ** (n - k + 1))
     else:
         for alpha in all_configs(q, n):
-            value *= complex(np.linalg.det(
-                extension_matrix(rule, _column_prefix(rule, left, alpha, n))))
+            value *= dets[config_index(_column_prefix(rule, left, alpha, n), q)]
     return value
 
 
@@ -209,8 +210,9 @@ def _oriented_reports(rule: RuleTable, sector: frozenset[Config]) -> list[Constr
                 if abs(value) <= tol:
                     reports.append(ConstraintReport(
                         "I-v", ("scalar", gamma, rho, rho_out), value, abs(value)))
-    for gamma in all_configs(q, k - 1):
-        det = complex(np.linalg.det(extension_matrix(rule, gamma)))
+    # row i of extension_matrix(gamma) is row index(gamma) * q + i of the table
+    dets = np.linalg.det(rule.amplitudes.reshape(-1, q, q)).tolist()
+    for gamma, det in zip(all_configs(q, k - 1), dets):
         if abs(det) <= tol * q:
             reports.append(ConstraintReport("I-v", ("det", gamma), det, abs(det)))
     return reports

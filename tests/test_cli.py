@@ -131,6 +131,18 @@ def test_rule_entry_that_is_no_number_exits_2(tmp_path, capsys, f21):
         assert code == 2 and out == "" and "'01'" in err
 
 
+def test_two_keys_naming_one_config_exit_2(tmp_path, capsys):
+    # "\u0660" is an Arabic-Indic zero, which int() reads as 0: the second key
+    # names config 01 again, and config 10 has no entry
+    amplitudes = {"00": [[1, 0], [0, 0]], "\u06601": [[0, 0], [1, 0]],
+                  "01": [[0, 0], [1, 0]], "11": [[0, 0], [1, 0]]}
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps({"q": 2, "k": 2, "amplitudes": amplitudes}, ensure_ascii=False),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path), "--mode", "periodic")
+    assert code == 2 and out == "" and "'01'" in err
+
+
 def test_state_file_of_bare_numbers_exits_2(tmp_path, capsys, f21):
     rule_path = write_rule(tmp_path, f21)
     state_path = tmp_path / "state.json"

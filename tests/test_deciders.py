@@ -14,6 +14,7 @@ from qca1d import (
 from qca1d.cli import main
 from qca1d.graphs import iter_cycles, mismatch_support, pair_graph
 from qca1d.unitarity import (
+    INFINITE_CONDITIONS,
     PERIODIC_CONDITIONS,
     _RuleGraphs,
     _holds,
@@ -196,6 +197,24 @@ def test_periodic_verdict_is_monotone_in_the_tolerance():
             before = set(PERIODIC_CONDITIONS)
             for tol in tolerances:
                 verdict = check_periodic(noisy.with_tolerance(tol), max_violations=1)
+                violated = {r.condition for r in verdict.reports}
+                assert violated <= before, (label, eps, tol)
+                before = violated
+
+
+def test_infinite_verdict_is_monotone_in_the_tolerance():
+    # the same for the infinite conditions; the sector's rows stay exact, so
+    # the sector survives the noise and every verdict is decided
+    tolerances = [10.0**-e for e in range(9, 0, -1)]
+    for index, (label, rule, infinite) in enumerate(unitary_grid(11)):
+        if not infinite:
+            continue
+        keep = deterministic_sector(rule)
+        for eps in (1e-7, 1e-5, 1e-3):
+            noisy = with_noise(rule, eps, index, keep)
+            before = set(INFINITE_CONDITIONS)
+            for tol in tolerances:
+                verdict = check_infinite(noisy.with_tolerance(tol), max_violations=1)
                 violated = {r.condition for r in verdict.reports}
                 assert violated <= before, (label, eps, tol)
                 before = violated

@@ -27,19 +27,18 @@ from qca1d import (
     walk_defect,
 )
 from qca1d.oracle import (DEFAULT_MAX_DIM, MAX_WALK_COST, evolution_step, exact_defect_kernel,
-                          neighborhood_offsets, shift_orbit_representatives, walk_cost)
+                          shift_orbit_representatives, walk_cost)
 from qca1d.rules import config_digits
 
 from conftest import haar_unitary, quantized_shift, unitary_grid, with_noise
 
 
-def kron_columns(rule, n, cols, offsets=None):
+def kron_columns(rule, n, cols):
     """Columns of the ring evolution matrix, one Kronecker product per input config."""
-    offs = neighborhood_offsets(offsets, rule.k)
     columns = []
     for col in cols:
         cfg = index_config(int(col), rule.q, n)
-        windows = [config_index([cfg[(x + e) % n] for e in offs], rule.q) for x in range(n)]
+        windows = [config_index([cfg[(x + e) % n] for e in range(rule.k)], rule.q) for x in range(n)]
         columns.append(reduce(np.kron, (rule.amplitudes[w] for w in windows)))
     return np.stack(columns, axis=1)
 
@@ -47,9 +46,6 @@ def kron_columns(rule, n, cols, offsets=None):
 def random_rule(q, k, rng):
     amps = rng.normal(size=(q**k, q)) + 1j * rng.normal(size=(q**k, q))
     return RuleTable(q, k, amps / np.linalg.norm(amps, axis=1, keepdims=True))
-
-
-OFFSET_CHOICES = (lambda k: None, lambda k: tuple(range(1, k + 1)), lambda k: tuple(range(-1, k - 1)))
 
 
 def test_identity_map_global_matrix(ident):
@@ -140,13 +136,10 @@ def test_matrix_free_matches_dense(family, params, k):
     rng = np.random.default_rng(2)
     for n in (k, k + 1, 6):
         state = random_state(2, n, rng)
-        for offsets in (None, tuple(range(1, k + 1)), tuple(range(-1, k - 1))):
-            f = global_matrix(rule, n, offsets=offsets)
-            np.testing.assert_allclose(
-                apply_global(rule, n, state, offsets=offsets), f @ state, atol=1e-12)
-            np.testing.assert_allclose(
-                apply_global(rule, n, state, adjoint=True, offsets=offsets),
-                f.conj().T @ state, atol=1e-12)
+        f = global_matrix(rule, n)
+        np.testing.assert_allclose(apply_global(rule, n, state), f @ state, atol=1e-12)
+        np.testing.assert_allclose(
+            apply_global(rule, n, state, adjoint=True), f.conj().T @ state, atol=1e-12)
 
 
 @pytest.mark.parametrize("q", (3, 4))
@@ -158,37 +151,28 @@ def test_matrix_free_matches_dense_larger_alphabets(q, k):
     for n in range(1, 8):
         dim = q**n
         cols = np.arange(dim) if dim <= 1024 else rng.choice(dim, 16, replace=False)
-        for choice in OFFSET_CHOICES:
-            offsets = choice(k)
-            f = kron_columns(rule, n, cols, offsets)
-            coeffs = rng.normal(size=len(cols)) + 1j * rng.normal(size=len(cols))
-            state = np.zeros(dim, dtype=complex)
-            state[cols] = coeffs
-            np.testing.assert_allclose(
-                apply_global(rule, n, state, offsets=offsets), f @ coeffs, atol=1e-12)
-            state = random_state(q, n, rng)
-            np.testing.assert_allclose(
-                apply_global(rule, n, state, adjoint=True, offsets=offsets)[cols],
-                f.conj().T @ state, atol=1e-12)
+        f = kron_columns(rule, n, cols)
+        coeffs = rng.normal(size=len(cols)) + 1j * rng.normal(size=len(cols))
+        state = np.zeros(dim, dtype=complex)
+        state[cols] = coeffs
+        np.testing.assert_allclose(apply_global(rule, n, state), f @ coeffs, atol=1e-12)
+        state = random_state(q, n, rng)
+        np.testing.assert_allclose(
+            apply_global(rule, n, state, adjoint=True)[cols], f.conj().T @ state, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_matrix_free_block_remainders_match_dense(k):
     # q = 2 steps over blocks of 4 sites: n = 1..12 meets every n mod 4, with
-    # and without a block clear of the border; n = 12 at one offset choice
-    # per k keeps the dense builds short
+    # and without a block clear of the border
     rng = np.random.default_rng(20 + k)
     rule = random_rule(2, k, rng)
     for n in range(1, 13):
         state = random_state(2, n, rng)
-        for choice in OFFSET_CHOICES if n < 12 else OFFSET_CHOICES[k % 3:k % 3 + 1]:
-            offsets = choice(k)
-            f = global_matrix(rule, n, offsets=offsets)
-            np.testing.assert_allclose(
-                apply_global(rule, n, state, offsets=offsets), f @ state, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(
-                apply_global(rule, n, state, adjoint=True, offsets=offsets),
-                f.conj().T @ state, rtol=0, atol=1e-12)
+        f = global_matrix(rule, n)
+        np.testing.assert_allclose(apply_global(rule, n, state), f @ state, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            apply_global(rule, n, state, adjoint=True), f.conj().T @ state, rtol=0, atol=1e-12)
 
 
 def test_matrix_free_deterministic_shift_is_exact_past_the_dense_cap():
@@ -220,11 +204,9 @@ def test_matrix_free_adjoint_is_the_adjoint_past_the_dense_cap():
 ], ids=["f21", "f31", "patt", "q3k1", "q3k2"])
 def test_global_matrix_equals_kron_loop(rule):
     for n in range(1, 8):
-        for choice in OFFSET_CHOICES:
-            offsets = choice(rule.k)
-            f = global_matrix(rule, n, offsets=offsets)
-            assert np.array_equal(f, kron_columns(rule, n, range(rule.q**n), offsets))
-            assert f.flags.c_contiguous  # products with it round as before
+        f = global_matrix(rule, n)
+        assert np.array_equal(f, kron_columns(rule, n, range(rule.q**n)))
+        assert f.flags.c_contiguous  # products with it round as before
 
 
 def test_deterministic_columns_are_exact_basis_vectors():
@@ -248,18 +230,16 @@ def test_evolution_step_builds_its_kernels_once_and_equals_apply_global(monkeypa
         for n in range(1, 17):
             if q**n > 2**16:
                 break
-            for choice in OFFSET_CHOICES:
-                offsets = choice(rule.k)
-                before = len(builds)
-                step = evolution_step(rule, n, offsets=offsets)
-                built = len(builds) - before
-                state = expected = random_state(q, n, rng)
-                for _ in range(3):
-                    state = step(state)
-                    expected = apply_global(rule, n, expected, offsets=offsets)
-                    assert np.array_equal(state, expected), (q, n)
-                # apply_global builds the kernels on every call, the step never again
-                assert built > 0 and len(builds) - before == 4 * built
+            before = len(builds)
+            step = evolution_step(rule, n)
+            built = len(builds) - before
+            state = expected = random_state(q, n, rng)
+            for _ in range(3):
+                state = step(state)
+                expected = apply_global(rule, n, expected)
+                assert np.array_equal(state, expected), (q, n)
+            # apply_global builds the kernels on every call, the step never again
+            assert built > 0 and len(builds) - before == 4 * built
         # the estimate builds its forward and adjoint kernels once, for any sample count
         counts = []
         for samples in (1, 4):
@@ -285,15 +265,13 @@ def test_evolve_matrix_free_path():
         for n in range(1, 13):
             if q**n > DEFAULT_MAX_DIM:
                 break
-            for choice in OFFSET_CHOICES:
-                offsets = choice(rule.k)
-                f = global_matrix(rule, n, offsets=offsets)
-                state = expected = random_state(q, n, rng)
-                for _ in range(3):
-                    expected = f @ expected
-                del f  # one dense reference alive at a time: 256 MiB at q^N = 4096
-                np.testing.assert_allclose(evolve(rule, n, state, 3, offsets=offsets), expected,
-                                           rtol=0, atol=1e-13, err_msg=f"q={q} n={n}")
+            f = global_matrix(rule, n)
+            state = expected = random_state(q, n, rng)
+            for _ in range(3):
+                expected = f @ expected
+            del f  # one dense reference alive at a time: 256 MiB at q^N = 4096
+            np.testing.assert_allclose(evolve(rule, n, state, 3), expected,
+                                       rtol=0, atol=1e-13, err_msg=f"q={q} n={n}")
 
 
 def test_defect_estimate(f21, f21_00):
@@ -327,14 +305,6 @@ def test_dimension_cap():
             global_matrix(rule, refused)
     with pytest.raises(DimensionCapExceeded):
         ring_defect(f21, 13)
-
-
-def test_offset_validation():
-    assert neighborhood_offsets(None, 3) == (0, 1, 2)
-    with pytest.raises(ValueError):
-        neighborhood_offsets((0, 2, 3), 3)
-    with pytest.raises(ValueError):
-        neighborhood_offsets((0, 1), 3)
 
 
 def test_site_count_validation(f21):
@@ -376,22 +346,20 @@ def assert_walk_defect_matches(rule, n, reference, exact):
     assert abs(walk - reference) <= 1e-13 + 1e-12 * reference
 
 
-def assert_orbit_defect_matches(rule, n, exact, offsets_choices=OFFSET_CHOICES):
-    """ring_defect and walk_defect against the full Gram of the dense matrix,
-    at every offset."""
+def assert_orbit_defect_matches(rule, n, exact):
+    """ring_defect and walk_defect against the full Gram of the dense matrix."""
     orbit = ring_defect(rule, n)
-    for choice in offsets_choices:
-        full = unitarity_defect(global_matrix(rule, n, offsets=choice(rule.k)))
-        if exact:
-            assert full == orbit == 0.0
-        assert abs(orbit - full) <= 1e-13 + 1e-12 * full
+    full = unitarity_defect(global_matrix(rule, n))
+    if exact:
+        assert full == orbit == 0.0
+    assert abs(orbit - full) <= 1e-13 + 1e-12 * full
     assert_walk_defect_matches(rule, n, full, exact)
 
 
 @pytest.mark.parametrize("q", (2, 3, 4))
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_orbit_defect_matches_full_gram(q, k):
-    # every rule and offset on rings of at most 512 configurations, n < k included
+    # every rule on rings of at most 512 configurations, n < k included
     for rule, exact in ring_rules(q, k, 100 * q + k):
         for n in range(1, 10):
             if q**n > 512:
@@ -404,7 +372,7 @@ def test_orbit_defect_matches_full_gram_up_to_dense_cap(q, n):
     # (4, 6) is left out for test time; (2, 12) has its size, 4096
     assert 512 < q**n <= DEFAULT_MAX_DIM
     rule = with_noise(quantized_shift(q, 2, n), 1e-3, n)
-    assert_orbit_defect_matches(rule, n, exact=False, offsets_choices=[lambda k: (-1, 0)])
+    assert_orbit_defect_matches(rule, n, exact=False)
 
 
 @pytest.mark.parametrize("q", (2, 3, 4))

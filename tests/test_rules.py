@@ -158,14 +158,14 @@ def test_rule_dict_reads_keys_in_any_order_and_reports_the_first_error():
     shuffled = dict(good, amplitudes={key: table[key] for key in reversed(list(table))})
     assert np.array_equal(rule_from_dict(shuffled).amplitudes, rule.amplitudes)
     # non-ASCII digits are read one key at a time, as int() reads them, and
-    # a config spelt twice leaves the row of the config it displaced at zero
+    # a config spelt twice is refused: it would leave the row of the config
+    # it displaced unset
     arabic = dict(good, amplitudes={key.replace("1", "\u0661"): v for key, v in table.items()})
     assert np.array_equal(rule_from_dict(arabic).amplitudes, rule.amplitudes)
     twice = dict(table)
-    twice["0\u0661"] = twice.pop("22")  # read after "01", so its vector lands on row 1
-    expected = rule.amplitudes.copy()
-    expected[1], expected[8] = rule.amplitudes[8], 0
-    assert np.array_equal(rule_from_dict(dict(good, amplitudes=twice)).amplitudes, expected)
+    twice["0\u0661"] = twice.pop("22")  # read after "01"
+    with pytest.raises(RuleFormatError, match="'0\u0661' names config '01' again"):
+        rule_from_dict(dict(good, amplitudes=twice))
     for entries, message in (
             ({"0x": [[0, 0]], "22": [[0, 0]] * 3}, "'0x' has non-digit"),
             ({"+1": [[0, 0]] * 3}, "'\\+1' has non-digit"),
