@@ -19,7 +19,7 @@ conditions are decided on boolean config masks by ``cycle_reach`` and
 ``reaches``, searches stepping by one de Bruijn kernel, ``advance``;
 ``iter_cycles`` and ``iter_paths`` list witness cycles and paths as tuples
 of edge indices.  The deterministic sector is a greatest fixpoint on a
-config mask, tested by a batched ``reaches`` and by window-index walks.
+config mask, tested by a batched ``reaches`` and on (2k-1)-cell strings.
 """
 
 from __future__ import annotations
@@ -410,20 +410,17 @@ def deterministic_sector(rule: RuleTable) -> frozenset[Config]:
     edge a // q -> a % q^(k-1), stays when it is a self-loop or its suffix
     reaches its prefix over sector edges (one ``reaches`` row per config);
     and when every walk of k sector windows with unique outputs through it
-    (window w is followed by (w % q^(k-1)) * q + s) produces a config that
-    is again such a window.  Search rows and walks run in blocks that keep
-    each array within ``MAX_PAIR_ENTRIES`` entries; the smallest walk block
-    is one start window, with up to q^(k-1) walks.  The result may be empty.
+    produces a config that is again such a window: a string of 2k-1 cells,
+    window j its cells j..j+k-1.  Search rows and start windows run in
+    blocks that keep each array within ``MAX_PAIR_ENTRIES`` entries.  The
+    result may be empty.
     """
     q, k = rule.q, rule.k
     n = q ** (k - 1)
     config = np.arange(q**k)
     pre, suf = config // q, config % n
-    succ = suf[:, None] * q + np.arange(q)  # the q windows that may follow each window
     out = deterministic_outputs(rule)
-    place = q ** np.arange(k - 1, -1, -1)
-    block = max(1, MAX_PAIR_ENTRIES // (k * n))  # a start window has at most n walks
-    rows = max(1, MAX_PAIR_ENTRIES // n)  # frontier rows per search
+    rows = max(1, MAX_PAIR_ENTRIES // n)  # frontier rows per search, start windows per block
     sector = unit_hits(rule).any(axis=1)
     while True:
         live = sector & (out >= 0)
@@ -433,13 +430,16 @@ def deterministic_sector(rule: RuleTable) -> frozenset[Config]:
             live[a] = reaches(sector, config[:n] == suf[a, None], config[:n] == pre[a, None])
         pruned = live.copy()
         starts = np.flatnonzero(live)
-        for first in range(0, starts.size, block):
-            walks = starts[first:first + block, None]
-            for _ in range(k - 1):
-                step = succ[walks[:, -1]]
-                row, s = np.nonzero(live[step])
-                walks = np.column_stack((walks[row], step[row, s]))
-            pruned[walks[~live[out[walks] @ place]]] = False
+        for first in range(0, starts.size, rows):
+            cells = (starts[first:first + rows, None] * n + np.arange(n)).ravel()
+            walk, made = True, 0
+            for j in range(k):
+                w = cells // q ** (k - 1 - j) % q**k
+                walk = walk & live[w]
+                made = made * q + out[w]  # off the walks out[w] may be -1, made stays an index
+            broken = cells[walk & ~live[made]]
+            for j in range(k):
+                pruned[broken // q ** (k - 1 - j) % q**k] = False
         if np.array_equal(pruned, sector):
             return frozenset(itertools.compress(rule.configs(), sector.tolist()))
         sector = pruned

@@ -7,6 +7,11 @@ and every sector pair (rho, rho') coupled by a unit transition amplitude,
 and the determinants of the q x q extension matrices Phi whose rows are
 the amplitude vectors of a prefix's one-state extensions.
 
+``check_surjectivity`` gathers the border scalars of one reading direction
+at once, one column per coupled pair and prefix: the amplitude table read
+at the k-1 windows of gamma + rho[:-1] and the digits of rho'[:-1], then
+multiplied down the column.  ``border_scalar`` is its one-at-a-time reference.
+
 The supporting machinery (restricted evolution on bordered interiors, its
 reduced form, and the determinant factorizations relating them) is exposed
 for direct validation.
@@ -18,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import deterministic_sector
+from .graphs import deterministic_sector, sector_mask
 from .rules import (Config, RuleTable, all_configs, as_config, config_digits, config_index, index_config,
                     window_indices)
 from .unitarity import ConstraintReport
@@ -144,35 +149,23 @@ def column_factor_product(
     right_out: str | Sequence[int],
     n: int,
 ) -> complex:
-    """Product of the per-column border scalars pulled out of a determinant.
-
-    For n >= k-1 every prefix gamma governs q^(n-k+1) columns; below that
-    each interior string contributes once with its padded prefix.
-    """
+    """Product of the per-column border scalars pulled out of a determinant:
+    one per interior string, taken at the prefix that governs its column."""
     left, right, right_out = rule.config(left), rule.config(right), rule.config(right_out)
-    q, k = rule.q, rule.k
     value = complex(1.0)
-    if n >= k - 1:
-        for gamma in all_configs(q, k - 1):
-            value *= border_scalar(rule, gamma, right, right_out) ** (q ** (n - k + 1))
-    else:
-        for alpha in all_configs(q, n):
-            value *= border_scalar(rule, _column_prefix(rule, left, alpha, n), right, right_out)
+    for alpha in all_configs(rule.q, n):
+        value *= border_scalar(rule, _column_prefix(rule, left, alpha, n), right, right_out)
     return value
 
 
 def extension_det_product(rule: RuleTable, left: str | Sequence[int], n: int) -> complex:
     """Product of extension-matrix determinants entering stage n -> n+1."""
     left = rule.config(left)
-    q, k = rule.q, rule.k
+    q = rule.q
     dets = np.linalg.det(rule.amplitudes.reshape(-1, q, q)).tolist()  # by prefix index, see below
     value = complex(1.0)
-    if n >= k - 1:
-        for det in dets:
-            value *= det ** (q ** (n - k + 1))
-    else:
-        for alpha in all_configs(q, n):
-            value *= dets[config_index(_column_prefix(rule, left, alpha, n), q)]
+    for alpha in all_configs(q, n):
+        value *= dets[config_index(_column_prefix(rule, left, alpha, n), q)]
     return value
 
 
@@ -198,24 +191,25 @@ def det_factorization_check(
 
 
 def _oriented_reports(rule: RuleTable, sector: frozenset[Config]) -> list[ConstraintReport]:
-    tol = rule.tolerance
-    q, k = rule.q, rule.k
-    reports = []
-    for rho in sorted(sector):
-        for rho_out in sorted(sector):
-            if abs(rule.amplitude(rho_out[-1], rho) - 1.0) > tol:
-                continue
-            for gamma in all_configs(q, k - 1):
-                value = border_scalar(rule, gamma, rho, rho_out)
-                if abs(value) <= tol:
-                    reports.append(ConstraintReport(
-                        "I-v", ("scalar", gamma, rho, rho_out), value, abs(value)))
+    tol, q, k = rule.tolerance, rule.q, rule.k
+    n = q ** (k - 1)
+    rho = np.flatnonzero(sector_mask(sector, q, k))
+    # one column per coupled pair (rho, rho') and prefix gamma, in that order
+    coupled = np.abs(rule.amplitudes[rho][:, rho % q] - 1.0) <= tol
+    right, right_out = (np.repeat(rho[pairs], n) for pairs in np.nonzero(coupled))
+    gamma = np.arange(right.size) % n
+    digits = config_digits(q, k - 1)
+    windows = window_indices(np.vstack((digits[:, gamma], digits[:, right // q])), q, k)
+    values = np.prod(rule.amplitudes[windows, digits[:, right_out // q]], axis=0)
+    hit = np.abs(values) <= tol
+    configs, prefixes = list(rule.configs()), list(all_configs(q, k - 1))
+    reports = [ConstraintReport("I-v", ("scalar", prefixes[g], configs[a], configs[b]), z, abs(z))
+               for g, a, b, z in zip(gamma[hit].tolist(), right[hit].tolist(),
+                                     right_out[hit].tolist(), values[hit].tolist())]
     # row i of extension_matrix(gamma) is row index(gamma) * q + i of the table
     dets = np.linalg.det(rule.amplitudes.reshape(-1, q, q)).tolist()
-    for gamma, det in zip(all_configs(q, k - 1), dets):
-        if abs(det) <= tol * q:
-            reports.append(ConstraintReport("I-v", ("det", gamma), det, abs(det)))
-    return reports
+    return reports + [ConstraintReport("I-v", ("det", prefix), det, abs(det))
+                      for prefix, det in zip(prefixes, dets) if abs(det) <= tol * q]
 
 
 def check_surjectivity(rule: RuleTable, sector: frozenset[Config]) -> list[ConstraintReport]:

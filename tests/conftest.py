@@ -58,13 +58,18 @@ def haar_unitary(rng, q):
     return u * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def quantized_shift(q, k, seed=0):
-    """The left shift f(i | a_1..a_k) = delta(i, a_k), rigidly rotated by a
-    seeded random unitary: unitary on every lattice."""
+def deterministic_shift(q, k):
+    """The left shift f(i | a_1..a_k) = delta(i, a_k)."""
     amps = np.zeros((q**k, q), dtype=complex)
     for cfg in all_configs(q, k):
         amps[config_index(cfg, q), cfg[-1]] = 1.0
-    return quantize(RuleTable(q, k, amps), haar_unitary(np.random.default_rng(seed), q))
+    return RuleTable(q, k, amps)
+
+
+def quantized_shift(q, k, seed=0):
+    """The left shift rigidly rotated by a seeded random unitary: unitary on
+    every lattice."""
+    return quantize(deterministic_shift(q, k), haar_unitary(np.random.default_rng(seed), q))
 
 
 PERIODIC_FAMILIES = ("f21", "f2m1", "f31", "f30", "f3m1")

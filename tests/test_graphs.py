@@ -392,9 +392,10 @@ def test_sector_matches_set_reference_in_small_blocks(monkeypatch):
 
 
 def test_sector_walks_stay_within_block_bound():
-    # at (2,10) the closure walks hold 1024 * 512 * 10 indices, more than
-    # MAX_PAIR_ENTRIES; blocks of start windows keep the walk array, its
-    # extension copy and its gathered outputs within MAX_PAIR_ENTRIES each
+    # at (2,10) the 1024 * 512 closure strings have 1024 * 512 * 10 windows,
+    # more than MAX_PAIR_ENTRIES; the closure holds one window per string at
+    # a time, and blocks of start windows keep each array within
+    # MAX_PAIR_ENTRIES entries
     q, k = 2, 10
     amps = np.zeros((q**k, q), dtype=complex)
     amps[np.arange(q**k), np.arange(q**k) % q] = 1.0

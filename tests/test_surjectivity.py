@@ -3,7 +3,10 @@ import pytest
 
 from qca1d import (
     RuleTable,
+    all_configs,
     border_scalar,
+    check_infinite,
+    check_periodic,
     check_surjectivity,
     det_factorization_check,
     deterministic_sector,
@@ -14,9 +17,9 @@ from qca1d import (
     reduced_evolution,
     window_amplitude,
 )
-from qca1d.surjectivity import column_factor_product, extension_det_product
+from qca1d.surjectivity import _oriented_reports, column_factor_product, extension_det_product
 
-from conftest import F21_00_SAMPLE
+from conftest import F21_00_SAMPLE, deterministic_shift, identity_rule, noisy_grid
 
 
 def test_extension_matrix_identity(ident):
@@ -222,3 +225,68 @@ def test_restricted_nonsingular_for_passing_rules(f21_00):
 def test_check_surjectivity_empty_sector(f21_00):
     with pytest.raises(ValueError):
         check_surjectivity(f21_00, frozenset())
+
+
+def reference_reports(rule, sector):
+    """I-v reports of the rightward reading: one ``border_scalar`` per
+    coupled sector pair (rho, rho') and prefix gamma, then one determinant
+    per prefix, as (witness, value) pairs."""
+    tol, q, k = rule.tolerance, rule.q, rule.k
+    reports = []
+    for rho in sorted(sector):
+        for rho_out in sorted(sector):
+            if abs(rule.amplitude(rho_out[-1], rho) - 1.0) > tol:
+                continue
+            for gamma in all_configs(q, k - 1):
+                value = border_scalar(rule, gamma, rho, rho_out)
+                if abs(value) <= tol:
+                    reports.append((("scalar", gamma, rho, rho_out), value))
+    for gamma in all_configs(q, k - 1):
+        det = complex(np.linalg.det(extension_matrix(rule, gamma)))
+        if abs(det) <= tol * q:
+            reports.append((("det", gamma), det))
+    return reports
+
+
+def reference_rules():
+    for seed in (1, 2, 3):
+        for label, rule, infinite in noisy_grid(seed):
+            if infinite:
+                yield label, rule
+    for q, ks in ((2, range(1, 6)), (3, range(1, 5))):
+        for k in ks:
+            yield f"shift({q},{k})", deterministic_shift(q, k)
+
+
+def test_oriented_reports_match_border_scalar_reference():
+    # the border scalars come from one gather and an array product, which
+    # may round the last bits differently from the Python product
+    compared = 0
+    for label, rule in reference_rules():
+        sector = deterministic_sector(rule)
+        reports = _oriented_reports(rule, sector)
+        expected = reference_reports(rule, sector)
+        assert [r.witness for r in reports] == [w for w, _ in expected], label
+        for report, (_, value) in zip(reports, expected):
+            assert abs(report.value - value) <= 1e-14 * abs(value), label
+            assert report.margin == abs(report.value)
+        compared += len(reports)
+    assert compared > 10_000
+
+
+@pytest.mark.parametrize("rule", [identity_rule()] + [deterministic_shift(2, k) for k in (3, 4, 5)],
+                         ids=["ident", "shift(2,3)", "shift(2,4)", "shift(2,5)"])
+def test_shifts_are_periodic_unitary_and_not_onto_in_infinite_mode(rule):
+    # the couplings f(rho'[-1] | rho) = 1 take in pairs with rho'[:-1] !=
+    # rho[:-1], which the shift never produces; their border scalars vanish
+    assert check_periodic(rule).unitary
+    verdict = check_infinite(rule)
+    assert not verdict.unitary
+    assert {r.condition for r in verdict.reports} == {"I-v"}
+
+
+def test_single_cell_rules_in_infinite_mode():
+    constant = check_infinite(RuleTable(2, 1, [[1, 0], [1, 0]]))
+    assert [(r.condition, r.witness) for r in constant.reports] == [
+        ("I-iii", (((0,), (1,)),)), ("I-iii", (((1,), (0,)),)), ("I-v", ("det", ()))]
+    assert check_infinite(RuleTable(3, 1, np.eye(3))).unitary
