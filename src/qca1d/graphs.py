@@ -44,7 +44,7 @@ class CycleCapExceeded(RuntimeError):
     pair graph or transfer matrix has more entries than ``MAX_PAIR_ENTRIES``."""
 
 
-def resolve_cycle_cap(cap: int | None) -> int:
+def resolve_cycle_cap(cap: int | None = None) -> int:
     if cap is not None:
         return cap
     return int(os.environ.get("QCA_CYCLE_CAP", DEFAULT_CYCLE_CAP))

@@ -22,11 +22,12 @@ applies F or F^dagger matrix-free, at every ring size: a block of L sites
 at a time, L the largest with q^L <= 16 (4 sites for q = 2, 2 for q = 3
 or 4, 1 for q >= 5), as a batched matmul over the window cells the block
 shares with its neighbours; its kernel is the same window-index product
-as ``global_matrix``, over the block's L + k - 1 cells.  The bound comes
-from a sweep on a shared 2-core x86-64 host with one BLAS thread: a
-forward f21 pass on 16 sites took 16.4, 8.1, 6.7, 6.2, 8.2, 7.6 and 22.9
-ms at q^L = 2, 4, 8, 16, 32, 64 and 256.  States over MAX_STATE_DIM are
-refused.
+as ``global_matrix`` (``rules.window_product``), over the block's L + k - 1
+cells.  F^dagger takes the same kernels: it runs the steps of F in reverse
+order, each conjugate-transposed.  The bound comes from a sweep on a shared
+2-core x86-64 host with one BLAS thread: a forward f21 pass on 16 sites
+took 16.4, 8.1, 6.7, 6.2, 8.2, 7.6 and 22.9 ms at q^L = 2, 4, 8, 16, 32,
+64 and 256.  States over MAX_STATE_DIM are refused.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graphs import MAX_PAIR_ENTRIES, advance
-from .rules import RuleTable, all_configs, as_config, config_digits, config_index, window_indices
+from .rules import (RuleTable, all_configs, as_config, config_digits, config_index, window_indices,
+                    window_product)
 
 DEFAULT_MAX_DIM = 4096
 MAX_STATE_DIM = 2**24
@@ -93,18 +95,7 @@ def global_matrix(rule: RuleTable, n_sites: int) -> np.ndarray:
             f"dense matrix dimension {dim} exceeds the cap {DEFAULT_MAX_DIM}; "
             "apply_global and evolve apply the evolution without it")
     cells = config_digits(q, n_sites)[np.arange(n_sites + k - 1) % n_sites]
-    return _window_product(rule.amplitudes, window_indices(cells, q, k))
-
-
-def _window_product(amplitudes: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """Matrix [out, i] = prod_j f(out_j | windows[j, i]), out_0 most significant:
-    column i is the Kronecker product of the amplitude vectors of its windows."""
-    # np.take keeps every factor, and so the matrix, C-contiguous
-    matrix = np.take(amplitudes.T, windows[0], axis=1)
-    for window in windows[1:]:
-        factor = np.take(amplitudes.T, window, axis=1)
-        matrix = (matrix[:, None, :] * factor[None, :, :]).reshape(-1, windows.shape[1])
-    return matrix
+    return window_product(rule.amplitudes, window_indices(cells, q, k))
 
 
 def shift_orbit_representatives(dim: int, n_sites: int) -> np.ndarray:
@@ -259,44 +250,40 @@ def exact_defect_kernel(q: int, k: int, n_sites: int) -> Callable[[RuleTable, in
     return min(kernels, key=lambda kernel: kernel[0])[1] if kernels else None
 
 
-def _block_kernels(rule: RuleTable, cells: tuple[int, ...], length: int,
-                   adjoint: bool) -> tuple[list[int], np.ndarray]:
+def _block_kernels(rule: RuleTable, cells: tuple[int, ...],
+                   length: int) -> tuple[list[int], np.ndarray]:
     """Kernels of the step over sites x..x+length-1, whose window cells
     x..x+length+k-2 are given as a border cell, fixed, or -1, free: the
-    distinct border cells, and one kernel per assignment of them, in index order."""
+    distinct border cells, and one kernel per assignment of them, in index
+    order, laid out [border values, cells x+length.., cells ..x+length-1, outputs]."""
     q, k = rule.q, rule.k
     border = sorted(set(cells) - {-1})
     digits = config_digits(q, len(border) + cells.count(-1))  # border cells, then free cells
     free = iter(digits[len(border):])
     inputs = np.array([next(free) if y < 0 else digits[border.index(y)] for y in cells])
-    block = _window_product(rule.amplitudes, window_indices(inputs, q, k))
-    block = block.reshape(q**length, q ** len(border), -1)  # [outputs, border values, free cells]
-    if adjoint:  # [border values, cells x..x+k-2, outputs, cells x+k-1..]
-        block = block.conj().reshape(block.shape[:2] + (q ** cells[:k - 1].count(-1), -1))
-        block = block.transpose(1, 2, 0, 3)
-    else:  # [border values, cells x+length.., cells ..x+length-1, outputs]
-        block = block.reshape(block.shape[:2] + (-1, q ** cells[length:].count(-1)))
-        block = block.transpose(1, 3, 2, 0)
-    return border, np.ascontiguousarray(block)
+    block = window_product(rule.amplitudes, window_indices(inputs, q, k))
+    block = block.reshape(q**length, q ** len(border), -1, q ** cells[length:].count(-1))
+    return border, np.ascontiguousarray(block.transpose(1, 3, 2, 0))
 
 
-def _global_map(rule: RuleTable, n_sites: int, adjoint: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """The map state -> F @ state, or F^dagger @ state, on the N-site ring.
+def _global_map(rule: RuleTable, n_sites: int) -> tuple[Callable, Callable]:
+    """The maps state -> F @ state and state -> F^dagger @ state on the N-site ring.
 
-    The ring size is validated, and the block kernels built, once, when the
-    map is made; the map checks every state it is given.
+    The ring size is validated, and one set of block kernels built, once,
+    when the maps are made; each map checks every state it is given.
     Cells 0..k-2, which the last windows read around the wrap (every cell
     when n < k), are fixed to one value at a time and are no axes of the
     state.  A step contracts the block of sites x..x+L-1, L being the largest
     with q^L <= _BLOCK_DIM (the last block is shorter): it multiplies the
-    state, read as [mid, rest, a], by kernel[mid, a, b], the product of the
-    block's amplitudes over the free cells of its L+k-1 window cells.
-    Forward, a is inputs x..x+L-1, b outputs x..x+L-1, mid the next k-1
-    inputs, and the state runs [inputs x.., outputs ..x-1]; adjoint, a is
-    the outputs, b inputs x+k-1..x+L+k-2, mid inputs x..x+k-2, and it runs
-    [outputs x.., inputs k-1..].  A step has one kernel per value of the
-    fixed cells it reads, all built in one product; blocks clear of those
-    cells share one kernel.
+    state, read as [a, mid, rest], by kernel[mid, a, b], the product of the
+    block's amplitudes over the free cells of its L+k-1 window cells, into
+    [mid, rest, b]: a is inputs x..x+L-1, mid the next k-1 inputs, b the
+    outputs x..x+L-1, and the state runs [inputs x.., outputs ..x-1].
+    F^dagger runs the same steps in reverse order, each the adjoint of its
+    forward step: it reads the state as [mid, rest, b], multiplies it by
+    conj(kernel) transposed to [mid, b, a], and writes [a, mid, rest].
+    A step has one kernel per value of the fixed cells it reads, all built
+    in one product; blocks clear of those cells share one kernel.
     """
     q, k, n = rule.q, rule.k, n_sites
     state_dim(q, n)
@@ -309,32 +296,37 @@ def _global_map(rule: RuleTable, n_sites: int, adjoint: bool) -> Callable[[np.nd
         length = min(size, n - x)
         cells = tuple(y if y < b else -1 for y in ((x + j) % n for j in range(length + k - 1)))
         if cells not in kernels:
-            kernels[cells] = _block_kernels(rule, cells, length, adjoint)
-        steps.append((length, *kernels[cells]))
+            kernels[cells] = _block_kernels(rule, cells, length)
+        steps.append(kernels[cells])
 
-    def apply(state: np.ndarray) -> np.ndarray:
-        vec = _checked_state(state, q, n)
-        rows = vec.reshape(q**b, -1)
+    def kernel_sets():
+        for values in all_configs(q, b):
+            yield [by_value[config_index([values[y] for y in border], q)]
+                   for border, by_value in steps]
+
+    def forward(state: np.ndarray) -> np.ndarray:
+        rows = _checked_state(state, q, n).reshape(q**b, -1)
         out = np.zeros_like(rows)
-        for p, values in enumerate(all_configs(q, b)):
-            c = vec if adjoint else rows[p]
-            for length, border, by_value in steps:
-                kernel = by_value[config_index([values[y] for y in border], q)]
-                mid = kernel.shape[0]
-                if adjoint:
-                    legs = c.reshape(q**length, -1, mid).transpose(2, 1, 0)
-                    c = np.empty((legs.shape[1], mid, kernel.shape[2]), dtype=complex)
-                    np.matmul(legs, kernel, out=c.transpose(1, 0, 2))
-                else:
-                    c = c.reshape(kernel.shape[1], mid, -1).transpose(1, 2, 0) @ kernel
-                c = c.reshape(-1)
-            if adjoint:
-                out[p] = c
-            else:
-                out += c.reshape(rows.shape)
+        for c, step_kernels in zip(rows, kernel_sets()):
+            for kernel in step_kernels:
+                c = c.reshape(kernel.shape[1], kernel.shape[0], -1).transpose(1, 2, 0) @ kernel
+            out += c.reshape(rows.shape)
         return out.reshape(-1)
 
-    return apply
+    def adjoint(state: np.ndarray) -> np.ndarray:
+        vec = _checked_state(state, q, n)
+        out = np.empty((q**b, vec.size // q**b), dtype=complex)
+        for p, step_kernels in enumerate(kernel_sets()):
+            c = vec
+            for kernel in reversed(step_kernels):
+                mid, a, _ = kernel.shape
+                legs = c.reshape(mid, -1, kernel.shape[2])
+                c = np.empty((a, mid, legs.shape[1]), dtype=complex)
+                np.matmul(legs, kernel.conj().transpose(0, 2, 1), out=c.transpose(1, 2, 0))
+            out[p] = c.reshape(-1)
+        return out.reshape(-1)
+
+    return forward, adjoint
 
 
 def apply_global(
@@ -345,13 +337,13 @@ def apply_global(
 ) -> np.ndarray:
     """Apply the evolution (or its adjoint) without building the matrix,
     building the block kernels of the matrix-free step for this call."""
-    return _global_map(rule, n_sites, adjoint)(state)
+    return _global_map(rule, n_sites)[bool(adjoint)](state)
 
 
 def evolution_step(rule: RuleTable, n_sites: int) -> Callable[[np.ndarray], np.ndarray]:
     """One application of the evolution: the matrix-free step of
     ``apply_global``, its block kernels built once for every call."""
-    return _global_map(rule, n_sites, adjoint=False)
+    return _global_map(rule, n_sites)[0]
 
 
 def evolve(
@@ -380,8 +372,7 @@ def defect_estimate(
     if samples < 1:
         raise ValueError(f"need at least one sample vector, got {samples}")
     rng = rng if rng is not None else np.random.default_rng(0)
-    forward = _global_map(rule, n_sites, adjoint=False)
-    backward = _global_map(rule, n_sites, adjoint=True)
+    forward, backward = _global_map(rule, n_sites)
     worst = 0.0
     for _ in range(samples):
         v = random_state(rule.q, n_sites, rng)

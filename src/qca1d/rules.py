@@ -58,6 +58,19 @@ def window_indices(cells: np.ndarray, q: int, k: int) -> np.ndarray:
     return windows
 
 
+def window_product(amplitudes: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """Matrix [out, i] = prod_j f(out_j | windows[j, i]), out_0 most significant: column i
+    is the Kronecker product of its windows' amplitude vectors, one row of ones for none."""
+    if not len(windows):
+        return np.ones((1, windows.shape[1]), dtype=amplitudes.dtype)
+    # np.take keeps every factor, and so the matrix, C-contiguous
+    matrix = np.take(amplitudes.T, windows[0], axis=1)
+    for window in windows[1:]:
+        factor = np.take(amplitudes.T, window, axis=1)
+        matrix = (matrix[:, None, :] * factor[None, :, :]).reshape(-1, windows.shape[1])
+    return matrix
+
+
 def config_str(config: Sequence[int]) -> str:
     return "".join(str(s) for s in config)
 

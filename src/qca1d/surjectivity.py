@@ -14,7 +14,8 @@ multiplied down the column.  ``border_scalar`` is its one-at-a-time reference.
 
 The supporting machinery (restricted evolution on bordered interiors, its
 reduced form, and the determinant factorizations relating them) is exposed
-for direct validation.
+for direct validation; both interior operators are ``rules.window_product``
+over the bordered interior's windows.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphs import deterministic_sector, sector_mask
-from .rules import (Config, RuleTable, all_configs, as_config, config_digits, config_index, index_config,
-                    window_indices)
+from .rules import (Config, RuleTable, all_configs, as_config, config_digits, config_index,
+                    config_str, parity_transform, window_indices, window_product)
 from .unitarity import ConstraintReport
 
 
@@ -61,13 +62,19 @@ def border_scalar(rule: RuleTable, gamma: str | Sequence[int],
     return window_amplitude(rule, right_out[:-1], gamma + right[:-1])
 
 
+def _bordered_windows(rule: RuleTable, left: Config, n: int, right: Config = ()) -> np.ndarray:
+    """Window indices of left + a + right, one column per interior string a
+    of length n in index order."""
+    digits = config_digits(rule.q, n)
+    border = lambda cfg: np.repeat(np.array(cfg, dtype=np.intp)[:, None], digits.shape[1], axis=1)
+    return window_indices(np.vstack([border(left), digits, border(right)]), rule.q, rule.k)
+
+
 def _require_sector(rule, configs: Iterable[Config], sector):
     if sector is None:
         sector = deterministic_sector(rule)
     missing = [c for c in configs if c not in sector]
     if missing:
-        from .rules import config_str
-
         raise ValueError(
             "configs outside the deterministic sector: "
             + ", ".join(config_str(c) for c in missing))
@@ -96,15 +103,11 @@ def restricted_evolution(
     if abs(rule.amplitude(right_out[-1], right) - 1.0) > rule.tolerance:
         raise ValueError(
             f"transition amplitude f({right_out[-1]}|...) on the right border is not 1")
-    q, k = rule.q, rule.k
-    dim = q**n
-    border = lambda cfg: np.repeat(np.array(cfg, dtype=np.intp).reshape(-1, 1), dim, axis=1)
-    cells = np.vstack([border(left[1:]), config_digits(q, n), border(right[:-1])])
-    # rows: the output cells read so far, free in the interior, right_out past it
-    matrix = np.ones((1, dim), dtype=complex)
-    for j, w in enumerate(window_indices(cells, q, k)):
-        factor = rule.amplitudes[w].T if j < n else rule.amplitudes[w, right_out[j - n]][None]
-        matrix = (matrix[:, None, :] * factor[None, :, :]).reshape(-1, dim)
+    windows = _bordered_windows(rule, left[1:], n, right[:-1])
+    matrix = window_product(rule.amplitudes, windows[:n])
+    # border window j must produce right_out[j]: one factor per column
+    for window, out in zip(windows[n:], right_out):
+        matrix = matrix * rule.amplitudes[window, out]
     return matrix
 
 
@@ -125,21 +128,16 @@ def reduced_evolution(
 ) -> np.ndarray:
     """Border-factor-free form of the restricted evolution.
 
-    Built by the tensor recurrence: the 1 x 1 stage is (1), and stage m+1
-    multiplies entry (a', a) by extension-matrix entries Phi[i, j] indexed
-    by the column's governing prefix, mapping to entry (a'j, ai).
+    Entry (a', a) is the amplitude of input left[1:] + a producing output
+    a'.  It is the tensor recurrence: the 1 x 1 stage is (1), and stage m+1
+    multiplies entry (a', a) by the extension-matrix entry Phi[i, j] of the
+    column's governing prefix, mapping to entry (a'j, ai).
     """
     if n < 0:
         raise ValueError(f"interior length must be nonnegative, got {n}")
     left = rule.config(left)
     _require_sector(rule, (left,), sector)
-    q = rule.q
-    matrix = np.ones((1, 1), dtype=complex)
-    for m in range(n):
-        phi = np.array([extension_matrix(rule, _column_prefix(rule, left, index_config(a, q, m), m))
-                        for a in range(q**m)])
-        matrix = (matrix[:, None, :, None] * phi.transpose(2, 0, 1)[None]).reshape(q ** (m + 1), -1)
-    return matrix
+    return window_product(rule.amplitudes, _bordered_windows(rule, left[1:], n))
 
 
 def column_factor_product(
@@ -232,8 +230,6 @@ def check_surjectivity(rule: RuleTable, sector: frozenset[Config]) -> list[Const
     reports = _oriented_reports(rule, sector)
     if not reports:
         return []
-    from .rules import parity_transform
-
     mirrored = frozenset(tuple(reversed(c)) for c in sector)
     if not _oriented_reports(parity_transform(rule), mirrored):
         return []

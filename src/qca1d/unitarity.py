@@ -317,15 +317,14 @@ def evaluate_condition(
     *,
     sector: frozenset[Config] | None = None,
     max_violations: int = DEFAULT_MAX_VIOLATIONS,
-    cycle_cap: int | None = None,
     graphs: _RuleGraphs | None = None,
 ) -> list[ConstraintReport]:
     """All violations of a single condition, truncated to ``max_violations``.
 
     The condition is decided on arrays first; only when that decision does
     not return "holds" are cycles or paths enumerated to list the
-    witnesses, and ``cycle_cap`` (default QCA_CYCLE_CAP) bounds the edges
-    that enumeration examines.  Surjectivity (I-v) is evaluated by
+    witnesses, and QCA_CYCLE_CAP (default 10**6) bounds the edges that
+    enumeration examines.  Surjectivity (I-v) is evaluated by
     ``surjectivity.check_surjectivity``, not here.  The sector for I-ii and
     I-iv is computed on demand when not supplied; ``graphs`` shares the
     graphs of one rule between the conditions of one check.
@@ -339,8 +338,7 @@ def evaluate_condition(
     if _holds(rule, condition, sector, graphs):
         return []
     try:
-        return _violations(rule, condition, sector, graphs, max_violations,
-                           resolve_cycle_cap(cycle_cap))
+        return _violations(rule, condition, sector, graphs, max_violations, resolve_cycle_cap())
     except CycleCapExceeded as exc:
         raise CycleCapExceeded(f"{condition}: {exc}") from None
 
@@ -349,15 +347,13 @@ def check_periodic(
     rule: RuleTable,
     *,
     max_violations: int = DEFAULT_MAX_VIOLATIONS,
-    cycle_cap: int | None = None,
 ) -> Verdict:
     """Decide unitarity of the evolution on every periodic lattice at once."""
     graphs = _RuleGraphs(rule)
     reports: list[ConstraintReport] = []
     for condition in PERIODIC_CONDITIONS:
         reports.extend(evaluate_condition(
-            rule, condition, max_violations=max_violations, cycle_cap=cycle_cap,
-            graphs=graphs))
+            rule, condition, max_violations=max_violations, graphs=graphs))
     return Verdict(not reports, "periodic", tuple(reports))
 
 
@@ -365,13 +361,14 @@ def check_infinite(
     rule: RuleTable,
     *,
     max_violations: int = DEFAULT_MAX_VIOLATIONS,
-    cycle_cap: int | None = None,
 ) -> Verdict:
     """Decide unitarity of the evolution on the infinite lattice.
 
     Raises :class:`NoDeterministicSector` when the deterministic sector is
     empty (the rule then admits no infinite-lattice configurations at all).
     """
+    # imported here: surjectivity imports this module, and perfbench's tracer
+    # patches surjectivity.check_surjectivity to time its span
     from .surjectivity import check_surjectivity
 
     sector = _nonempty_sector(rule)
@@ -379,7 +376,6 @@ def check_infinite(
     reports: list[ConstraintReport] = []
     for condition in ("I-i", "I-ii", "I-iii", "I-iv"):
         reports.extend(evaluate_condition(
-            rule, condition, sector=sector,
-            max_violations=max_violations, cycle_cap=cycle_cap, graphs=graphs))
+            rule, condition, sector=sector, max_violations=max_violations, graphs=graphs))
     reports.extend(itertools.islice(check_surjectivity(rule, sector), max_violations))
     return Verdict(not reports, "infinite", tuple(reports))

@@ -80,7 +80,8 @@ def restricted_by_loop(rule, left, right, right_out, n):
 @pytest.mark.parametrize("n", range(4))
 def test_restricted_matches_loop(ident, f21_00, n):
     f31_000 = make_family("f31_000", {"r1": 1.3, "m2": 0.7, "m6": 1.1, "p1": 0.4})
-    for rule, border in ((ident, "00"), (f21_00, "00"), (f31_000, "000")):
+    for rule, border in ((ident, "00"), (f21_00, "00"), (f31_000, "000"),
+                         (deterministic_shift(3, 2), "00")):
         # same products in the same order; numpy's complex multiply may round
         # the last bit differently from Python's
         np.testing.assert_allclose(restricted_evolution(rule, border, border, border, n),
@@ -100,15 +101,18 @@ def test_restricted_preconditions(f21_00):
 def test_reduced_matches_direct_definition(ident, f21_00):
     from qca1d import index_config
 
-    for rule, left in ((ident, (0, 0)), (f21_00, (0, 0))):
+    f31_000 = make_family("f31_000", {"r1": 1.3, "m2": 0.7, "m6": 1.1, "p1": 0.4})
+    for rule, left in ((ident, (0, 0)), (f21_00, (0, 0)), (f31_000, (0, 0, 0)),
+                       (deterministic_shift(3, 2), (0, 0))):
+        q = rule.q
         for n in range(4):
             red = reduced_evolution(rule, left, n)
-            direct = np.zeros((2**n, 2**n), dtype=complex)
-            for col in range(2**n):
-                alpha = index_config(col, 2, n)
-                for row in range(2**n):
+            direct = np.zeros((q**n, q**n), dtype=complex)
+            for col in range(q**n):
+                alpha = index_config(col, q, n)
+                for row in range(q**n):
                     direct[row, col] = window_amplitude(
-                        rule, index_config(row, 2, n), left[1:] + alpha)
+                        rule, index_config(row, q, n), left[1:] + alpha)
             np.testing.assert_allclose(red, direct, atol=1e-12)
 
 
