@@ -109,8 +109,7 @@ class Graph:
 
     def product(self, walk: Sequence[int]) -> complex:
         """Weight of a walk: the product of its edge weights, left to right."""
-        weights = self._weights
-        return math.prod((weights[e] for e in walk), start=complex(1.0))
+        return math.prod(map(self._weights.__getitem__, walk), start=complex(1.0))
 
     def configs(self, walk: Sequence[int]) -> tuple:
         """The neighborhood (norm graph) or ordered neighborhood pair (pair

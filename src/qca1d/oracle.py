@@ -26,8 +26,8 @@ as ``global_matrix`` (``rules.window_product``), over the block's L + k - 1
 cells.  F^dagger takes the same kernels: it runs the steps of F in reverse
 order, each conjugate-transposed.  The bound comes from a sweep on a shared
 2-core x86-64 host with one BLAS thread: a forward f21 pass on 16 sites
-took 16.4, 8.1, 6.7, 6.2, 8.2, 7.6 and 22.9 ms at q^L = 2, 4, 8, 16, 32,
-64 and 256.  States over MAX_STATE_DIM are refused.
+took 7.4, 2.5, 2.3, 1.7, 2.4, 2.3 and 6.5 ms at q^L = 2, 4, 8, 16, 32, 64
+and 256.  States over MAX_STATE_DIM are refused.
 """
 
 from __future__ import annotations
@@ -269,24 +269,27 @@ def _block_kernels(rule: RuleTable, cells: tuple[int, ...],
 def _global_map(rule: RuleTable, n_sites: int) -> tuple[Callable, Callable]:
     """The maps state -> F @ state and state -> F^dagger @ state on the N-site ring.
 
-    The ring size is validated, and one set of block kernels built, once,
-    when the maps are made; each map checks every state it is given.
+    The ring size is validated, the kernel chains built and two scratch
+    vectors of q^N amplitudes allocated once, when the maps are made; each
+    map checks every state it is given and returns a fresh array.
     Cells 0..k-2, which the last windows read around the wrap (every cell
-    when n < k), are fixed to one value at a time and are no axes of the
-    state.  A step contracts the block of sites x..x+L-1, L being the largest
-    with q^L <= _BLOCK_DIM (the last block is shorter): it multiplies the
-    state, read as [a, mid, rest], by kernel[mid, a, b], the product of the
-    block's amplitudes over the free cells of its L+k-1 window cells, into
-    [mid, rest, b]: a is inputs x..x+L-1, mid the next k-1 inputs, b the
-    outputs x..x+L-1, and the state runs [inputs x.., outputs ..x-1].
-    F^dagger runs the same steps in reverse order, each the adjoint of its
-    forward step: it reads the state as [mid, rest, b], multiplies it by
-    conj(kernel) transposed to [mid, b, a], and writes [a, mid, rest].
-    A step has one kernel per value of the fixed cells it reads, all built
-    in one product; blocks clear of those cells share one kernel.
+    when n < k), are fixed to one value at a time, each with its chain of
+    kernels, and are no axes of the state.  A step contracts the block of
+    sites x..x+L-1, L being the largest with q^L <= _BLOCK_DIM (the last
+    block is shorter): it multiplies the state, read as [a, mid, rest], by
+    kernel[mid, a, b], the product of the block's amplitudes over the free
+    cells of its L+k-1 window cells, into [mid, rest, b]: a is inputs
+    x..x+L-1, mid the next k-1 inputs, b the outputs x..x+L-1, and the state
+    runs [inputs x.., outputs ..x-1].  F^dagger runs the same steps in
+    reverse order, each the adjoint of its forward step: it reads the state
+    as [mid, rest, b], multiplies it by conj(kernel) transposed to
+    [mid, b, a], and writes [a, mid, rest].  A step writes into the scratch
+    vector the step before did not, the last step of a chain into its
+    result.  A step has one kernel per value of the fixed cells it reads,
+    all built in one product; blocks clear of those cells share one kernel.
     """
     q, k, n = rule.q, rule.k, n_sites
-    state_dim(q, n)
+    dim = state_dim(q, n)
     b = min(k - 1, n)
     size = 1
     while q ** (size + 1) <= _BLOCK_DIM:
@@ -296,34 +299,37 @@ def _global_map(rule: RuleTable, n_sites: int) -> tuple[Callable, Callable]:
         length = min(size, n - x)
         cells = tuple(y if y < b else -1 for y in ((x + j) % n for j in range(length + k - 1)))
         if cells not in kernels:
-            kernels[cells] = _block_kernels(rule, cells, length)
+            border, kernel = _block_kernels(rule, cells, length)
+            kernels[cells] = border, kernel, kernel.conj().transpose(0, 1, 3, 2)
         steps.append(kernels[cells])
+    picks = [[config_index([values[y] for y in border], q) for border, _, _ in steps]
+             for values in all_configs(q, b)]
+    forward_chains = [[kernel[i] for (_, kernel, _), i in zip(steps, pick)] for pick in picks]
+    adjoint_chains = [[adj[i] for (_, _, adj), i in zip(steps, pick)][::-1] for pick in picks]
+    scratch = np.empty((2, dim), dtype=complex)
 
-    def kernel_sets():
-        for values in all_configs(q, b):
-            yield [by_value[config_index([values[y] for y in border], q)]
-                   for border, by_value in steps]
+    def run(chain, c, result, adjoint):
+        for j, kernel in enumerate(chain):
+            mid, a, out = kernel.shape
+            legs = c.reshape(mid, -1, a) if adjoint else c.reshape(a, mid, -1).transpose(1, 2, 0)
+            c = result if j == len(chain) - 1 else scratch[j % 2, :legs.size // a * out]
+            np.matmul(legs, kernel, out=c.reshape(out, mid, -1).transpose(1, 2, 0) if adjoint
+                      else c.reshape(mid, -1, out))
 
     def forward(state: np.ndarray) -> np.ndarray:
         rows = _checked_state(state, q, n).reshape(q**b, -1)
-        out = np.zeros_like(rows)
-        for c, step_kernels in zip(rows, kernel_sets()):
-            for kernel in step_kernels:
-                c = c.reshape(kernel.shape[1], kernel.shape[0], -1).transpose(1, 2, 0) @ kernel
-            out += c.reshape(rows.shape)
-        return out.reshape(-1)
+        out, last = np.empty(dim, dtype=complex), scratch[(len(steps) - 1) % 2]
+        for p, chain in enumerate(forward_chains):
+            run(chain, rows[p], last if p else out, False)
+            if p:
+                out += last
+        return out
 
     def adjoint(state: np.ndarray) -> np.ndarray:
         vec = _checked_state(state, q, n)
-        out = np.empty((q**b, vec.size // q**b), dtype=complex)
-        for p, step_kernels in enumerate(kernel_sets()):
-            c = vec
-            for kernel in reversed(step_kernels):
-                mid, a, _ = kernel.shape
-                legs = c.reshape(mid, -1, kernel.shape[2])
-                c = np.empty((a, mid, legs.shape[1]), dtype=complex)
-                np.matmul(legs, kernel.conj().transpose(0, 2, 1), out=c.transpose(1, 2, 0))
-            out[p] = c.reshape(-1)
+        out = np.empty((q**b, dim // q**b), dtype=complex)
+        for p, chain in enumerate(adjoint_chains):
+            run(chain, vec, out[p], True)
         return out.reshape(-1)
 
     return forward, adjoint

@@ -26,6 +26,7 @@ from qca1d import (
     unitarity_defect,
     walk_defect,
 )
+import qca1d.oracle as oracle
 from qca1d.oracle import (DEFAULT_MAX_DIM, MAX_WALK_COST, evolution_step, exact_defect_kernel,
                           shift_orbit_representatives, walk_cost)
 from qca1d.rules import config_digits
@@ -194,6 +195,78 @@ def test_matrix_free_adjoint_is_the_adjoint_past_the_dense_cap():
     v, w = random_state(2, 14, rng), random_state(2, 14, rng)
     lhs = np.vdot(apply_global(rule, 14, v), w)
     assert abs(lhs - np.vdot(v, apply_global(rule, 14, w, adjoint=True))) <= 1e-12
+
+
+def fresh_allocation_maps(rule, n):
+    """F and F^dagger stepped over the block kernels of ``oracle._block_kernels``
+    with a fresh array for every step's result, one kernel chain per value of
+    the wrap cells: the reference of the buffered maps."""
+    q, k, b, size = rule.q, rule.k, min(rule.k - 1, n), 1
+    while q ** (size + 1) <= oracle._BLOCK_DIM:
+        size += 1
+    steps = [oracle._block_kernels(rule, tuple(y if y < b else -1 for y in (
+        (x + j) % n for j in range(min(size, n - x) + k - 1))), min(size, n - x))
+        for x in range(0, n, size)]
+    chains = [[kernel[config_index([values[y] for y in border], q)] for border, kernel in steps]
+              for values in all_configs(q, b)]
+
+    def forward(state):
+        out = np.zeros(q**n, dtype=complex)
+        for c, chain in zip(state.reshape(q**b, -1), chains):
+            for kernel in chain:
+                c = c.reshape(kernel.shape[1], kernel.shape[0], -1).transpose(1, 2, 0) @ kernel
+            out += c.reshape(-1)
+        return out
+
+    def adjoint(state):
+        rows = []
+        for chain in chains:
+            c = state
+            for kernel in reversed(chain):
+                mid, a, out = kernel.shape
+                legs = c.reshape(mid, -1, out)
+                c = np.empty((a, mid, legs.shape[1]), dtype=complex)
+                np.matmul(legs, kernel.conj().transpose(0, 2, 1), out=c.transpose(1, 2, 0))
+            rows.append(c.reshape(-1))
+        return np.concatenate(rows)
+
+    return forward, adjoint
+
+
+@pytest.mark.parametrize("q, k, max_n", [(2, 1, 16), (2, 2, 16), (2, 3, 16), (2, 4, 16),
+                                         (3, 2, 9)])
+def test_buffered_maps_equal_fresh_allocation_steps_bitwise(q, k, max_n):
+    # n < k and every short last block (blocks of 4 sites at q = 2, 2 at q = 3)
+    rng = np.random.default_rng(30 + 10 * q + k)
+    rule = random_rule(q, k, rng)
+    for n in range(1, max_n + 1):
+        maps, reference = oracle._global_map(rule, n), fresh_allocation_maps(rule, n)
+        v, w = random_state(q, n, rng), random_state(q, n, rng)
+        for side, expected in enumerate(reference):
+            first = maps[side](v)
+            kept = first.copy()
+            second = maps[side](w)
+            assert np.array_equal(first, expected(v)), (n, side)
+            assert np.array_equal(second, expected(w)), (n, side)
+            # the scratch vectors never reach a result: a later call leaves
+            # the earlier result as it was, and a fresh map gives the same
+            assert np.array_equal(first, kept) and not np.shares_memory(first, second)
+            assert np.array_equal(first, oracle._global_map(rule, n)[side](v))
+
+
+def test_buffered_maps_allocate_only_their_result(f21):
+    # one f21 step on 14 sites: the result and small objects, no state-size
+    # temporary (the fresh-allocation steps peak at about 3 x nbytes)
+    forward, adjoint = oracle._global_map(f21, 14)
+    state = random_state(2, 14, np.random.default_rng(15))
+    for apply in (forward, adjoint):
+        tracemalloc.start()
+        try:
+            apply(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * state.nbytes, apply.__name__
 
 
 @pytest.mark.parametrize("rule", [
