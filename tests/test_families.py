@@ -7,6 +7,7 @@ from qca1d import (
     ParameterError,
     check_periodic,
     deterministic_sector,
+    dump_rule,
     evaluate_condition,
     family_names,
     frame_rule,
@@ -18,6 +19,7 @@ from qca1d import (
     quantize,
     random_params,
 )
+from qca1d.families import FAMILIES
 
 
 def test_f21_deterministic_limit(ident):
@@ -244,3 +246,50 @@ def test_random_params_draws_pinned():
     for name in ("frame", "quantized", "f99"):
         with pytest.raises(ParameterError, match=f"no random draw defined for family '{name}'"):
             random_params(name, np.random.default_rng(0))
+
+
+def _explicit_z(rng):
+    """Chart angles plus six complex scales that meet the three cycle-norm
+    constraints, given as z1..z6."""
+    r1, r2, r6 = np.exp(rng.uniform(-0.6, 0.6, size=3))
+    moduli = [r1, r2, r2 / r6, 1.0 / (r1 * r2), 1.0 / r2, r6]
+    z = {f"z{i + 1}": complex(m * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+         for i, m in enumerate(moduli)}
+    return dict(zip(("theta", "eta", "xi"), rng.uniform(0.0, 2.0 * np.pi, size=3))) | z
+
+
+def _tables(name):
+    """The rule files of the seeded draws s = 0..49, then the registry
+    defaults, then (f31 and f30) 20 explicit-z draws."""
+    yield from (make_family(name, random_params(name, np.random.default_rng(s)))
+                for s in range(50))
+    yield make_family(name)
+    if name in ("f31", "f30"):
+        rng = np.random.default_rng(7)
+        yield from (make_family(name, _explicit_z(rng)) for _ in range(20))
+
+
+# sha256 prefixes of the dump_rule text of _tables(name): the families build
+# these exact bytes, so rule files written from seeded draws do not move
+TABLE_DIGESTS = {
+    "f21": "faf299ab56eb5277648feff5c19ce0ac",
+    "f2m1": "1a4b64f917c6eaa767ab1ab5dc24dd93",
+    "f21_00": "49ea12393899e05636f9fdd1683af5a1",
+    "f2m1_00": "ebd4ac903c6ac5cb1bb2b07ea63c9370",
+    "f31": "2166b32e35af28a7c3abb05bc9ef30b5",
+    "f30": "e65f4cd73cdc3ff53bb8bff60df02e2a",
+    "f3m1": "cbbdb67237cb37930140f5ef7d731154",
+    "f31_000": "ab07b8e086a0b5529a7839c9226f851b",
+    "f3m1_000": "e21e92bc4bbd6765d29ad6b5131a388a",
+    "f31_000_111": "54e0d483fe0b19c8adefc9266d9196ed",
+    "patt": "e52ba50ceb8735748313525793488444",
+}
+
+
+def test_family_tables_pinned():
+    assert set(TABLE_DIGESTS) == {n for n in family_names() if FAMILIES[n].sample}
+    for name, digest in TABLE_DIGESTS.items():
+        h = hashlib.sha256()
+        for rule in _tables(name):
+            h.update(dump_rule(rule).encode())
+        assert h.hexdigest()[:32] == digest, name
