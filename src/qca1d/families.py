@@ -1,11 +1,13 @@
 """Parameterized rule families with unitary global evolution.
 
-Neighborhood-size-2 families: a single-frame family for periodic lattices
-(all amplitude vectors parallel to one of two orthogonal directions,
-grouped by the last cell) and its quiescent-state variant for infinite
-lattices.  Size-3 families: two periodic single-frame families (grouped by
-last or middle cell) and two infinite families with deterministic sectors
-{000} and {000, 111}.  Parity transforms of each carry an m in the name.
+Periodic families are single-frame rules: ``single_frame`` gives config a
+column a_j of a q x q unitary U, j being the frame cell, and scales some of
+the rows.  f21 and f31 have the frame cell last, f30 has it in the middle,
+and the parity twins f2m1 and f3m1 have it first; each family's parameters
+are a chart onto U and the scales.  The infinite-lattice families keep the
+quiescent config 00 (f21_00) or the deterministic sector {000} (f31_000)
+or {000, 111} (f31_000_111) and give each remaining two-cell prefix an
+orthogonal pair of vectors.  Parity transforms carry an m in the name.
 
 Also here: frame-built rules (explicitly supplied mutually-orthogonal
 vector classes), the reversible size-4 deterministic rule of Patt, and
@@ -29,6 +31,7 @@ from .rules import (
     RuleTable,
     all_configs,
     as_config,
+    config_digits,
     config_index,
     config_str,
     deterministic_outputs,
@@ -62,18 +65,51 @@ def _check_known(params, known, name):
         raise ParameterError(f"unknown parameters for {name}: {', '.join(sorted(unknown))}")
 
 
-def _orthogonal_pair(theta, delta, phase0, phase1, scale0, scale1):
-    v0 = scale0 * np.exp(1j * phase0) * np.array(
-        [math.cos(theta), np.exp(1j * delta) * math.sin(theta)])
-    v1 = scale1 * np.exp(1j * phase1) * np.array(
-        [-np.exp(-1j * delta) * math.sin(theta), math.cos(theta)])
-    return v0, v1
+def _prefix_pairs(params, scales):
+    """Vectors of the configs prefix+0 and prefix+1 for each two-cell prefix
+    of ``scales``: an orthogonal pair from the angles theta, delta, phi..0
+    and phi..1 tagged with the prefix, scaled by the prefix's (s0, s1)."""
+    vectors = {}
+    for prefix, (s0, s1) in scales.items():
+        tag = config_str(prefix)
+        th, delta = _angle(params, f"theta{tag}"), _angle(params, f"delta{tag}")
+        phase0, phase1 = _angle(params, f"phi{tag}0"), _angle(params, f"phi{tag}1")
+        c, s = math.cos(th), math.sin(th)
+        vectors[prefix + (0,)] = s0 * np.exp(1j * phase0) * np.array([c, np.exp(1j * delta) * s])
+        vectors[prefix + (1,)] = s1 * np.exp(1j * phase1) * np.array([-np.exp(-1j * delta) * s, c])
+    return vectors
+
+
+def _entries(values, what):
+    """The complex entries of a list parameter, each a number or an [re, im] pair."""
+    try:
+        return [complex(x[0], x[1]) if isinstance(x, (list, tuple)) and len(x) == 2
+                else complex(x) for x in values]
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"{what} must list numbers or [re, im] pairs") from None
 
 
 def _table(q, k, vectors: dict, tolerance):
     amps = np.zeros((q**k, q), dtype=complex)
     for cfg, vec in vectors.items():
         amps[config_index(cfg, q)] = vec
+    return RuleTable(q, k, amps, tolerance)
+
+
+def single_frame(q: int, k: int, j: int, unitary: np.ndarray, scales: Mapping[int, complex],
+                 tolerance: float = DEFAULT_TOLERANCE) -> RuleTable:
+    """The rule that gives config a column a_j of the q x q ``unitary``,
+    times ``scales[i]`` on the row of config index i where that is given.
+
+    On periodic lattices the rule is unitary when each |scales[i]| is
+    exp((phi(a[1:]) - phi(a[:-1])) / 2) for one real potential phi on the
+    (k-1)-cell strings: the norms form a coboundary (P-i), and a pair weight
+    vanishes unless a_j = b_j (P-ii, P-iii).  Rows without a scale are
+    copied, not multiplied by 1, so a zero keeps its sign.
+    """
+    amps = np.asarray(unitary, dtype=complex).T[config_digits(q, k)[j]]
+    for index, scale in scales.items():
+        amps[index] = scale * amps[index]
     return RuleTable(q, k, amps, tolerance)
 
 
@@ -86,22 +122,13 @@ _F21_PARAMS = ("alpha", "beta", "theta", "phi1", "phi2", "rho")
 
 def _f21(params, tolerance):
     _check_known(params, _F21_PARAMS, "f21")
-    a = _angle(params, "alpha")
-    b = _angle(params, "beta")
-    th = _angle(params, "theta")
-    p1 = _angle(params, "phi1")
-    p2 = _angle(params, "phi2")
+    a, b, th, p1, p2 = (_angle(params, p) for p in _F21_PARAMS[:-1])
     rho = _positive(params, "rho")
     c, s = math.cos(th), math.sin(th)
     top = np.array([np.exp(1j * a) * c, np.exp(1j * b) * 1j * s])
     bottom = np.array([np.exp(-1j * b) * 1j * s, np.exp(-1j * a) * c])
-    vectors = {
-        (0, 0): top,
-        (0, 1): np.exp(1j * p1) * rho * bottom,
-        (1, 0): np.exp(1j * p2) / rho * top,
-        (1, 1): bottom,
-    }
-    return _table(2, 2, vectors, tolerance)
+    return single_frame(2, 2, 1, np.column_stack((top, bottom)),
+                        {1: np.exp(1j * p1) * rho, 2: np.exp(1j * p2) / rho}, tolerance)
 
 
 _F21_00_PARAMS = ("alpha", "beta", "theta", "phi1", "phi3", "rho")
@@ -109,11 +136,7 @@ _F21_00_PARAMS = ("alpha", "beta", "theta", "phi1", "phi3", "rho")
 
 def _f21_00(params, tolerance):
     _check_known(params, _F21_00_PARAMS, "f21_00")
-    a = _angle(params, "alpha")
-    b = _angle(params, "beta")
-    th = _angle(params, "theta")
-    p1 = _angle(params, "phi1")
-    p3 = _angle(params, "phi3")
+    a, b, th, p1, p3 = (_angle(params, p) for p in _F21_00_PARAMS[:-1])
     rho = _positive(params, "rho")
     c, s = math.cos(th), math.sin(th)
     vectors = {
@@ -155,33 +178,20 @@ def _f31_scales(params, name):
             if abs(value - 1.0) > 1e-9:
                 raise ParameterError(f"{name} constraint {label} violated: modulus is {value!r}")
         return z
-    r1 = _positive(params, "r1")
-    r2 = _positive(params, "r2")
-    r6 = _positive(params, "r6")
+    r1, r2, r6 = (_positive(params, p) for p in ("r1", "r2", "r6"))
     moduli = [r1, r2, r2 / r6, 1.0 / (r1 * r2), 1.0 / r2, r6]
     return [m * np.exp(1j * _angle(params, f"p{i + 1}")) for i, m in enumerate(moduli)]
 
 
-def _f31(params, tolerance, middle=False):
-    name = "f30" if middle else "f31"
+def _f31(params, tolerance, j=2):
+    name = "f31" if j == 2 else "f30"
     _check_known(params, _F31_CHART_PARAMS + _F31_Z_PARAMS, name)
-    th = _angle(params, "theta")
-    eta = _angle(params, "eta")
-    xi = _angle(params, "xi")
+    th, eta, xi = (_angle(params, p) for p in ("theta", "eta", "xi"))
     c, s = math.cos(th), math.sin(th)
     b0 = np.array([c, np.exp(1j * eta) * s])
     b1 = np.exp(1j * xi) * np.array([-np.exp(-1j * eta) * s, c])
-    z = _f31_scales(params, name)
-    if middle:
-        on_b0 = {(0, 0, 1): z[0], (1, 0, 0): z[3], (1, 0, 1): z[4]}
-        on_b1 = {(0, 1, 0): z[1], (0, 1, 1): z[2], (1, 1, 0): z[5]}
-    else:
-        on_b0 = {(0, 1, 0): z[1], (1, 0, 0): z[3], (1, 1, 0): z[5]}
-        on_b1 = {(0, 0, 1): z[0], (0, 1, 1): z[2], (1, 0, 1): z[4]}
-    vectors = {(0, 0, 0): b0, (1, 1, 1): b1}
-    vectors.update({cfg: zz * b0 for cfg, zz in on_b0.items()})
-    vectors.update({cfg: zz * b1 for cfg, zz in on_b1.items()})
-    return _table(2, 3, vectors, tolerance)
+    z = _f31_scales(params, name)  # z_i scales config index i
+    return single_frame(2, 3, j, np.column_stack((b0, b1)), dict(enumerate(z, 1)), tolerance)
 
 
 _F31_000_PARAMS = (
@@ -194,27 +204,17 @@ _F31_000_PARAMS = (
 
 def _f31_000(params, tolerance):
     _check_known(params, _F31_000_PARAMS, "f31_000")
-    r1 = _positive(params, "r1")
-    m2 = _positive(params, "m2")
-    m6 = _positive(params, "m6")
+    r1, m2, m6 = (_positive(params, p) for p in ("r1", "m2", "m6"))
     z1 = r1 * np.exp(1j * _angle(params, "p1"))
     # Cycle-norm constraints fix the remaining vector lengths.
-    scales = {
-        (0, 1): (m2, m2 / m6),
-        (1, 0): (1.0 / (r1 * m2), 1.0 / m2),
-        (1, 1): (m6, 1.0),
-    }
     vectors = {
         (0, 0, 0): np.array([1.0, 0.0], dtype=complex),
         (0, 0, 1): np.array([0.0, z1]),
-    }
-    for prefix, (s0, s1) in scales.items():
-        tag = config_str(prefix)
-        v0, v1 = _orthogonal_pair(
-            _angle(params, f"theta{tag}"), _angle(params, f"delta{tag}"),
-            _angle(params, f"phi{tag}0"), _angle(params, f"phi{tag}1"), s0, s1)
-        vectors[prefix + (0,)] = v0
-        vectors[prefix + (1,)] = v1
+    } | _prefix_pairs(params, {
+        (0, 1): (m2, m2 / m6),
+        (1, 0): (1.0 / (r1 * m2), 1.0 / m2),
+        (1, 1): (m6, 1.0),
+    })
     return _table(2, 3, vectors, tolerance)
 
 
@@ -227,25 +227,16 @@ _F31_000_111_PARAMS = (
 
 def _f31_000_111(params, tolerance):
     _check_known(params, _F31_000_111_PARAMS, "f31_000_111")
-    m1 = _positive(params, "m1")
-    m2 = _positive(params, "m2")
-    scales = {
-        (0, 1): (m2, 1.0 / m1),
-        (1, 0): (1.0 / (m1 * m2), 1.0 / m2),
-    }
+    m1, m2 = _positive(params, "m1"), _positive(params, "m2")
     vectors = {
         (0, 0, 0): np.array([1.0, 0.0], dtype=complex),
         (1, 1, 1): np.array([0.0, 1.0], dtype=complex),
         (0, 0, 1): np.array([0.0, m1 * np.exp(1j * _angle(params, "p1"))]),
         (1, 1, 0): np.array([m1 * m2 * np.exp(1j * _angle(params, "p6")), 0.0]),
-    }
-    for prefix, (s0, s1) in scales.items():
-        tag = config_str(prefix)
-        v0, v1 = _orthogonal_pair(
-            _angle(params, f"theta{tag}"), _angle(params, f"delta{tag}"),
-            _angle(params, f"phi{tag}0"), _angle(params, f"phi{tag}1"), s0, s1)
-        vectors[prefix + (0,)] = v0
-        vectors[prefix + (1,)] = v1
+    } | _prefix_pairs(params, {
+        (0, 1): (m2, 1.0 / m1),
+        (1, 0): (1.0 / (m1 * m2), 1.0 / m2),
+    })
     return _table(2, 3, vectors, tolerance)
 
 
@@ -285,15 +276,13 @@ def frame_rule(
     table: dict[Config, np.ndarray] = {}
     for key, value in vectors.items():
         cfg = as_config(key, q, k)
-        vec = np.array([complex(x[0], x[1]) if isinstance(x, (list, tuple)) else complex(x)
-                        for x in value], dtype=complex)
-        if vec.shape != (q,):
+        table[cfg] = np.array(_entries(value, f"vector for {config_str(cfg)}"), dtype=complex)
+        if table[cfg].shape != (q,):
             raise ParameterError(f"vector for {config_str(cfg)} must have {q} components")
-        table[cfg] = vec
-    missing = [c for c in all_configs(q, k) if c not in table]
-    if missing:
-        raise ParameterError(f"missing vectors for {len(missing)} neighborhoods, "
-                             f"e.g. {config_str(missing[0])}")
+    missing = next((c for c in all_configs(q, k) if c not in table), None)
+    if missing is not None:
+        raise ParameterError(f"missing vectors for {q**k - len(table)} neighborhoods, "
+                             f"e.g. {config_str(missing)}")
     for gamma in all_configs(q, j):
         members = {i: [c for c in all_configs(q, k) if c[:j] == gamma and c[j] == i]
                    for i in range(q)}
@@ -439,7 +428,7 @@ FAMILIES: dict[str, Family] = {
     "f2m1_00": _F21_00.parity("f21_00"),
     "f31": _F31,
     "f30": _F31._replace(doc="size-3 periodic family framed by the middle cell",
-                         build=partial(_f31, middle=True)),
+                         build=partial(_f31, j=1)),
     "f3m1": _F31.parity("f31", {"same as f31": ""}),
     "f31_000": _F31_000,
     "f3m1_000": _F31_000.parity("f31_000"),
@@ -488,10 +477,11 @@ def _resolve_base_rule(value, tolerance):
 
 def _resolve_matrix(value):
     data = _load_json_param(value, "matrix")
-    rows = []
-    for row in data:
-        rows.append([complex(x[0], x[1]) if isinstance(x, (list, tuple)) else complex(x)
-                     for x in row])
+    if not isinstance(data, (list, tuple, np.ndarray)):
+        raise ParameterError("parameter 'unitary' must be a list of rows")
+    rows = [_entries(row, "each row of 'unitary'") for row in data]
+    if len(set(map(len, rows))) > 1:
+        raise ParameterError("rows of parameter 'unitary' differ in length")
     return np.array(rows, dtype=complex)
 
 

@@ -100,6 +100,39 @@ def test_family_refuses_zero_tolerance(capsys):
     assert code == 2 and out == "" and "tolerance 0.0 must be positive" in err
 
 
+def test_family_refuses_malformed_parameter_files(tmp_path, capsys):
+    # exit 1 means NOT unitary; an entry that is no number or [re, im] pair is exit 2
+    vectors = {"00": [[1, 0], [0, 0]], "01": [[0, 0], [1, 0]],
+               "10": [[1, 0], [0, 0]], "11": [[0, 0], [1, 0]]}
+    cases = [("quantized", ["base=patt"], "unitary", value)
+             for value in ([[1, None], [0, 1]], [[[1, 0], [0, None]], [0, 1]],
+                           [[1, 0], [0, 1, 0]], [[1, 0], [0]], [[1, 0], 5], 5, {"0": 1})]
+    cases += [("frame", ["q=2", "k=2", "j=1"], "vectors", vectors | {"01": value})
+              for value in (5, None, [[None, None], [1, 0]], [[0, 0], [1, 0, 0]], [0, "x"])]
+    for name, params, key, value in cases:
+        path = tmp_path / "param.json"
+        path.write_text(json.dumps(value))
+        argv = [arg for p in params + [f"{key}={path}"] for arg in ("--param", p)]
+        code, out, err = run(capsys, "family", name, *argv)
+        assert code == 2 and out == "" and err.startswith("error:"), (name, value, err)
+    path.write_text(json.dumps(vectors))
+    code, out, _ = run(capsys, "family", "frame", "--param", "q=2", "--param", "k=2",
+                       "--param", "j=1", "--param", f"vectors={path}")
+    assert code == 0
+
+
+def test_frame_with_missing_vectors_stops_at_the_first(tmp_path, capsys):
+    for k in (30, 40):
+        path = tmp_path / f"v{k}.json"
+        path.write_text(json.dumps({"1" * k: [[1, 0], [0, 0]]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "family", "frame", "--param", "q=2", "--param", f"k={k}",
+                             "--param", "j=1", "--param", f"vectors={path}")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"missing vectors for {2**k - 1} neighborhoods, e.g. {'0' * k}" in err
+
+
 def test_malformed_rule_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

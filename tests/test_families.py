@@ -19,7 +19,10 @@ from qca1d import (
     quantize,
     random_params,
 )
-from qca1d.families import FAMILIES
+from qca1d.families import FAMILIES, single_frame
+from qca1d.oracle import exact_defect_kernel
+
+from conftest import haar_unitary, with_noise
 
 
 def test_f21_deterministic_limit(ident):
@@ -156,6 +159,33 @@ def test_frame_rule_middle_cell_classes():
         vectors["".join(map(str, cfg))] = [[z.real, z.imag] for z in vec]
     rule = frame_rule(2, 3, 1, vectors)
     assert evaluate_condition(rule, "P-iii") == []
+
+
+@pytest.mark.parametrize("q, k", [(2, k) for k in range(2, 11)] + [(3, 3), (3, 4), (3, 5),
+                                                                  (4, 3), (4, 4)])
+def test_single_frame_with_coboundary_norms_is_unitary(q, k):
+    # frame cell first, middle and last; |scale| = exp((phi(a[1:]) - phi(a[:-1])) / 2)
+    rng = np.random.default_rng(100 * q + k)
+    index = np.arange(q**k)
+    # no exact kernel takes a 7-site (4, 4) ring: 4^7 states and walk_cost are both over their caps
+    sites = 6 if (q, k) == (4, 4) else 7
+    for j in sorted({0, k // 2, k - 1}):
+        phi = rng.uniform(-1.0, 1.0, size=q ** (k - 1))
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=q**k)
+        scales = np.exp((phi[index % q ** (k - 1)] - phi[index // q]) / 2 + 1j * theta)
+        rule = single_frame(q, k, j, haar_unitary(rng, q), dict(enumerate(scales)))
+        assert check_periodic(rule).unitary, j
+        assert exact_defect_kernel(q, k, sites)(rule, sites) <= 1e-12, j
+        assert not check_periodic(with_noise(rule, 1e-6, seed=j), max_violations=1).unitary, j
+
+
+def test_single_frame_copies_unscaled_rows():
+    # times 1+0j, the real part of -0.0-1j would become 0.0 and dump_rule would print it so
+    u = np.array([[complex(-0.0, -1.0), 0.0], [0.0, 1.0]])
+    rule = single_frame(2, 2, 0, u, {3: 2.0})
+    np.testing.assert_array_equal(rule.amplitudes, [[-1j, 0], [-1j, 0], [0, 1], [0, 2]])
+    assert np.signbit(rule.amplitudes[:2, 0].real).all()
+    assert not np.signbit(((1 + 0j) * rule.amplitudes[:2, 0]).real).any()
 
 
 def test_quantize_identity_is_noop():
