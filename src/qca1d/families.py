@@ -25,9 +25,9 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
+from .graphs import check_entries
 from .rules import (
     DEFAULT_TOLERANCE,
-    Config,
     RuleTable,
     all_configs,
     as_config,
@@ -35,9 +35,11 @@ from .rules import (
     config_index,
     config_str,
     deterministic_outputs,
+    index_config,
     is_deterministic,
     parity_transform,
     rule_from_dict,
+    vdots,
 )
 
 
@@ -66,18 +68,18 @@ def _check_known(params, known, name):
 
 
 def _prefix_pairs(params, scales):
-    """Vectors of the configs prefix+0 and prefix+1 for each two-cell prefix
-    of ``scales``: an orthogonal pair from the angles theta, delta, phi..0
-    and phi..1 tagged with the prefix, scaled by the prefix's (s0, s1)."""
-    vectors = {}
-    for prefix, (s0, s1) in scales.items():
-        tag = config_str(prefix)
+    """Rows of the configs prefix+0 and prefix+1 for each two-cell prefix
+    of ``scales``, in its order: an orthogonal pair from the angles theta,
+    delta, phi..0 and phi..1 tagged with the prefix, scaled by the prefix's
+    (s0, s1)."""
+    rows = []
+    for tag, (s0, s1) in scales.items():
         th, delta = _angle(params, f"theta{tag}"), _angle(params, f"delta{tag}")
         phase0, phase1 = _angle(params, f"phi{tag}0"), _angle(params, f"phi{tag}1")
         c, s = math.cos(th), math.sin(th)
-        vectors[prefix + (0,)] = s0 * np.exp(1j * phase0) * np.array([c, np.exp(1j * delta) * s])
-        vectors[prefix + (1,)] = s1 * np.exp(1j * phase1) * np.array([-np.exp(-1j * delta) * s, c])
-    return vectors
+        rows.append(s0 * np.exp(1j * phase0) * np.array([c, np.exp(1j * delta) * s]))
+        rows.append(s1 * np.exp(1j * phase1) * np.array([-np.exp(-1j * delta) * s, c]))
+    return rows
 
 
 def _entries(values, what):
@@ -87,13 +89,6 @@ def _entries(values, what):
                 else complex(x) for x in values]
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"{what} must list numbers or [re, im] pairs") from None
-
-
-def _table(q, k, vectors: dict, tolerance):
-    amps = np.zeros((q**k, q), dtype=complex)
-    for cfg, vec in vectors.items():
-        amps[config_index(cfg, q)] = vec
-    return RuleTable(q, k, amps, tolerance)
 
 
 def single_frame(q: int, k: int, j: int, unitary: np.ndarray, scales: Mapping[int, complex],
@@ -139,13 +134,12 @@ def _f21_00(params, tolerance):
     a, b, th, p1, p3 = (_angle(params, p) for p in _F21_00_PARAMS[:-1])
     rho = _positive(params, "rho")
     c, s = math.cos(th), math.sin(th)
-    vectors = {
-        (0, 0): np.array([1.0, 0.0], dtype=complex),
-        (0, 1): np.array([0.0, np.exp(1j * p1) * rho]),
-        (1, 0): np.array([np.exp(1j * a) * c, np.exp(1j * b) * 1j * s]) / rho,
-        (1, 1): np.exp(1j * p3) * np.array([np.exp(-1j * b) * 1j * s, np.exp(-1j * a) * c]),
-    }
-    return _table(2, 2, vectors, tolerance)
+    return RuleTable(2, 2, np.array([  # rows 00, 01, 10, 11
+        [1.0, 0.0],
+        [0.0, np.exp(1j * p1) * rho],
+        np.array([np.exp(1j * a) * c, np.exp(1j * b) * 1j * s]) / rho,
+        np.exp(1j * p3) * np.array([np.exp(-1j * b) * 1j * s, np.exp(-1j * a) * c]),
+    ]), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +201,9 @@ def _f31_000(params, tolerance):
     r1, m2, m6 = (_positive(params, p) for p in ("r1", "m2", "m6"))
     z1 = r1 * np.exp(1j * _angle(params, "p1"))
     # Cycle-norm constraints fix the remaining vector lengths.
-    vectors = {
-        (0, 0, 0): np.array([1.0, 0.0], dtype=complex),
-        (0, 0, 1): np.array([0.0, z1]),
-    } | _prefix_pairs(params, {
-        (0, 1): (m2, m2 / m6),
-        (1, 0): (1.0 / (r1 * m2), 1.0 / m2),
-        (1, 1): (m6, 1.0),
-    })
-    return _table(2, 3, vectors, tolerance)
+    pairs = _prefix_pairs(params, {"01": (m2, m2 / m6), "10": (1.0 / (r1 * m2), 1.0 / m2),
+                                   "11": (m6, 1.0)})
+    return RuleTable(2, 3, np.array([[1.0, 0.0], [0.0, z1], *pairs]), tolerance)
 
 
 _F31_000_111_PARAMS = (
@@ -228,16 +216,11 @@ _F31_000_111_PARAMS = (
 def _f31_000_111(params, tolerance):
     _check_known(params, _F31_000_111_PARAMS, "f31_000_111")
     m1, m2 = _positive(params, "m1"), _positive(params, "m2")
-    vectors = {
-        (0, 0, 0): np.array([1.0, 0.0], dtype=complex),
-        (1, 1, 1): np.array([0.0, 1.0], dtype=complex),
-        (0, 0, 1): np.array([0.0, m1 * np.exp(1j * _angle(params, "p1"))]),
-        (1, 1, 0): np.array([m1 * m2 * np.exp(1j * _angle(params, "p6")), 0.0]),
-    } | _prefix_pairs(params, {
-        (0, 1): (m2, 1.0 / m1),
-        (1, 0): (1.0 / (m1 * m2), 1.0 / m2),
-    })
-    return _table(2, 3, vectors, tolerance)
+    z1 = m1 * np.exp(1j * _angle(params, "p1"))
+    z6 = m1 * m2 * np.exp(1j * _angle(params, "p6"))
+    pairs = _prefix_pairs(params, {"01": (m2, 1.0 / m1), "10": (1.0 / (m1 * m2), 1.0 / m2)})
+    return RuleTable(2, 3, np.array([[1.0, 0.0], [0.0, z1], *pairs, [z6, 0.0], [0.0, 1.0]]),
+                     tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -248,54 +231,56 @@ def _f31_000_111(params, tolerance):
 def patt_rule(tolerance: float = DEFAULT_TOLERANCE) -> RuleTable:
     """Reversible deterministic size-4 rule: the second cell flips exactly
     when its context reads 0 . 1 0 (first cell 0, third 1, fourth 0)."""
-    amps = np.zeros((16, 2), dtype=complex)
-    for cfg in all_configs(2, 4):
-        i1, i2, i3, i4 = cfg
-        out = 1 - i2 if (i1 == 0 and i3 == 1 and i4 == 0) else i2
-        amps[config_index(cfg, 2), out] = 1.0
-    return RuleTable(2, 4, amps, tolerance)
+    i1, i2, i3, i4 = config_digits(2, 4)
+    flip = (i1 == 0) & (i3 == 1) & (i4 == 0)
+    return RuleTable(2, 4, np.eye(2)[i2 ^ flip], tolerance)
 
 
-def frame_rule(
-    q: int,
-    k: int,
-    j: int,
-    vectors: Mapping,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> RuleTable:
+def frame_rule(q: int, k: int, j: int, vectors: Mapping,
+               tolerance: float = DEFAULT_TOLERANCE) -> RuleTable:
     """Rule from explicitly assigned vectors, validated to be frame-shaped.
 
     For every length-j prefix gamma, the vectors of neighborhoods starting
     gamma i ... must be orthogonal across different values of i.  Inputs
     that fail this are refused, not re-orthogonalized.  Rules built this
     way satisfy the terminating-mismatch-path condition (P-iii) by
-    construction.
+    construction.  Each prefix and class pair i < i' is checked by one
+    block of inner products, rounded as ``np.vdot`` rounds; a block of more
+    than ``MAX_PAIR_ENTRIES`` raises ``CycleCapExceeded`` before it exists.
     """
     if not 0 < j < k:
         raise ParameterError(f"frame depth j={j} must satisfy 0 < j < k={k}")
-    table: dict[Config, np.ndarray] = {}
+    configs, rows = [], []
     for key, value in vectors.items():
         cfg = as_config(key, q, k)
-        table[cfg] = np.array(_entries(value, f"vector for {config_str(cfg)}"), dtype=complex)
-        if table[cfg].shape != (q,):
+        rows.append(np.array(_entries(value, f"vector for {config_str(cfg)}"), dtype=complex))
+        if rows[-1].shape != (q,):
             raise ParameterError(f"vector for {config_str(cfg)} must have {q} components")
-    missing = next((c for c in all_configs(q, k) if c not in table), None)
-    if missing is not None:
-        raise ParameterError(f"missing vectors for {q**k - len(table)} neighborhoods, "
+        configs.append(cfg)
+    present = set(configs)  # two keys may name one config; the later vector is kept
+    if len(present) < q**k:
+        missing = next(c for c in all_configs(q, k) if c not in present)
+        raise ParameterError(f"missing vectors for {q**k - len(present)} neighborhoods, "
                              f"e.g. {config_str(missing)}")
-    for gamma in all_configs(q, j):
-        members = {i: [c for c in all_configs(q, k) if c[:j] == gamma and c[j] == i]
-                   for i in range(q)}
+    tail = q ** (k - j - 1)
+    check_entries(tail * tail, "a frame check block has {} inner products")
+    amps = np.empty((q**k, q), dtype=complex)
+    amps[[config_index(c, q) for c in configs]] = rows
+    # classes[gamma, i, t] is row (gamma q + i) tail + t, the config gamma i t
+    classes = amps.reshape(q**j, q, tail, q)
+    for gamma in range(q**j):
         for i in range(q):
             for ip in range(i + 1, q):
-                for ca in members[i]:
-                    for cb in members[ip]:
-                        ip_val = complex(np.vdot(table[ca], table[cb]))
-                        if abs(ip_val) > tolerance:
-                            raise ParameterError(
-                                f"vectors for {config_str(ca)} and {config_str(cb)} are not "
-                                f"orthogonal (inner product {ip_val!r})")
-    return _table(q, k, table, tolerance)
+                block = vdots(classes[gamma, i, :, None], classes[gamma, ip, None])
+                # np.hypot rounds as abs(complex) does, np.abs does not
+                bad = np.flatnonzero(np.hypot(block.real, block.imag) > tolerance)
+                if bad.size:
+                    a, b = divmod(int(bad[0]), tail)
+                    ca = config_str(index_config((gamma * q + i) * tail + a, q, k))
+                    cb = config_str(index_config((gamma * q + ip) * tail + b, q, k))
+                    raise ParameterError(f"vectors for {ca} and {cb} are not orthogonal "
+                                         f"(inner product {complex(block[a, b])!r})")
+    return RuleTable(q, k, amps, tolerance)
 
 
 def quantize(det_rule: RuleTable, unitary: np.ndarray) -> RuleTable:

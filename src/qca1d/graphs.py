@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .rules import (Config, RuleTable, all_configs, config_index, config_str,
-                    deterministic_outputs, index_config, unit_hits)
+                    deterministic_outputs, index_config, unit_hits, vdots)
 
 DEFAULT_CYCLE_CAP = 10**6
 MAX_PAIR_ENTRIES = 1 << 22  # q^(2k) pair weights, 64 MiB as complex128
@@ -41,7 +41,9 @@ MAX_PAIR_ENTRIES = 1 << 22  # q^(2k) pair weights, 64 MiB as complex128
 
 class CycleCapExceeded(RuntimeError):
     """Cycle or path enumeration examined more edges than the cap, or a
-    pair graph or transfer matrix has more entries than ``MAX_PAIR_ENTRIES``."""
+    pair graph, transfer matrix, frame check block or I-v gather (the window
+    entries of the border scalars, ``surjectivity._oriented_reports``) has
+    more entries than ``MAX_PAIR_ENTRIES``."""
 
 
 def resolve_cycle_cap(cap: int | None = None) -> int:
@@ -121,13 +123,6 @@ class Graph:
         return "|".join(config_str(index_config(p, self.q, self.k - 1)) for p in parts)
 
 
-def _vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.vdot`` of the last axes of x and y, broadcast over the others:
-    a batch of 1 x q by q x 1 products, which rounds as ``np.vdot`` does and
-    a BLAS matrix product does not."""
-    return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
 def rule_graph(rule: RuleTable) -> Graph:
     """Norm graph: q^(k-1) vertices, one edge per neighborhood.
 
@@ -135,7 +130,7 @@ def rule_graph(rule: RuleTable) -> Graph:
     i2..ik and carries weight <<i1..ik | i1..ik>>.
     """
     amps = rule.amplitudes
-    return Graph("single", rule.q, rule.k, np.arange(len(amps)), _vdots(amps, amps))
+    return Graph("single", rule.q, rule.k, np.arange(len(amps)), vdots(amps, amps))
 
 
 def check_entries(size: int, what: str) -> None:
@@ -154,7 +149,7 @@ def pair_graph(rule: RuleTable) -> Graph:
     """
     check_entries(rule.q ** (2 * rule.k), "the pair graph has {} weights")
     amps = rule.amplitudes
-    gram = _vdots(amps[:, None, :], amps[None, :, :])
+    gram = vdots(amps[:, None, :], amps[None, :, :])
     return Graph("pair", rule.q, rule.k, np.arange(gram.size), gram.ravel())
 
 

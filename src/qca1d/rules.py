@@ -158,6 +158,13 @@ def inner(rule: RuleTable, a: str | Sequence[int], b: str | Sequence[int]) -> co
     return complex(np.vdot(rule.vector(a), rule.vector(b)))
 
 
+def vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.vdot`` of the last axes of x and y, broadcast over the others:
+    a batch of 1 x q by q x 1 products, which rounds as ``np.vdot`` does and
+    a BLAS matrix product does not."""
+    return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def parity_transform(rule: RuleTable) -> RuleTable:
     """Reverse every neighborhood: the new table at i1..ik is the old at ik..i1."""
     perm = [config_index(tuple(reversed(cfg)), rule.q) for cfg in rule.configs()]
@@ -231,7 +238,7 @@ def rule_from_dict(data: dict) -> RuleTable:
         if field not in data:
             raise RuleFormatError(f"rule file is missing the {field!r} field")
     q, k = data["q"], data["k"]
-    if not isinstance(q, int) or not isinstance(k, int):
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (q, k)):  # JSON true is a bool
         raise RuleFormatError("fields 'q' and 'k' must be integers")
     if q > 10:
         raise RuleFormatError("config strings use single digits; q must be at most 10")
@@ -240,7 +247,7 @@ def rule_from_dict(data: dict) -> RuleTable:
     if not 1 <= k <= 63:  # q**k >= 2**64 exceeds any table, so it is never evaluated
         raise RuleFormatError(f"field 'k' = {k} must lie in 1..63")
     tolerance = data.get("tolerance", DEFAULT_TOLERANCE)
-    if not isinstance(tolerance, (int, float)) or not tolerance > 0:
+    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) or not tolerance > 0:
         raise RuleFormatError(f"field 'tolerance' must be a positive number, got {tolerance!r}")
     table = data["amplitudes"]
     if not isinstance(table, dict):

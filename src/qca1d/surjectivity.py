@@ -20,11 +20,11 @@ over the bordered interior's windows.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import deterministic_sector, sector_mask
+from .graphs import check_entries, deterministic_sector, sector_mask
 from .rules import (Config, RuleTable, all_configs, as_config, config_digits, config_index,
                     config_str, parity_transform, window_indices, window_product)
 from .unitarity import ConstraintReport
@@ -188,12 +188,13 @@ def det_factorization_check(
     return abs(direct - factored) <= rule.tolerance * restricted.shape[0]
 
 
-def _oriented_reports(rule: RuleTable, sector: frozenset[Config]) -> list[ConstraintReport]:
+def _oriented_reports(rule: RuleTable, sector: frozenset[Config]) -> Iterator[ConstraintReport]:
     tol, q, k = rule.tolerance, rule.q, rule.k
     n = q ** (k - 1)
     rho = np.flatnonzero(sector_mask(sector, q, k))
     # one column per coupled pair (rho, rho') and prefix gamma, in that order
     coupled = np.abs(rule.amplitudes[rho][:, rho % q] - 1.0) <= tol
+    check_entries(np.count_nonzero(coupled) * n * (k - 1), "the I-v gather has {} window entries")
     right, right_out = (np.repeat(rho[pairs], n) for pairs in np.nonzero(coupled))
     gamma = np.arange(right.size) % n
     digits = config_digits(q, k - 1)
@@ -201,13 +202,13 @@ def _oriented_reports(rule: RuleTable, sector: frozenset[Config]) -> list[Constr
     values = np.prod(rule.amplitudes[windows, digits[:, right_out // q]], axis=0)
     hit = np.abs(values) <= tol
     configs, prefixes = list(rule.configs()), list(all_configs(q, k - 1))
-    reports = [ConstraintReport("I-v", ("scalar", prefixes[g], configs[a], configs[b]), z, abs(z))
-               for g, a, b, z in zip(gamma[hit].tolist(), right[hit].tolist(),
-                                     right_out[hit].tolist(), values[hit].tolist())]
+    for g, a, b, z in zip(gamma[hit].tolist(), right[hit].tolist(),
+                          right_out[hit].tolist(), values[hit].tolist()):
+        yield ConstraintReport("I-v", ("scalar", prefixes[g], configs[a], configs[b]), z, abs(z))
     # row i of extension_matrix(gamma) is row index(gamma) * q + i of the table
     dets = np.linalg.det(rule.amplitudes.reshape(-1, q, q)).tolist()
-    return reports + [ConstraintReport("I-v", ("det", prefix), det, abs(det))
-                      for prefix, det in zip(prefixes, dets) if abs(det) <= tol * q]
+    yield from (ConstraintReport("I-v", ("det", prefix), det, abs(det))
+                for prefix, det in zip(prefixes, dets) if abs(det) <= tol * q)
 
 
 def check_surjectivity(rule: RuleTable, sector: frozenset[Config]) -> list[ConstraintReport]:
@@ -223,14 +224,17 @@ def check_surjectivity(rule: RuleTable, sector: frozenset[Config]) -> list[Const
     onto-ness unchanged, yet a rule whose deterministic transitions flow
     leftward can satisfy the constraints in the reflected reading only.
     Onto-ness is therefore certified when either reading direction is
-    violation free; violations are reported in the rightward reading.
+    violation free; violations are reported in the rightward reading, and
+    the mirrored reading stops at its first.  A reading whose gather has
+    more than ``MAX_PAIR_ENTRIES`` window entries raises ``CycleCapExceeded``
+    before it is allocated.
     """
     if not sector:
         raise ValueError("the deterministic sector is empty")
-    reports = _oriented_reports(rule, sector)
+    reports = list(_oriented_reports(rule, sector))
     if not reports:
         return []
     mirrored = frozenset(tuple(reversed(c)) for c in sector)
-    if not _oriented_reports(parity_transform(rule), mirrored):
+    if next(_oriented_reports(parity_transform(rule), mirrored), None) is None:
         return []
     return reports

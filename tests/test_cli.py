@@ -18,7 +18,7 @@ from qca1d import (
 )
 from qca1d.cli import main
 
-from conftest import quantized_shift, with_noise
+from conftest import deterministic_shift, quantized_shift, with_noise
 
 
 def write_rule(tmp_path, rule, name="rule.json"):
@@ -147,6 +147,31 @@ def test_malformed_rule_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(tmp_path / "missing.json"),
                        "--mode", "periodic")
     assert code == 2
+
+
+def test_rule_file_with_boolean_k_exits_2(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"q": 2, "k": True, "amplitudes": {"0": [[1, 0], [0, 0]],
+                                                                  "1": [[0, 0], [1, 0]]}}))
+    code, out, err = run(capsys, "verify", str(path), "--mode", "periodic")
+    assert code == 2 and out == "" and "fields 'q' and 'k' must be integers" in err
+
+
+def test_infinite_mode_refuses_the_I_v_gather_before_allocating(tmp_path, capsys):
+    # the (2,8) shift couples 256 x 128 sector pairs, each read at 128 prefixes
+    # through 7 windows: 29.4M gather entries, 235 MB of indices alone
+    path = write_rule(tmp_path, deterministic_shift(2, 8))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run(capsys, "verify", path, "--mode", "infinite")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: the I-v gather has 29360128 window entries, over the cap")
+    assert peak < 32 * 2**20
 
 
 def test_unreadable_rule_path_exits_2(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import hashlib
+import time
 
 import numpy as np
 import pytest
 
 from qca1d import (
+    CycleCapExceeded,
     ParameterError,
     check_periodic,
     deterministic_sector,
@@ -21,6 +23,7 @@ from qca1d import (
 )
 from qca1d.families import FAMILIES, single_frame
 from qca1d.oracle import exact_defect_kernel
+from qca1d.rules import DEFAULT_TOLERANCE, all_configs, as_config, config_digits, config_str
 
 from conftest import haar_unitary, with_noise
 
@@ -142,6 +145,110 @@ def test_frame_rule_rejects_bad_shape():
         frame_rule(2, 2, 2, {})
     with pytest.raises(ParameterError, match="missing"):
         frame_rule(2, 2, 1, {"00": [[1, 0], [0, 0]]})
+
+
+def _frame_check_reference(q, k, j, vectors, tolerance=DEFAULT_TOLERANCE):
+    """The frame check as one np.vdot per cross-class pair, classes found by
+    scanning every config: None, or the message of the first pair that fails."""
+    table = {as_config(key, q, k): np.array(value, dtype=complex)
+             for key, value in vectors.items()}
+    for gamma in all_configs(q, j):
+        members = {i: [c for c in all_configs(q, k) if c[:j] == gamma and c[j] == i]
+                   for i in range(q)}
+        for i in range(q):
+            for ip in range(i + 1, q):
+                for ca in members[i]:
+                    for cb in members[ip]:
+                        ip_val = complex(np.vdot(table[ca], table[cb]))
+                        if abs(ip_val) > tolerance:
+                            return (f"vectors for {config_str(ca)} and {config_str(cb)} are not "
+                                    f"orthogonal (inner product {ip_val!r})")
+    return None
+
+
+def _frame_outcome(q, k, j, vectors, tolerance=DEFAULT_TOLERANCE):
+    try:
+        frame_rule(q, k, j, vectors, tolerance)
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
+def _frame_table(rng, q, k, j):
+    """A valid depth-j frame table: config gamma i t gets column i of a Haar
+    unitary of its prefix gamma, times a random complex scale."""
+    unitaries = np.array([haar_unitary(rng, q) for _ in range(q**j)])
+    gamma, cell = np.arange(q**k) // q ** (k - j), config_digits(q, k)[j]
+    scales = rng.uniform(0.5, 1.5, q**k) * np.exp(1j * rng.uniform(0, 2 * np.pi, q**k))
+    return unitaries[gamma, :, cell] * scales[:, None]
+
+
+def _as_vectors(q, k, amps):
+    return {config_str(cfg): list(row) for cfg, row in zip(all_configs(q, k), amps)}
+
+
+def _rounding_tolerances(q, k, j, amps):
+    """Tolerances placed exactly on a cross-class |inner product| that a BLAS
+    product and np.vdot round to different values, once on each value."""
+    cells = config_digits(q, k)
+    prefix = np.arange(q**k) // q ** (k - j)
+    cross = (prefix[:, None] == prefix[None, :]) & (cells[j][:, None] < cells[j][None, :])
+    gram = np.abs(amps.conj() @ amps.T)
+    per_pair = np.array([[abs(complex(np.vdot(x, y))) for y in amps] for x in amps])
+    differ = np.argwhere((gram != per_pair) & cross)
+    return [float(v[a, b]) for a, b in differ[:1] for v in (gram, per_pair)]
+
+
+FRAME_GRID = [(2, k) for k in range(3, 7)] + [(3, 3), (4, 2), (4, 3)]
+
+
+@pytest.mark.parametrize("q, k", FRAME_GRID)
+def test_frame_check_matches_the_per_pair_reference(q, k):
+    rng = np.random.default_rng(10 * q + k)
+    verdicts, on_rounding = set(), 0
+    for j in range(1, k):
+        frame = _frame_table(rng, q, k, j)
+        for eps, rows in ((0.0, 0), (1e-3, 1), (1e-10, q**k), (2e-9, q**k), (1e-3, q**k)):
+            amps = frame.copy()
+            picked = rng.choice(q**k, size=rows, replace=False)
+            amps[picked] += eps * (rng.normal(size=(rows, q)) + 1j * rng.normal(size=(rows, q)))
+            vectors = _as_vectors(q, k, amps)
+            tolerances = [DEFAULT_TOLERANCE] + _rounding_tolerances(q, k, j, amps)
+            on_rounding += len(tolerances) - 1
+            for tol in tolerances:
+                expected = _frame_check_reference(q, k, j, vectors, tol)
+                assert _frame_outcome(q, k, j, vectors, tol) == expected, (j, eps, rows, tol)
+                verdicts.add(expected is None)
+    assert verdicts == {True, False} and on_rounding > 0
+
+
+@pytest.mark.parametrize("j", [1, 10])
+def test_frame_rule_round_trips_a_2_11_single_frame_table(j):
+    rng = np.random.default_rng(j)
+    scales = np.exp(rng.uniform(-0.5, 0.5, 2**11) + 1j * rng.uniform(0, 2 * np.pi, 2**11))
+    rule = single_frame(2, 11, j, haar_unitary(rng, 2), dict(enumerate(scales)))
+    vectors = _as_vectors(2, 11, rule.amplitudes)
+    start = time.perf_counter()
+    back = frame_rule(2, 11, j, vectors)
+    # one np.vdot per cross-class pair took 0.6-1.1 s here
+    assert time.perf_counter() - start < 0.5
+    assert np.array_equal(back.amplitudes, rule.amplitudes)
+
+
+def test_frame_rule_keeps_the_later_of_two_keys_for_one_config():
+    # "0\u0661" names config 01, as int() reads the Arabic-Indic digit one
+    vectors = {"00": [1, 0], "01": [0, 1], "10": [1, 0], "0\u0661": [0, 2]}
+    with pytest.raises(ParameterError, match="missing vectors for 1 neighborhoods, e.g. 11"):
+        frame_rule(2, 2, 1, vectors)
+    rule = frame_rule(2, 2, 1, vectors | {"11": [0, 1]})
+    np.testing.assert_array_equal(rule.amplitudes, [[1, 0], [0, 2], [1, 0], [0, 1]])
+
+
+def test_frame_rule_refuses_a_check_block_over_the_cap():
+    # j = 1 at (2, 14): blocks of 4096 x 4096 inner products, past 2^22
+    vectors = {config_str(c): [1, 0] for c in all_configs(2, 14)}
+    with pytest.raises(CycleCapExceeded, match="a frame check block has 16777216 inner products"):
+        frame_rule(2, 14, 1, vectors)
 
 
 def test_frame_rule_middle_cell_classes():

@@ -151,6 +151,19 @@ def test_rule_dict_errors(ident):
             rule_from_dict(data)
 
 
+def test_rule_dict_refuses_json_booleans():
+    # a bool is an int: "k": true read as k = True, dumped back as "k": true,
+    # and "tolerance": true read as 1.0
+    good = rule_to_dict(RuleTable(2, 1, np.eye(2)))
+    for field, message in (("q", "'q' and 'k' must be integers"),
+                           ("k", "'q' and 'k' must be integers"),
+                           ("tolerance", "'tolerance' must be a positive number")):
+        for value in (True, False):
+            with pytest.raises(RuleFormatError, match=message):
+                rule_from_dict(dict(good, **{field: value}))
+    assert rule_from_dict(dict(good, k=1, tolerance=1)).tolerance == 1.0
+
+
 def test_rule_dict_reads_keys_in_any_order_and_reports_the_first_error():
     rule = RuleTable(3, 2, np.arange(27).reshape(9, 3) * (1 - 0.5j))
     good = rule_to_dict(rule)

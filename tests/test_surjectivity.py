@@ -268,7 +268,7 @@ def test_oriented_reports_match_border_scalar_reference():
     compared = 0
     for label, rule in reference_rules():
         sector = deterministic_sector(rule)
-        reports = _oriented_reports(rule, sector)
+        reports = list(_oriented_reports(rule, sector))
         expected = reference_reports(rule, sector)
         assert [r.witness for r in reports] == [w for w, _ in expected], label
         for report, (_, value) in zip(reports, expected):
