@@ -61,6 +61,15 @@ def _positive(params, name, default=1.0):
     return value
 
 
+def _integer(params, name):
+    try:
+        if params[name] == int(params[name]):  # int() alone truncates 2.9
+            return int(params[name])
+    except (TypeError, ValueError, OverflowError):  # complex, nan, inf, text
+        pass
+    raise ParameterError(f"parameter {name!r} must be an integer, got {params[name]!r}")
+
+
 def _check_known(params, known, name):
     unknown = set(params) - set(known)
     if unknown:
@@ -357,7 +366,7 @@ def _patt(params, tolerance):
 def _frame(params, tolerance):
     _check_known(params, ("q", "k", "j", "vectors"), "frame")
     try:
-        q, k, j = int(params["q"]), int(params["k"]), int(params["j"])
+        q, k, j = (_integer(params, name) for name in "qkj")
     except KeyError as exc:
         raise ParameterError(f"frame requires parameter {exc.args[0]!r}")
     vectors = _load_json_param(params.get("vectors"), "vectors")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -114,8 +115,8 @@ class RuleTable:
             raise RuleFormatError(f"state count q={self.q} must be at least 2")
         if self.k < 1:
             raise RuleFormatError(f"neighborhood size k={self.k} must be at least 1")
-        if not self.tolerance > 0:
-            raise RuleFormatError(f"tolerance {self.tolerance} must be positive")
+        if not 0 < self.tolerance < np.inf:
+            raise RuleFormatError(f"tolerance {self.tolerance} must be positive and finite")
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.q**self.k, self.q):
             raise RuleFormatError(
@@ -247,8 +248,10 @@ def rule_from_dict(data: dict) -> RuleTable:
     if not 1 <= k <= 63:  # q**k >= 2**64 exceeds any table, so it is never evaluated
         raise RuleFormatError(f"field 'k' = {k} must lie in 1..63")
     tolerance = data.get("tolerance", DEFAULT_TOLERANCE)
-    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) or not tolerance > 0:
-        raise RuleFormatError(f"field 'tolerance' must be a positive number, got {tolerance!r}")
+    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) \
+            or not 0 < tolerance <= sys.float_info.max:  # an int past it has no float
+        raise RuleFormatError(
+            f"field 'tolerance' must be a positive number and finite, got {tolerance!r}")
     table = data["amplitudes"]
     if not isinstance(table, dict):
         raise RuleFormatError("field 'amplitudes' must be an object keyed by config strings")

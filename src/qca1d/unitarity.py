@@ -35,13 +35,13 @@ Each condition is first decided on numpy arrays indexed by config:
   diagonal back to it (``graphs.reaches``).  Both search the mask itself,
   one de Bruijn step (``graphs.advance``) at a time, and are exact.
 
-A condition that holds returns no reports and builds neither graph.
-Witnesses of a condition that fails are listed by enumerating cycles or
-paths of ``graphs.rule_graph`` / ``graphs.pair_graph``, over the same
-mismatch mask that decided it, P-ii and I-iv cycles among the vertices
-the decision found a cycle reaches; enumeration also settles P-i, I-i or
-I-ii where the certificate cannot.  QCA_CYCLE_CAP bounds the edges that
-this listing examines, not the decisions.
+A condition that holds returns no reports and builds neither graph.  A
+failing condition's decision hands its masks to the witness listing, which
+enumerates cycles or paths of ``graphs.rule_graph`` / ``graphs.pair_graph``
+over the mismatch mask that decided it, P-ii and I-iv cycles among the
+vertices the decision found a cycle reaches; enumeration also settles P-i,
+I-i or I-ii where the certificate cannot.  QCA_CYCLE_CAP bounds the edges
+that this listing examines, not the decisions.
 """
 
 from __future__ import annotations
@@ -190,7 +190,6 @@ class _RuleGraphs:
 
     def __init__(self, rule: RuleTable):
         self.rule = rule
-        self.reach: dict[tuple, np.ndarray] = {}  # (condition, sector) -> _cycle_reach
 
     @cached_property
     def norm(self) -> Graph:
@@ -217,80 +216,55 @@ def _sector_vertices(rule: RuleTable, sector) -> np.ndarray:
     return inside.reshape(n, q).any(axis=1) | inside.reshape(q, n).any(axis=0)
 
 
-def _mismatch_mask(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs) -> np.ndarray:
-    """The q^k x q^k mask of the mismatch edges a condition keeps: weight
-    above the tolerance and, for I-iv, both configs in the sector."""
-    if condition != "I-iv":
-        return graphs.support
-    inside = sector_mask(sector, rule.q, rule.k)
-    return graphs.support & np.outer(inside, inside)
-
-
-def _cycle_reach(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs) -> np.ndarray:
-    """The n x n mask of the off-diagonal pair vertices that a mismatch cycle
-    of P-ii or I-iv reaches, trimmed once per condition and sector."""
-    key = (condition, sector)
-    if key not in graphs.reach:
-        off_diagonal = ~np.eye(rule.q ** (rule.k - 1), dtype=bool)
-        edges = _mismatch_mask(rule, condition, sector, graphs)
-        graphs.reach[key] = cycle_reach(edges, off_diagonal)
-    return graphs.reach[key]
-
-
-def _holds(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs) -> bool:
+def _search(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs):
     """Decide a condition on arrays, without enumeration.
 
-    True means the condition holds.  The mismatch conditions are decided
-    exactly.  P-i, I-i and I-ii are certified by the norm potential, with
-    half the tolerance as headroom for rounding; False there only means the
-    certificate does not settle the condition.
+    Returns ``(holds, listing)``.  True means the condition holds.  The
+    mismatch conditions are decided exactly.  P-i, I-i and I-ii are
+    certified by the norm potential, with half the tolerance as headroom for
+    rounding; False there only means the certificate does not settle the
+    condition.  ``listing(cap)`` returns the graph the witnesses live in and
+    a lazy search for its candidate walks over the masks of this decision;
+    only it builds the graph.
     """
     tol = rule.tolerance
-    if condition in ("P-i", "I-i", "I-ii"):
+    if condition in ("P-i", "I-i"):
+        return (math.expm1(graphs.potential[1]) <= tol / 2,
+                lambda cap: (graphs.norm, iter_cycles(graphs.norm, cap=cap)))
+    if condition == "I-ii":
+        # Norm-graph paths between (distinct) sector vertices, interior clear
+        # of sector vertices; composite paths factor through these.  Closed
+        # ones are cycles (I-i); with under two sector vertices all are.
         phi, bound = graphs.potential
-        if condition == "I-ii":
-            ends = _sector_vertices(rule, sector)
-            if ends.sum() < 2:
-                return True  # every path between sector vertices is closed
-            bound += float(np.ptp(phi[ends]))
-        return math.expm1(bound) <= tol / 2
-    if condition in ("P-ii", "I-iv"):
-        return not _cycle_reach(rule, condition, sector, graphs).any()
-    edges = _mismatch_mask(rule, condition, sector, graphs)
-    diagonal = np.eye(rule.q ** (rule.k - 1), dtype=bool)
-    return not reaches(edges, diagonal, diagonal)
+        ends = _sector_vertices(rule, sector)
+        holds = ends.sum() < 2 or math.expm1(bound + float(np.ptp(phi[ends]))) <= tol / 2
 
-
-def _violations(rule, condition, sector, graphs, max_violations, cap) -> list[ConstraintReport]:
-    """Witnesses of a condition, listed by enumerating cycles or paths.
-
-    Norm-graph cycles and paths are reported when their weight is off 1 by
-    more than the tolerance; every cycle or path over the surviving
-    mismatch edges is reported.  At least one report is kept when there is
-    one, at most ``max_violations``.
-    """
-    if condition in ("P-i", "I-i", "I-ii"):
-        graph, target = graphs.norm, 1.0
-        if condition == "I-ii":
-            # Paths of the norm graph between (distinct) sector vertices,
-            # interior clear of sector vertices; composite paths factor
-            # through these.  Closed ones are cycles, handled by I-i.
-            ends = _sector_vertices(rule, sector)
+        def listing(cap):
+            graph = graphs.norm
             src, dst = graph.src.tolist(), graph.dst.tolist()
-            walks = (p for p in iter_paths(graph, ends, ends, cap=cap)
-                     if src[p[0]] != dst[p[-1]])
-        else:
-            walks = iter_cycles(graph, cap=cap)
-    else:
-        graph, target = graphs.pair, 0.0
-        edges = _mismatch_mask(rule, condition, sector, graphs).ravel()
-        if condition in ("P-ii", "I-iv"):
-            reach = _cycle_reach(rule, condition, sector, graphs).ravel()
-            walks = iter_cycles(graph, edge_mask=edges, vertex_mask=reach, cap=cap)
-        else:
-            diagonal = graph.diagonal
-            walks = iter_paths(graph, diagonal, diagonal, edge_mask=edges,
-                               interior_mask=~diagonal, cap=cap)
+            return graph, (p for p in iter_paths(graph, ends, ends, cap=cap)
+                           if src[p[0]] != dst[p[-1]])
+        return holds, listing
+    edges = graphs.support  # the mismatch edges above the tolerance
+    if condition == "I-iv":
+        inside = sector_mask(sector, rule.q, rule.k)
+        edges = edges & np.outer(inside, inside)
+    diagonal = np.eye(rule.q ** (rule.k - 1), dtype=bool)
+    if condition in ("P-ii", "I-iv"):
+        reach = cycle_reach(edges, ~diagonal)  # listed cycles start only here
+        return not reach.any(), lambda cap: (graphs.pair, iter_cycles(
+            graphs.pair, edge_mask=edges.ravel(), vertex_mask=reach.ravel(), cap=cap))
+    return not reaches(edges, diagonal, diagonal), lambda cap: (graphs.pair, iter_paths(
+        graphs.pair, diagonal.ravel(), diagonal.ravel(), edge_mask=edges.ravel(),
+        interior_mask=~diagonal.ravel(), cap=cap))
+
+
+def _violations(rule, condition, graph, walks, max_violations) -> list[ConstraintReport]:
+    """The walks that violate a condition, at least one when there is one,
+    at most ``max_violations``: norm-graph walks whose weight is off 1 by
+    more than the tolerance, and every walk over surviving mismatch edges.
+    """
+    target = 1.0 if graph.kind == "single" else 0.0
     reports = []
     for walk in walks:
         w = graph.product(walk)
@@ -334,11 +308,11 @@ def evaluate_condition(
     if condition not in PERIODIC_CONDITIONS + INFINITE_CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}")
     sector = _nonempty_sector(rule, sector) if condition in ("I-ii", "I-iv") else None
-    graphs = graphs or _RuleGraphs(rule)
-    if _holds(rule, condition, sector, graphs):
+    holds, listing = _search(rule, condition, sector, graphs or _RuleGraphs(rule))
+    if holds:
         return []
     try:
-        return _violations(rule, condition, sector, graphs, max_violations, resolve_cycle_cap())
+        return _violations(rule, condition, *listing(resolve_cycle_cap()), max_violations)
     except CycleCapExceeded as exc:
         raise CycleCapExceeded(f"{condition}: {exc}") from None
 

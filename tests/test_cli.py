@@ -17,6 +17,7 @@ from qca1d import (
     walk_defect,
 )
 from qca1d.cli import main
+from qca1d.rules import rule_to_dict
 
 from conftest import deterministic_shift, quantized_shift, with_noise
 
@@ -98,6 +99,42 @@ def test_family_refuses_zero_tolerance(capsys):
     # 0 is an explicit tolerance, not "use the default"
     code, out, err = run(capsys, "family", "f21", "--tolerance", "0")
     assert code == 2 and out == "" and "tolerance 0.0 must be positive" in err
+
+
+def test_infinite_tolerance_is_refused(tmp_path, capsys):
+    # an infinite tolerance passes every tolerance test: this noisy shift
+    # read "verdict: unitary" and its defect of 3.37 "within tolerance inf"
+    noisy = with_noise(quantized_shift(2, 3), 0.5)
+    inf_path = tmp_path / "inf.json"
+    inf_path.write_text(json.dumps(rule_to_dict(noisy) | {"tolerance": float("inf")}))
+    assert "Infinity" in inf_path.read_text()
+    path = write_rule(tmp_path, noisy)
+    for argv, message in (
+            (["verify", str(inf_path), "--mode", "periodic"], "positive number and finite"),
+            (["verify", path, "--mode", "periodic", "--tolerance", "inf"], "tolerance inf"),
+            (["oracle", path, "--sites", "6", "--tolerance", "inf"], "tolerance inf"),
+            (["family", "f21", "--tolerance", "inf"], "tolerance inf")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and message in err and "finite" in err, argv
+
+
+def test_family_refuses_non_integral_frame_sizes(tmp_path, capsys):
+    # int() truncated q=2.9 to 2 and j=1.7 to 1, and a complex q escaped as
+    # a TypeError with exit 1, which means NOT unitary
+    vectors = {"00": [[1, 0], [0, 0]], "01": [[0, 0], [1, 0]],
+               "10": [[1, 0], [0, 0]], "11": [[0, 0], [1, 0]]}
+    path = tmp_path / "vectors.json"
+    path.write_text(json.dumps(vectors))
+    for bad in ("q=2.9", "j=1.7", "q=2+1j"):
+        params = {p.partition("=")[0]: p for p in ("q=2", "k=2", "j=1", bad)}
+        argv = [arg for p in params.values() for arg in ("--param", p)]
+        code, out, err = run(capsys, "family", "frame", *argv, "--param", f"vectors={path}")
+        name = bad.partition("=")[0]
+        assert code == 2 and out == "" and err.startswith("error:"), (bad, err)
+        assert f"parameter '{name}' must be an integer" in err, (bad, err)
+    code, out, _ = run(capsys, "family", "frame", "--param", "q=2.0", "--param", "k=2",
+                       "--param", "j=1", "--param", f"vectors={path}")
+    assert code == 0 and json.loads(out)["q"] == 2
 
 
 def test_family_refuses_malformed_parameter_files(tmp_path, capsys):

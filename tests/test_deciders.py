@@ -5,11 +5,14 @@ import pytest
 
 from qca1d import (
     CycleCapExceeded,
+    RuleTable,
     check_infinite,
     check_periodic,
     deterministic_sector,
     dump_rule,
     inner,
+    make_family,
+    random_params,
 )
 from qca1d.cli import main
 from qca1d.graphs import iter_cycles, mismatch_support, pair_graph
@@ -17,7 +20,7 @@ from qca1d.unitarity import (
     INFINITE_CONDITIONS,
     PERIODIC_CONDITIONS,
     _RuleGraphs,
-    _holds,
+    _search,
     _violations,
 )
 
@@ -101,9 +104,9 @@ def test_array_decision_matches_enumeration(seed):
     for label, rule, infinite in _grid(seed):
         graphs = _RuleGraphs(rule)
         for condition, sector in _conditions(rule, infinite):
-            holds = _holds(rule, condition, sector, graphs)
+            holds, listing = _search(rule, condition, sector, graphs)
             try:
-                violated = bool(_violations(rule, condition, sector, graphs, 1, LISTING_CAP))
+                violated = bool(_violations(rule, condition, *listing(LISTING_CAP), 1))
             except CycleCapExceeded:
                 assert condition in ("P-ii", "I-iv"), (label, condition)
                 violated = _mismatch_cycle_exists(graphs.pair, sector, rule.tolerance)
@@ -142,6 +145,30 @@ def test_listing_builds_each_graph_once(monkeypatch, f21):
     verdict = check_periodic(with_noise(f21, 1e-3))
     assert {r.condition for r in verdict.reports} == {"P-i", "P-ii", "P-iii"}
     assert sorted(calls) == ["pair_graph", "rule_graph"]
+
+
+def test_each_cycle_search_runs_once(monkeypatch, f21):
+    # the P-ii (periodic) and I-iv (infinite) decisions hand their cycle
+    # reach to the witness listing instead of searching the mask again
+    import qca1d.unitarity as unitarity
+
+    calls = []
+    monkeypatch.setattr(unitarity, "cycle_reach",
+                        lambda *a, f=unitarity.cycle_reach: calls.append(1) or f(*a))
+
+    def count(check, rule):
+        calls.clear()
+        return {r.condition for r in check(rule).reports}, len(calls)
+
+    assert count(check_periodic, with_noise(f21, 1e-3)) == ({"P-i", "P-ii", "P-iii"}, 1)
+    f31 = make_family("f31_000", random_params("f31_000", np.random.default_rng(0)))
+    noisy = with_noise(f31, 1e-3, keep=deterministic_sector(f31))
+    assert count(check_infinite, noisy) == ({"I-i", "I-iii"}, 1)
+    # parallel 000 and 111 vectors: a sector mismatch loop, so I-iv is listed
+    loop = make_family("f31_000_111", {"m1": 1.5, "m2": 0.6}).amplitudes.copy()
+    loop[7] = loop[0]
+    violated, searches = count(check_infinite, RuleTable(2, 3, loop))
+    assert "I-iv" in violated and searches == 1
 
 
 def run_verify(path, capsys):

@@ -164,6 +164,16 @@ def test_rule_dict_refuses_json_booleans():
     assert rule_from_dict(dict(good, k=1, tolerance=1)).tolerance == 1.0
 
 
+def test_rule_tolerance_must_be_finite():
+    good = rule_to_dict(RuleTable(2, 1, np.eye(2)))
+    # json reads Infinity as inf; an int past the float range has no float
+    for value in (float("inf"), float("nan"), 10**400):
+        with pytest.raises(RuleFormatError, match="'tolerance' must be a positive number and finite"):
+            rule_from_dict(dict(good, tolerance=value))
+    with pytest.raises(RuleFormatError, match="tolerance inf must be positive and finite"):
+        RuleTable(2, 1, np.eye(2), float("inf"))
+
+
 def test_rule_dict_reads_keys_in_any_order_and_reports_the_first_error():
     rule = RuleTable(3, 2, np.arange(27).reshape(9, 3) * (1 - 0.5j))
     good = rule_to_dict(rule)
