@@ -1,19 +1,21 @@
 """Command-line front end.
 
+Each subcommand declares only the options it reads: --tolerance (override
+the rule's comparison tolerance) on verify, oracle, simulate, family and
+graph, --json on verify and oracle, and --seed on oracle.
+
 Exit codes: 0 success (or unitary verdict), 1 not-unitary verdict, 2 usage
 or rule-file error (including a path that cannot be read, an empty
 deterministic sector, and a ``simulate`` state that is not a list of
 [re, im] number pairs, not finite or not normalized), 3 resource cap
 exceeded.  The environment variable QCA_CYCLE_CAP overrides the cap on
-the edges that witness listing examines.  Identical inputs and --seed
-produce identical output.
+the edges that witness listing examines.  Identical arguments produce
+identical output.
 
 In-process callers (test suites, benchmark harnesses, notebooks) may call
-``main(argv)`` many times: the argument parser is built on the first call
-and reused for the rest of the process, since parsing never changes it.  A
-shell run calls ``main`` once and gains nothing from this.
-``build_parser()`` returns a fresh parser for a caller that wants to change
-one.
+``main(argv)`` many times: it builds the argument parser on the first call
+and reuses it, since parsing never changes it.  ``build_parser()`` returns
+a fresh parser for a caller that wants to change one.
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_paths(args) -> int:
-    rule = _load(args)
+    rule = load_rule(args.rulefile)
     for length in range(1, args.max_len + 1):
         monomials = path_monomials(rule, length)
         print(f"n = {length}: {len(monomials)} monomials")
@@ -228,7 +230,7 @@ def _cmd_paths(args) -> int:
 
 
 def _cmd_zpoly(args) -> int:
-    rule = _load(args)
+    rule = load_rule(args.rulefile)
     graph = rule_graph(rule) if args.which == "g1" else pair_graph(rule)
     coeffs = z_polynomial(transfer_matrix(graph, args.convention))
     for power, c in enumerate(coeffs):
@@ -237,37 +239,36 @@ def _cmd_zpoly(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tolerance", type=float, default=None,
-                        help="override the rule file's comparison tolerance")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized sampling: the oracle's matrix-free "
-                             "estimate, which runs only when no exact kernel takes the ring")
-    common.add_argument("--json", action="store_true",
-                        help="machine-readable output where supported")
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tolerance", type=float, default=None,
+                           help="override the rule's comparison tolerance")
 
     parser = argparse.ArgumentParser(
         prog="qca1d",
         description="decide unitarity of one-dimensional quantum cellular automata")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[tolerance],
                        help="decide unitarity from the rule table")
     p.add_argument("rulefile", help="rule JSON file, or - for standard input")
     p.add_argument("--mode", choices=("periodic", "infinite"), required=True)
+    p.add_argument("--json", action="store_true", help="print the verdict as JSON")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("oracle", parents=[common],
+    p = sub.add_parser("oracle", parents=[tolerance],
                        help="brute-force unitarity defect of the global matrix")
     p.add_argument("rulefile")
     p.add_argument("--sites", type=int, required=True)
     p.add_argument("--defect-only", action="store_true")
+    p.add_argument("--json", action="store_true", help="print the defect report as JSON")
     p.add_argument("--samples", type=int, default=8,
                    help="random vectors for the matrix-free estimate, which runs only "
                         "when no exact kernel takes the ring")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random vectors of the matrix-free estimate")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[tolerance],
                        help="evolve a configuration-space vector")
     p.add_argument("rulefile")
     p.add_argument("--sites", type=int, required=True)
@@ -277,25 +278,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=8, help="probabilities printed per step")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("family", parents=[common], help="emit a family rule file")
+    p = sub.add_parser("family", parents=[tolerance], help="emit a family rule file")
     p.add_argument("name", nargs="?", help="family name (see --list)")
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--list", action="store_true", help="list families and parameters")
     p.set_defaults(func=_cmd_family)
 
-    p = sub.add_parser("graph", parents=[common], help="DOT export of an analysis graph")
+    p = sub.add_parser("graph", parents=[tolerance], help="DOT export of an analysis graph")
     p.add_argument("rulefile")
     p.add_argument("--which", choices=("g1", "g2", "d1", "d2"), default="g1")
     p.set_defaults(func=_cmd_graph)
 
-    p = sub.add_parser("paths", parents=[common],
-                       help="mismatch-path weight monomials up to a length")
+    p = sub.add_parser("paths", help="mismatch-path weight monomials up to a length")
     p.add_argument("rulefile")
     p.add_argument("--max-len", type=int, required=True)
     p.set_defaults(func=_cmd_paths)
 
-    p = sub.add_parser("zpoly", parents=[common],
-                       help="generating polynomial det(I - tA) of a transfer matrix")
+    p = sub.add_parser("zpoly", help="generating polynomial det(I - tA) of a transfer matrix")
     p.add_argument("rulefile")
     p.add_argument("--which", choices=("g1", "g2"), default="g1")
     p.add_argument("--convention", choices=("raw", "simplified"), default="raw")

@@ -124,6 +124,9 @@ class RuleTable:
             )
         if not np.isfinite(amps).all():
             raise RuleFormatError("amplitude table contains non-finite entries")
+        with np.errstate(over="ignore"):  # a squared norm past float range is refused below
+            if not np.isfinite(np.square(np.abs(amps)).sum(axis=1)).all():
+                raise RuleFormatError("amplitude table has a row whose squared norm overflows")
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -306,8 +309,6 @@ def dump_rule(rule: RuleTable) -> str:
 
 def load_rule(path: str) -> RuleTable:
     """Read a rule file; the path "-" reads standard input."""
-    import sys
-
     if path == "-":
         text = sys.stdin.read()
     else:

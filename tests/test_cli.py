@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import time
@@ -563,3 +564,74 @@ def test_verify_text_witnesses_match_reference(tmp_path, capsys):
         for text, report in zip(listed, reports):
             assert text == _reference_witness_str(report.witness)
     assert {r.witness[0] for r in reports} >= {"scalar", "det"}
+
+
+def test_each_command_declares_only_the_options_it_reads():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                for name, p in sub.choices.items()}
+    assert declared == {
+        "verify": {"--mode", "--json", "--tolerance"},
+        "oracle": {"--sites", "--defect-only", "--json", "--samples", "--seed", "--tolerance"},
+        "simulate": {"--sites", "--steps", "--initial", "--top", "--tolerance"},
+        "family": {"--param", "--list", "--tolerance"},
+        "graph": {"--which", "--tolerance"},
+        "paths": {"--max-len"},
+        "zpoly": {"--which", "--convention"},
+    }
+
+
+def test_options_a_command_does_not_read_are_usage_errors(tmp_path, capsys, f21):
+    # every command once inherited --tolerance, --seed and --json; these 13 read nothing
+    path = write_rule(tmp_path, f21)
+    argvs = {"verify": ["verify", path, "--mode", "periodic"],
+             "simulate": ["simulate", path, "--sites", "3", "--steps", "1", "--initial", "000"],
+             "family": ["family", "f21"], "graph": ["graph", path],
+             "paths": ["paths", path, "--max-len", "2"], "zpoly": ["zpoly", path]}
+    removed = [(c, ["--json"]) for c in ("simulate", "family", "graph", "paths", "zpoly")]
+    removed += [(c, ["--seed", "3"]) for c in argvs]
+    removed += [(c, ["--tolerance", "1e-6"]) for c in ("paths", "zpoly")]
+    assert len(removed) == 13
+    for command, extra in removed:
+        assert run(capsys, *argvs[command])[0] == 0
+        code, out, err = run(capsys, *argvs[command], *extra)
+        assert code == 2 and out == "" and err.startswith("usage: qca1d"), (command, extra)
+        assert f"unrecognized arguments: {' '.join(extra)}" in err
+
+
+def test_graph_reads_the_tolerance_through_the_sector(tmp_path, capsys, ident):
+    from qca1d import RuleTable
+
+    amps = ident.amplitudes.copy()
+    amps[3] = [0, 1 - 1e-6]  # a unit component at tolerance 1e-5, not at the default
+    path = write_rule(tmp_path, RuleTable(2, 2, amps))
+    code, default, _ = run(capsys, "graph", path, "--which", "d1")
+    assert code == 0 and '"1" -> "1"' not in default
+    code, loose, _ = run(capsys, "graph", path, "--which", "d1", "--tolerance", "1e-5")
+    assert code == 0 and loose == default.replace("}", '  "1" -> "1" [label="1 / 0.999998"];\n}')
+
+
+def test_amplitudes_whose_squared_norm_overflows_are_refused(tmp_path, capsys):
+    # rho = 1e200 squares past float range: verify said unitary after overflow
+    # warnings and the oracle read a defect of nan
+    code, out, err = run(capsys, "family", "f21", "--param", "rho=1e200")
+    assert code == 2 and out == "" and err.startswith("error:") and "overflows" in err
+    data = rule_to_dict(make_family("f21", {"rho": 1e150}))
+    assert data["amplitudes"]["01"][1] == [1e150, 0.0] and data["amplitudes"]["10"][0] == [1e-150, 0.0]
+    data["amplitudes"]["01"][1], data["amplitudes"]["10"][0] = [1e200, 0.0], [1e-200, 0.0]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(data))
+    for argv in (["verify", str(big), "--mode", "periodic"], ["oracle", str(big), "--sites", "4"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:") and "overflows" in err, argv
+    # rho = 1e150 still squares within range, and is unitary on rings
+    code, out, _ = run(capsys, "family", "f21", "--param", "rho=1e150")
+    assert code == 0
+    path = tmp_path / "rule.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "verify", str(path), "--mode", "periodic")
+    assert code == 0 and "verdict: unitary" in out
+    for sites in (4, 9, 16):
+        code, out, _ = run(capsys, "oracle", str(path), "--sites", str(sites), "--json")
+        result = json.loads(out)
+        assert code == 0 and result["exact"] and result["defect"] <= 2.3e-16, sites
