@@ -51,6 +51,7 @@ from .transfer import path_monomials, transfer_matrix, z_polynomial
 from .unitarity import (
     INFINITE_CONDITIONS,
     PERIODIC_CONDITIONS,
+    WitnessLabels,
     check_infinite,
     check_periodic,
     witness_str,
@@ -73,9 +74,10 @@ def _cmd_verify(args) -> int:
         verdict = check_infinite(rule)
         conditions = INFINITE_CONDITIONS
     if args.json:
-        print(json.dumps(verdict.to_json()))
+        verdict.write_json(sys.stdout)
     else:
         print(f"mode: {verdict.mode}")
+        labels = WitnessLabels()
         by_condition = {}
         for r in verdict.reports:
             by_condition.setdefault(r.condition, []).append(r)
@@ -87,7 +89,7 @@ def _cmd_verify(args) -> int:
             print(f"{cond}: VIOLATED ({len(reports)} reported)")
             for r in reports:
                 print(f"  value={format_weight(r.value, 12)} margin={r.margin:.6e} "
-                      f"witness: {witness_str(r.witness)}")
+                      f"witness: {witness_str(r.witness, labels)}")
         print("verdict: unitary" if verdict.unitary else "verdict: NOT unitary")
     return 0 if verdict.unitary else 1
 

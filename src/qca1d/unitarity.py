@@ -47,6 +47,7 @@ that this listing examines, not the decisions.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -102,56 +103,53 @@ class Verdict:
     mode: str
     reports: tuple[ConstraintReport, ...]
 
-    def to_json(self) -> dict:
-        labels = _Labels()
-        return {
-            "unitary": self.unitary,
-            "mode": self.mode,
-            "reports": [
-                {
-                    "condition": r.condition,
-                    "witness": witness_to_json(r.witness, labels),
-                    "value": [r.value.real, r.value.imag],
-                    "margin": r.margin,
-                }
-                for r in self.reports
-            ],
-        }
+    def write_json(self, out) -> None:
+        """Write the verdict to ``out`` as one line of JSON, one report at a
+        time: the bytes ``json.dumps`` writes for {"unitary", "mode",
+        "reports": [{"condition", "witness", "value": [re, im], "margin"}]},
+        each witness element rendered once per verdict."""
+        labels, sep = WitnessLabels(json.dumps), ""
+        out.write(f'{{"unitary": {json.dumps(self.unitary)}, "mode": "{self.mode}", "reports": [')
+        for r in self.reports:  # mode and condition names need no escaping
+            w = r.witness
+            witness = (json.dumps([w[0], *map(config_str, w[1:])]) if w and isinstance(w[0], str)
+                       else f'[{", ".join(map(labels.__getitem__, w))}]')
+            out.write(f'{sep}{{"condition": "{r.condition}", "witness": {witness}, "value": '
+                      f'[{_json_float(r.value.real)}, {_json_float(r.value.imag)}], '
+                      f'"margin": {_json_float(r.margin)}}}')
+            sep = ", "
+        out.write("]}\n")
 
 
-class _Labels(dict):
-    """Config or config pair -> its witness label, rendered on first lookup:
-    a config string, or a shared (str, str) tuple for a pair.  One memo
-    serves the witnesses of one verdict, which revisit a few hundred
-    configs many times over."""
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json.dumps writes them
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)  # as json.dumps; repr writes np.float64(...) under numpy 2
+    return _NON_FINITE.get(text, text)
+
+
+class WitnessLabels(dict):
+    """Config or config pair -> its label, rendered on first lookup by
+    ``render`` from a config string or (str, str) pair, by default joined
+    by "|".  One memo serves the witnesses of one verdict, which revisit a
+    few hundred configs many times over."""
+
+    def __init__(self, render=lambda label: label if isinstance(label, str) else "|".join(label)):
+        self.render = render
 
     def __missing__(self, item: tuple):
-        label = self[item] = ((config_str(item[0]), config_str(item[1]))
-                              if isinstance(item[0], tuple) else config_str(item))
+        label = self[item] = self.render((config_str(item[0]), config_str(item[1]))
+                                         if isinstance(item[0], tuple) else config_str(item))
         return label
 
 
-def witness_to_json(witness: tuple, labels: _Labels | None = None) -> list:
-    """A witness as JSON data: a list of config strings, of [str, str]
-    config pairs, or a tagged surjectivity list ("scalar"/"det" and config
-    strings).  Pair labels are shared (str, str) tuples, which ``json.dumps``
-    writes as lists; ``labels`` is the memo of one verdict, fresh when None.
-    """
-    if witness and isinstance(witness[0], str):
-        return [witness[0]] + [config_str(c) for c in witness[1:]]
-    return list(map((_Labels() if labels is None else labels).__getitem__, witness))
-
-
 def witness_from_json(data: list) -> tuple:
-    if data and isinstance(data[0], str) and data[0] in ("scalar", "det"):
-        return (data[0],) + tuple(tuple(int(c) for c in s) for s in data[1:])
-    out = []
-    for item in data:
-        if isinstance(item, str):
-            out.append(tuple(int(c) for c in item))
-        else:
-            out.append(tuple(tuple(int(c) for c in s) for s in item))
-    return tuple(out)
+    def config(label):  # a config string, or a list of them
+        return tuple(map(int, label)) if isinstance(label, str) else tuple(map(config, label))
+    if data and data[0] in ("scalar", "det"):
+        return (data[0], *map(config, data[1:]))
+    return tuple(map(config, data))
 
 
 def verdict_from_json(data: dict) -> Verdict:
@@ -167,7 +165,8 @@ def verdict_from_json(data: dict) -> Verdict:
     return Verdict(bool(data["unitary"]), str(data["mode"]), reports)
 
 
-def witness_str(witness: tuple) -> str:
+def witness_str(witness: tuple, labels: WitnessLabels | None = None) -> str:
+    """A witness as text; ``labels`` is the memo of one verdict, fresh when None."""
     if witness and isinstance(witness[0], str):
         kind = witness[0]
         if kind == "det":
@@ -175,8 +174,7 @@ def witness_str(witness: tuple) -> str:
         gamma, rho, rho_out = witness[1], witness[2], witness[3]
         return (f"scalar gamma={config_str(gamma) or '()'} rho={config_str(rho)}"
                 f" rho'={config_str(rho_out)}")
-    return " ".join(label if isinstance(label, str) else "|".join(label)
-                    for label in witness_to_json(witness))
+    return " ".join(map((WitnessLabels() if labels is None else labels).__getitem__, witness))
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +214,15 @@ def _sector_vertices(rule: RuleTable, sector) -> np.ndarray:
     return inside.reshape(n, q).any(axis=1) | inside.reshape(q, n).any(axis=0)
 
 
+def _certified(log_bound: float, tol: float) -> bool:
+    """expm1(log_bound) <= tol / 2; a bound whose expm1 overflows exceeds
+    every finite tolerance and certifies nothing."""
+    try:
+        return math.expm1(log_bound) <= tol / 2
+    except OverflowError:
+        return False
+
+
 def _search(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs):
     """Decide a condition on arrays, without enumeration.
 
@@ -229,7 +236,7 @@ def _search(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs):
     """
     tol = rule.tolerance
     if condition in ("P-i", "I-i"):
-        return (math.expm1(graphs.potential[1]) <= tol / 2,
+        return (_certified(graphs.potential[1], tol),
                 lambda cap: (graphs.norm, iter_cycles(graphs.norm, cap=cap)))
     if condition == "I-ii":
         # Norm-graph paths between (distinct) sector vertices, interior clear
@@ -237,7 +244,7 @@ def _search(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs):
         # ones are cycles (I-i); with under two sector vertices all are.
         phi, bound = graphs.potential
         ends = _sector_vertices(rule, sector)
-        holds = ends.sum() < 2 or math.expm1(bound + float(np.ptp(phi[ends]))) <= tol / 2
+        holds = ends.sum() < 2 or _certified(bound + float(np.ptp(phi[ends])), tol)
 
         def listing(cap):
             graph = graphs.norm

@@ -5,6 +5,7 @@ from qca1d import (
     RuleTable,
     all_configs,
     config_index,
+    config_str,
     deterministic_sector,
     make_family,
     patt_rule,
@@ -96,3 +97,32 @@ def noisy_grid(seed):
         keep = deterministic_sector(rule) if infinite else frozenset()
         for eps in GRID_NOISE:
             yield f"{label} eps={eps:g}", with_noise(rule, eps, seed + index, keep), infinite
+
+
+def reference_to_json(verdict) -> dict:
+    """A verdict as JSON data, one config_str call per witness element: the
+    reference for the bytes of ``verify --json``, which must equal
+    ``json.dumps`` of this plus a newline."""
+    def witness(w):
+        if isinstance(w[0], str):
+            return [w[0]] + [config_str(c) for c in w[1:]]
+        return [[config_str(x[0]), config_str(x[1])] if isinstance(x[0], tuple) else config_str(x)
+                for x in w]
+
+    return {"unitary": verdict.unitary, "mode": verdict.mode,
+            "reports": [{"condition": r.condition, "witness": witness(r.witness),
+                         "value": [r.value.real, r.value.imag], "margin": r.margin}
+                        for r in verdict.reports]}
+
+
+def rendering_cases():
+    """(mode, rule) of three failing verdicts that between them violate
+    every condition and list both kinds of surjectivity witness."""
+    sector_path = make_family("f31_000_111", {"m1": 1.5, "m2": 0.6, "theta01": 0.3,
+                                              "theta10": 1.1}).amplitudes.copy()
+    sector_path[1] *= 1.1
+    sector_loop = make_family("f31_000_111", {"m1": 1.5, "m2": 0.6}).amplitudes.copy()
+    sector_loop[7] = sector_loop[0]
+    return [("periodic", with_noise(quantized_shift(2, 3), 1e-3)),  # P-i, P-ii, P-iii
+            ("infinite", RuleTable(2, 3, sector_path)),  # I-i, I-ii
+            ("infinite", RuleTable(2, 3, sector_loop))]  # I-iii, I-iv, I-v

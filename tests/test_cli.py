@@ -20,7 +20,13 @@ from qca1d import (
 from qca1d.cli import main
 from qca1d.rules import rule_to_dict
 
-from conftest import deterministic_shift, quantized_shift, with_noise
+from conftest import (
+    deterministic_shift,
+    quantized_shift,
+    reference_to_json,
+    rendering_cases,
+    with_noise,
+)
 
 
 def write_rule(tmp_path, rule, name="rule.json"):
@@ -267,6 +273,39 @@ def test_cycle_cap_exit_code(tmp_path, capsys, monkeypatch, f21):
     path = write_rule(tmp_path, with_noise(f21, 1e-3))
     code, _, err = run(capsys, "verify", path, "--mode", "periodic")
     assert code == 3 and "P-i: cycle enumeration exceeded the cap of 1 examined edges" in err
+
+
+def test_verify_json_bytes_match_reference(tmp_path, capsys, monkeypatch, f21):
+    from qca1d import RuleTable, load_rule
+
+    huge = RuleTable(2, 3, np.full((8, 2), 1e100, dtype=complex))  # P-i, P-ii products overflow
+    cases = [*rendering_cases(), ("periodic", f21), ("periodic", huge)]
+    for i, (mode, rule) in enumerate(cases):
+        path = write_rule(tmp_path, rule, f"rule{i}.json")
+        verdict = (check_periodic if mode == "periodic" else check_infinite)(load_rule(path))
+        code, out, err = run(capsys, "verify", path, "--mode", mode, "--json")
+        assert code == (0 if verdict.unitary else 1) and err == ""
+        assert out == json.dumps(reference_to_json(verdict)) + "\n"
+    assert '"reports": []' in run(capsys, "verify", write_rule(tmp_path, f21), "--mode",
+                                  "periodic", "--json")[1]
+    assert len(verdict.reports) > 100 and "Infinity" in out and "NaN" in out
+    # a verdict that has to list witnesses fails before anything is written
+    monkeypatch.setenv("QCA_CYCLE_CAP", "1")
+    assert run(capsys, "verify", path, "--mode", "periodic", "--json") == (
+        3, "", "error: P-i: cycle enumeration exceeded the cap of 1 examined edges\n")
+
+
+def test_certificate_overflow_leaves_the_decision_to_enumeration(tmp_path, capsys):
+    from qca1d import RuleTable
+
+    # norms 1 and 1e-200: the potential bound passes 709.78, where expm1 overflows
+    amps = np.zeros((4, 2), dtype=complex)
+    amps[0, 0], amps[1:, 1] = 1.0, 1e-100
+    path = write_rule(tmp_path, RuleTable(2, 2, amps))
+    for mode, condition in (("periodic", "P-i"), ("infinite", "I-i")):
+        code, out, err = run(capsys, "verify", path, "--mode", mode)
+        assert code == 1 and err == ""
+        assert f"{condition}: VIOLATED (2 reported)" in out and "verdict: NOT unitary" in out
 
 
 def test_paths_output(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -20,7 +21,14 @@ from qca1d import (
 )
 from qca1d.transfer import Monomial
 
-from conftest import F21_00_SAMPLE, F21_SAMPLE, quantized_shift, with_noise
+from conftest import (
+    F21_00_SAMPLE,
+    F21_SAMPLE,
+    quantized_shift,
+    reference_to_json,
+    rendering_cases,
+    with_noise,
+)
 
 
 def witness_monomial(witness):
@@ -161,11 +169,16 @@ def test_witness_reevaluates_to_value(ident, f21_00):
         assert product == pytest.approx(report.value)
 
 
+def rendered(verdict) -> str:
+    out = io.StringIO()
+    verdict.write_json(out)
+    return out.getvalue()
+
+
 def test_verdict_json_roundtrip(f21_00):
     for verdict in (check_periodic(f21_00), check_infinite(f21_00),
                     check_infinite(make_family("f21_00", dict(F21_00_SAMPLE, theta=np.pi / 2)))):
-        data = verdict.to_json()
-        assert verdict_from_json(data) == verdict
+        assert verdict_from_json(json.loads(rendered(verdict))) == verdict
 
 
 def test_parity_and_transpose_covariance(f21, f21_00):
@@ -175,35 +188,13 @@ def test_parity_and_transpose_covariance(f21, f21_00):
     assert check_infinite(state_transpose(f21_00, (1, 0), "both")).unitary
 
 
-def _reference_to_json(verdict) -> dict:
-    """Verdict.to_json rendered with one config_str call per witness element."""
-    def witness(w):
-        if isinstance(w[0], str):
-            return [w[0]] + [config_str(c) for c in w[1:]]
-        return [[config_str(x[0]), config_str(x[1])] if isinstance(x[0], tuple) else config_str(x)
-                for x in w]
-
-    return {"unitary": verdict.unitary, "mode": verdict.mode,
-            "reports": [{"condition": r.condition, "witness": witness(r.witness),
-                         "value": [r.value.real, r.value.imag], "margin": r.margin}
-                        for r in verdict.reports]}
-
-
 def test_witness_rendering_matches_per_element_reference():
-    sector_path = make_family("f31_000_111", {"m1": 1.5, "m2": 0.6, "theta01": 0.3,
-                                              "theta10": 1.1}).amplitudes.copy()
-    sector_path[1] *= 1.1
-    sector_loop = make_family("f31_000_111", {"m1": 1.5, "m2": 0.6}).amplitudes.copy()
-    sector_loop[7] = sector_loop[0]
-    verdicts = (check_periodic(with_noise(quantized_shift(2, 3), 1e-3)),  # P-i, P-ii, P-iii
-                check_infinite(RuleTable(2, 3, sector_path)),  # I-i, I-ii
-                check_infinite(RuleTable(2, 3, sector_loop)))  # I-iii, I-iv, I-v
     conditions, kinds = set(), set()
-    for verdict in verdicts:
-        data = verdict.to_json()
-        assert json.dumps(data) == json.dumps(_reference_to_json(verdict))
-        assert verdict_from_json(data) == verdict
-        assert verdict_from_json(json.loads(json.dumps(data))) == verdict
+    for mode, rule in rendering_cases():
+        verdict = (check_periodic if mode == "periodic" else check_infinite)(rule)
+        text = rendered(verdict)
+        assert text == json.dumps(reference_to_json(verdict)) + "\n"
+        assert verdict_from_json(json.loads(text)) == verdict
         conditions |= {r.condition for r in verdict.reports}
         kinds |= {r.witness[0] for r in verdict.reports if isinstance(r.witness[0], str)}
     assert conditions == {"P-i", "P-ii", "P-iii", "I-i", "I-ii", "I-iii", "I-iv", "I-v"}
