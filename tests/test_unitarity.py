@@ -10,7 +10,6 @@ from qca1d import (
     check_infinite,
     check_periodic,
     config_index,
-    config_str,
     evaluate_condition,
     global_matrix,
     make_family,
@@ -21,14 +20,7 @@ from qca1d import (
 )
 from qca1d.transfer import Monomial
 
-from conftest import (
-    F21_00_SAMPLE,
-    F21_SAMPLE,
-    quantized_shift,
-    reference_to_json,
-    rendering_cases,
-    with_noise,
-)
+from conftest import F21_00_SAMPLE, reference_to_json, rendering_cases
 
 
 def witness_monomial(witness):
