@@ -28,7 +28,7 @@ from .rules import (
     unit_configs,
 )
 from .graphs import (
-    CycleCapExceeded,
+    CapExceeded,
     Graph,
     deterministic_sector,
     enumerate_cycles,
@@ -68,7 +68,6 @@ from .families import (
     random_params,
 )
 from .oracle import (
-    DimensionCapExceeded,
     apply_global,
     basis_state,
     defect_estimate,

@@ -7,10 +7,11 @@ graph, --json on verify and oracle, and --seed on oracle.
 Exit codes: 0 success (or unitary verdict), 1 not-unitary verdict, 2 usage
 or rule-file error (including a path that cannot be read, an empty
 deterministic sector, and a ``simulate`` state that is not a list of
-[re, im] number pairs, not finite or not normalized), 3 resource cap
-exceeded.  The environment variable QCA_CYCLE_CAP overrides the cap on
-the edges that witness listing examines.  Identical arguments produce
-identical output.
+[re, im] number pairs, not finite or not normalized), 3 an input over one
+of the resource caps defined in ``qca1d.graphs`` (``graphs.CapExceeded``).
+The environment variable QCA_CYCLE_CAP overrides the cap on the edges
+that one enumeration (a condition's witness listing, one ``paths``
+length) examines.  Identical arguments produce identical output.
 
 In-process callers (test suites, benchmark harnesses, notebooks) may call
 ``main(argv)`` many times: it builds the argument parser on the first call
@@ -29,7 +30,7 @@ import numpy as np
 
 from .families import FAMILIES, ParameterError, family_names, make_family
 from .graphs import (
-    CycleCapExceeded,
+    CapExceeded,
     deterministic_sector,
     format_weight,
     pair_graph,
@@ -38,7 +39,6 @@ from .graphs import (
     to_dot,
 )
 from .oracle import (
-    DimensionCapExceeded,
     basis_state,
     defect_estimate,
     evolution_step,
@@ -319,7 +319,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CycleCapExceeded, DimensionCapExceeded) as exc:
+    except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -25,7 +25,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .graphs import check_entries
+from .graphs import MAX_PAIR_ENTRIES, check_cap
 from .rules import (
     DEFAULT_TOLERANCE,
     RuleTable,
@@ -255,7 +255,7 @@ def frame_rule(q: int, k: int, j: int, vectors: Mapping,
     way satisfy the terminating-mismatch-path condition (P-iii) by
     construction.  Each prefix and class pair i < i' is checked by one
     block of inner products, rounded as ``np.vdot`` rounds; a block of more
-    than ``MAX_PAIR_ENTRIES`` raises ``CycleCapExceeded`` before it exists.
+    than ``MAX_PAIR_ENTRIES`` raises ``CapExceeded`` before it exists.
     """
     if not 0 < j < k:
         raise ParameterError(f"frame depth j={j} must satisfy 0 < j < k={k}")
@@ -272,7 +272,7 @@ def frame_rule(q: int, k: int, j: int, vectors: Mapping,
         raise ParameterError(f"missing vectors for {q**k - len(present)} neighborhoods, "
                              f"e.g. {config_str(missing)}")
     tail = q ** (k - j - 1)
-    check_entries(tail * tail, "a frame check block has {} inner products")
+    check_cap(tail * tail, MAX_PAIR_ENTRIES, "a frame check block has {} inner products")
     amps = np.empty((q**k, q), dtype=complex)
     amps[[config_index(c, q) for c in configs]] = rows
     # classes[gamma, i, t] is row (gamma q + i) tail + t, the config gamma i t

@@ -35,21 +35,25 @@ import numpy as np
 from .rules import (Config, RuleTable, all_configs, config_index, config_str,
                     deterministic_outputs, index_config, unit_hits, vdots)
 
-DEFAULT_CYCLE_CAP = 10**6
+# Every resource limit.  check_cap refuses each size before its array is
+# allocated or its work starts; enumeration raises the same CapExceeded once
+# it has examined more edges than its cap.  The CLI exits 3 on it.
+DEFAULT_CYCLE_CAP = 10**6  # edges one enumeration examines; QCA_CYCLE_CAP overrides it
 MAX_PAIR_ENTRIES = 1 << 22  # q^(2k) pair weights, 64 MiB as complex128
+MAX_STATE_DIM = 2**24  # amplitudes of a ring state
+MAX_DENSE_DIM = 4096  # q^N of a dense ring matrix or of the exact orbit-row defect
+MAX_WALK_COST = MAX_DENSE_DIM**2  # the orbit rows' cost at their cap, see oracle.walk_cost
 
 
-class CycleCapExceeded(RuntimeError):
-    """Cycle or path enumeration examined more edges than the cap, or a
-    pair graph, transfer matrix, frame check block or I-v gather (the window
-    entries of the border scalars, ``surjectivity._oriented_reports``) has
-    more entries than ``MAX_PAIR_ENTRIES``."""
+class CapExceeded(RuntimeError):
+    """An input needs more work or memory than one of the caps above."""
 
 
-def resolve_cycle_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    return int(os.environ.get("QCA_CYCLE_CAP", DEFAULT_CYCLE_CAP))
+def check_cap(size: int, cap: int, what: str) -> None:
+    """Refuse ``what``, its ``{}`` filled in with the size ("the pair graph
+    has {} weights"), when the size is over the cap."""
+    if size > cap:
+        raise CapExceeded(f"{what.format(size)}, over the cap of {cap}")
 
 
 class Graph:
@@ -97,8 +101,8 @@ class Graph:
         return [order[start:end] for start, end in zip([0] + ends, ends)]
 
     @cached_property
-    def _weights(self) -> list[complex]:
-        return self.weight.tolist()
+    def _weights(self) -> list:
+        return (self.weight.real if self.kind == "single" else self.weight).tolist()
 
     @cached_property
     def _label(self) -> Callable[[int], tuple]:
@@ -110,8 +114,13 @@ class Graph:
         return cache(lambda e: (cfgs[ids[e] // n], cfgs[ids[e] % n]))
 
     def product(self, walk: Sequence[int]) -> complex:
-        """Weight of a walk: the product of its edge weights, left to right."""
-        return math.prod(map(self._weights.__getitem__, walk), start=complex(1.0))
+        """Weight of a walk: the product of its edge weights, left to right.
+        Norm weights are real and multiply as floats, so an overflow reads
+        inf, where a complex product would turn inf * 0j into nan."""
+        weights = map(self._weights.__getitem__, walk)
+        if self.kind == "single":
+            return complex(math.prod(weights))
+        return math.prod(weights, start=complex(1.0))
 
     def configs(self, walk: Sequence[int]) -> tuple:
         """The neighborhood (norm graph) or ordered neighborhood pair (pair
@@ -133,21 +142,15 @@ def rule_graph(rule: RuleTable) -> Graph:
     return Graph("single", rule.q, rule.k, np.arange(len(amps)), vdots(amps, amps))
 
 
-def check_entries(size: int, what: str) -> None:
-    """Refuse ``what`` ("the pair graph has {} weights") past ``MAX_PAIR_ENTRIES``."""
-    if size > MAX_PAIR_ENTRIES:
-        raise CycleCapExceeded(f"{what.format(size)}, over the cap of {MAX_PAIR_ENTRIES}")
-
-
 def pair_graph(rule: RuleTable) -> Graph:
     """Pair graph: q^(2(k-1)) vertices, one edge per ordered neighborhood pair.
 
     The edge for the pair (a, b) carries weight <<a | b>>, an entry of the
     Gram matrix of the amplitude rows; the edges with a == b reproduce the
-    norm graph on the diagonal vertices.  Raises :class:`CycleCapExceeded`
+    norm graph on the diagonal vertices.  Raises :class:`CapExceeded`
     before allocating when q^(2k) exceeds ``MAX_PAIR_ENTRIES``.
     """
-    check_entries(rule.q ** (2 * rule.k), "the pair graph has {} weights")
+    check_cap(rule.q ** (2 * rule.k), MAX_PAIR_ENTRIES, "the pair graph has {} weights")
     amps = rule.amplitudes
     gram = vdots(amps[:, None, :], amps[None, :, :])
     return Graph("pair", rule.q, rule.k, np.arange(gram.size), gram.ravel())
@@ -209,11 +212,10 @@ def mismatch_support(rule: RuleTable) -> np.ndarray:
 
     The weights come from one matrix product; the few within rounding of
     the tolerance are recomputed as :func:`pair_graph` computes its edge
-    weights, so the mask agrees with the per-edge test exactly.  Raises
-    :class:`CycleCapExceeded` before allocating when q^(2k) exceeds
-    ``MAX_PAIR_ENTRIES``.
+    weights, so the mask agrees with the per-edge test exactly.  Refused
+    before allocating, as :func:`pair_graph` is.
     """
-    check_entries(rule.q ** (2 * rule.k), "the pair graph has {} weights")
+    check_cap(rule.q ** (2 * rule.k), MAX_PAIR_ENTRIES, "the pair graph has {} weights")
     amps, tol = rule.amplitudes, rule.tolerance
     magnitude = np.abs(amps.conj() @ amps.T)
     scale = max(float(np.max(np.sum(np.abs(amps) ** 2, axis=1))), tol)
@@ -282,12 +284,13 @@ def _walks(graph, roots, edge_mask, vertex_mask, exact_len, cap, kind):
     end on their first vertex in ``targets``, their interior vertices
     distinct, above ``floor``, in ``vertex_mask`` and different from the
     source.  ``cap`` bounds the edges examined over all roots, masked ones
-    included.
+    included; None reads it from QCA_CYCLE_CAP, or DEFAULT_CYCLE_CAP.
     """
     out, dst = graph.out_edges, graph.dst.tolist()
     edge_ok = [True] * len(dst) if edge_mask is None else edge_mask.tolist()
     interior_ok = [True] * graph.n_vertices if vertex_mask is None else vertex_mask.tolist()
-    budget = math.inf if cap is None else cap
+    if cap is None:
+        cap = int(os.environ.get("QCA_CYCLE_CAP", DEFAULT_CYCLE_CAP))
     work = 0
     for source, targets, floor in roots:
         path: list[int] = []
@@ -296,8 +299,8 @@ def _walks(graph, roots, edge_mask, vertex_mask, exact_len, cap, kind):
         while stack:
             for e in stack[-1]:
                 work += 1
-                if work > budget:
-                    raise CycleCapExceeded(
+                if work > cap:  # inline, not check_cap: this runs once per edge
+                    raise CapExceeded(
                         f"{kind} enumeration exceeded the cap of {cap} examined edges")
                 if not edge_ok[e]:
                     continue
@@ -332,8 +335,8 @@ def iter_cycles(
     arrays; None allows all) are used.  Cycles are tuples of edge indices,
     grouped by their minimal vertex (ascending) and within a group in
     depth-first edge order.  Parallel self-loops count as distinct cycles.
-    Raises :class:`CycleCapExceeded` once the search has examined more than
-    ``cap`` edges (no limit when ``cap`` is None).
+    Raises :class:`CapExceeded` once the search has examined more than
+    ``cap`` edges, by default QCA_CYCLE_CAP or DEFAULT_CYCLE_CAP.
     """
     starts = range(graph.n_vertices) if vertex_mask is None \
         else np.flatnonzero(vertex_mask).tolist()
@@ -351,9 +354,8 @@ def enumerate_cycles(
     restrict="mismatch" keeps only cycles that lie entirely in the mismatch
     region of a pair graph: every edge a mismatch edge and every vertex off
     the diagonal.  (Closed mismatch walks through diagonal vertices are
-    classified as terminating paths, not cycles.)  Enumeration stops with
-    :class:`CycleCapExceeded` once it has examined more than ``cap`` edges;
-    the cap defaults to QCA_CYCLE_CAP or 10**6.
+    classified as terminating paths, not cycles.)  ``cap`` bounds the
+    search as in :func:`iter_cycles`.
     """
     if restrict not in (None, "mismatch"):
         raise ValueError(f"unknown restrict value {restrict!r}")
@@ -362,8 +364,7 @@ def enumerate_cycles(
         if graph.kind != "pair":
             raise ValueError("mismatch restriction applies to pair graphs only")
         edge_mask, vertex_mask = graph.mismatch, ~graph.diagonal
-    return list(iter_cycles(graph, edge_mask=edge_mask, vertex_mask=vertex_mask,
-                            cap=resolve_cycle_cap(cap)))
+    return list(iter_cycles(graph, edge_mask=edge_mask, vertex_mask=vertex_mask, cap=cap))
 
 
 def iter_paths(
@@ -382,9 +383,8 @@ def iter_paths(
     masks, ``edge_mask`` a boolean edge mask (None allows all).  Interior
     vertices must be distinct, lie in ``interior_mask`` and differ from both
     endpoints; the endpoints themselves may coincide.  Paths are tuples of
-    edge indices in depth-first order from each source (ascending).  Raises
-    :class:`CycleCapExceeded` once the search has examined more than
-    ``cap`` edges (no limit when ``cap`` is None).
+    edge indices in depth-first order from each source (ascending).
+    ``cap`` bounds the search as in :func:`iter_cycles`.
     """
     ends = set(np.flatnonzero(targets).tolist())
     roots = ((s, ends, -1) for s in np.flatnonzero(sources).tolist())

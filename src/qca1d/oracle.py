@@ -36,27 +36,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import MAX_PAIR_ENTRIES, advance
+from .graphs import (MAX_DENSE_DIM, MAX_PAIR_ENTRIES, MAX_STATE_DIM, MAX_WALK_COST, advance,
+                     check_cap)
 from .rules import (RuleTable, all_configs, as_config, config_digits, config_index, window_indices,
                     window_product)
 
-DEFAULT_MAX_DIM = 4096
-MAX_STATE_DIM = 2**24
-MAX_WALK_COST = DEFAULT_MAX_DIM**2  # the orbit rows' cost at their cap, see walk_cost
 _BLOCK_DIM = 16  # q^L bound on the sites one matrix-free step contracts
 
 
-class DimensionCapExceeded(RuntimeError):
-    """The requested dense matrix or ring state exceeds the configured size cap."""
-
-
 def state_dim(q: int, n_sites: int) -> int:
-    """q^N for an N-site ring, refused past MAX_STATE_DIM before any allocation."""
+    """q^N for an N-site ring, refused past MAX_STATE_DIM before any allocation.
+    As q >= 2, q^N is over the cap exactly when q^min(N, bits of the cap) is."""
     if n_sites < 1:
         raise ValueError(f"need at least one site, got {n_sites}")
-    if n_sites >= MAX_STATE_DIM.bit_length() or q**n_sites > MAX_STATE_DIM:
-        raise DimensionCapExceeded(
-            f"ring state dimension {q}^{n_sites} exceeds the cap {MAX_STATE_DIM}")
+    check_cap(q ** min(n_sites, MAX_STATE_DIM.bit_length()), MAX_STATE_DIM,
+              f"ring state dimension {q}^{n_sites}")
     return q**n_sites
 
 
@@ -81,7 +75,7 @@ def random_state(q: int, n_sites: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def global_matrix(rule: RuleTable, n_sites: int) -> np.ndarray:
-    """Dense evolution matrix on the N-site ring, refused past q^N = DEFAULT_MAX_DIM.
+    """Dense evolution matrix on the N-site ring, refused past q^N = MAX_DENSE_DIM.
 
     Column `in` is the Kronecker product over sites of the amplitude
     vectors of the windows read from the input configuration; for a
@@ -89,11 +83,7 @@ def global_matrix(rule: RuleTable, n_sites: int) -> np.ndarray:
     reference the matrix-free evolution is tested against.
     """
     q, k = rule.q, rule.k
-    dim = state_dim(q, n_sites)
-    if dim > DEFAULT_MAX_DIM:
-        raise DimensionCapExceeded(
-            f"dense matrix dimension {dim} exceeds the cap {DEFAULT_MAX_DIM}; "
-            "apply_global and evolve apply the evolution without it")
+    check_cap(state_dim(q, n_sites), MAX_DENSE_DIM, "dense matrix dimension {}")
     cells = config_digits(q, n_sites)[np.arange(n_sites + k - 1) % n_sites]
     return window_product(rule.amplitudes, window_indices(cells, q, k))
 
@@ -134,9 +124,7 @@ def ring_defect(rule: RuleTable, n_sites: int) -> float:
     """
     q, k = rule.q, rule.k
     dim = state_dim(q, n_sites)
-    if dim > DEFAULT_MAX_DIM:
-        raise DimensionCapExceeded(
-            f"ring dimension {dim} exceeds the exact-defect cap {DEFAULT_MAX_DIM}")
+    check_cap(dim, MAX_DENSE_DIM, "exact-defect ring dimension {}")
     reps = shift_orbit_representatives(dim, n_sites)
     cells = config_digits(q, n_sites)[np.arange(n_sites + k - 1) % n_sites][:, reps]
     rep_windows = window_indices(cells, q, k)
@@ -216,15 +204,12 @@ def walk_defect(rule: RuleTable, n_sites: int) -> float:
     over.  An off-diagonal walk has an edge (a, b) with a != b, and rotating
     the ring makes it the first edge: the largest |entry| is the max-times
     walk whose first edge is such a mismatch edge.  Refused with
-    :class:`DimensionCapExceeded` when ``walk_cost`` exceeds MAX_WALK_COST.
+    ``graphs.CapExceeded`` when ``walk_cost`` exceeds MAX_WALK_COST.
     """
     q, k = rule.q, rule.k
     if n_sites < 1:
         raise ValueError(f"need at least one site, got {n_sites}")
-    cost = walk_cost(q, k, n_sites)
-    if cost > MAX_WALK_COST:
-        raise DimensionCapExceeded(
-            f"the closed-walk defect costs {cost}, over the cap {MAX_WALK_COST}")
+    check_cap(walk_cost(q, k, n_sites), MAX_WALK_COST, "the closed-walk defect costs {}")
     amps = rule.amplitudes
     weights = np.abs(amps.conj() @ amps.T)
     norms = weights.diagonal()
@@ -241,11 +226,11 @@ def exact_defect_kernel(q: int, k: int, n_sites: int) -> Callable[[RuleTable, in
     """The exact ring-defect kernel of least estimated cost that takes an
     N-site ring of a (q, k) rule, or None when both refuse: ``walk_defect``
     costs ``walk_cost``, up to MAX_WALK_COST, and ``ring_defect`` q^(2N)
-    Gram entries, up to q^N = DEFAULT_MAX_DIM."""
+    Gram entries, up to q^N = MAX_DENSE_DIM."""
     kernels = []
     if (cost := walk_cost(q, k, n_sites)) <= MAX_WALK_COST:
         kernels.append((cost, walk_defect))
-    if n_sites < DEFAULT_MAX_DIM.bit_length() and q**n_sites <= DEFAULT_MAX_DIM:
+    if q ** min(n_sites, MAX_DENSE_DIM.bit_length()) <= MAX_DENSE_DIM:
         kernels.append((q ** (2 * n_sites), ring_defect))
     return min(kernels, key=lambda kernel: kernel[0])[1] if kernels else None
 

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import check_entries, deterministic_sector, sector_mask
+from .graphs import MAX_PAIR_ENTRIES, check_cap, deterministic_sector, sector_mask
 from .rules import (Config, RuleTable, all_configs, as_config, config_digits, config_index,
                     config_str, parity_transform, window_indices, window_product)
 from .unitarity import ConstraintReport
@@ -194,7 +194,8 @@ def _oriented_reports(rule: RuleTable, sector: frozenset[Config]) -> Iterator[Co
     rho = np.flatnonzero(sector_mask(sector, q, k))
     # one column per coupled pair (rho, rho') and prefix gamma, in that order
     coupled = np.abs(rule.amplitudes[rho][:, rho % q] - 1.0) <= tol
-    check_entries(np.count_nonzero(coupled) * n * (k - 1), "the I-v gather has {} window entries")
+    check_cap(np.count_nonzero(coupled) * n * (k - 1), MAX_PAIR_ENTRIES,
+              "the I-v gather has {} window entries")
     right, right_out = (np.repeat(rho[pairs], n) for pairs in np.nonzero(coupled))
     gamma = np.arange(right.size) % n
     digits = config_digits(q, k - 1)
@@ -226,7 +227,7 @@ def check_surjectivity(rule: RuleTable, sector: frozenset[Config]) -> list[Const
     Onto-ness is therefore certified when either reading direction is
     violation free; violations are reported in the rightward reading, and
     the mirrored reading stops at its first.  A reading whose gather has
-    more than ``MAX_PAIR_ENTRIES`` window entries raises ``CycleCapExceeded``
+    more than ``MAX_PAIR_ENTRIES`` window entries raises ``CapExceeded``
     before it is allocated.
     """
     if not sector:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, check_entries, iter_paths, pair_graph
+from .graphs import MAX_PAIR_ENTRIES, Graph, check_cap, iter_paths, pair_graph
 from .rules import RuleTable
 
 
@@ -65,9 +65,9 @@ def transfer_matrix(graph: Graph, convention: str = "raw") -> np.ndarray:
     subgraph by bookkeeping weights: diagonal self-loops become 0, every
     other diagonal edge becomes 1, mismatch edges keep their true weights.
     Only mismatch-path weights then survive in the generating function.
-    Past ``MAX_PAIR_ENTRIES`` entries it raises ``CycleCapExceeded`` first.
+    Past ``MAX_PAIR_ENTRIES`` entries it raises ``CapExceeded`` first.
     """
-    check_entries(graph.n_vertices**2, "the transfer matrix has {} entries")
+    check_cap(graph.n_vertices**2, MAX_PAIR_ENTRIES, "the transfer matrix has {} entries")
     if convention not in ("raw", "simplified"):
         raise ValueError(f"unknown convention {convention!r}")
     if convention == "simplified" and graph.kind != "pair":
@@ -124,7 +124,9 @@ def path_monomials(rule: RuleTable, n: int) -> list[Monomial]:
     Enumerates mismatch-edge paths of the pair graph whose first and last
     vertices are diagonal and whose interior vertices are distinct and off
     the diagonal, then canonicalizes and deduplicates.  The result depends
-    only on (q, k), not on the amplitude values.
+    only on (q, k), not on the amplitude values.  The search stops with
+    ``graphs.CapExceeded`` past QCA_CYCLE_CAP examined edges, as witness
+    listing does.
     """
     if n < 1:
         raise ValueError(f"path length must be at least 1, got {n}")

@@ -55,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import (
-    CycleCapExceeded,
+    CapExceeded,
     Graph,
     cycle_reach,
     deterministic_sector,
@@ -65,7 +65,6 @@ from .graphs import (
     norm_potential,
     pair_graph,
     reaches,
-    resolve_cycle_cap,
     rule_graph,
     sector_mask,
 )
@@ -230,14 +229,15 @@ def _search(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs):
     mismatch conditions are decided exactly.  P-i, I-i and I-ii are
     certified by the norm potential, with half the tolerance as headroom for
     rounding; False there only means the certificate does not settle the
-    condition.  ``listing(cap)`` returns the graph the witnesses live in and
-    a lazy search for its candidate walks over the masks of this decision;
+    condition.  ``listing(cap=None)`` returns the graph the witnesses live
+    in and a lazy search for its candidate walks over the masks of this
+    decision, ``cap`` examined edges at most (QCA_CYCLE_CAP by default);
     only it builds the graph.
     """
     tol = rule.tolerance
     if condition in ("P-i", "I-i"):
         return (_certified(graphs.potential[1], tol),
-                lambda cap: (graphs.norm, iter_cycles(graphs.norm, cap=cap)))
+                lambda cap=None: (graphs.norm, iter_cycles(graphs.norm, cap=cap)))
     if condition == "I-ii":
         # Norm-graph paths between (distinct) sector vertices, interior clear
         # of sector vertices; composite paths factor through these.  Closed
@@ -246,7 +246,7 @@ def _search(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs):
         ends = _sector_vertices(rule, sector)
         holds = ends.sum() < 2 or _certified(bound + float(np.ptp(phi[ends])), tol)
 
-        def listing(cap):
+        def listing(cap=None):
             graph = graphs.norm
             src, dst = graph.src.tolist(), graph.dst.tolist()
             return graph, (p for p in iter_paths(graph, ends, ends, cap=cap)
@@ -259,9 +259,9 @@ def _search(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs):
     diagonal = np.eye(rule.q ** (rule.k - 1), dtype=bool)
     if condition in ("P-ii", "I-iv"):
         reach = cycle_reach(edges, ~diagonal)  # listed cycles start only here
-        return not reach.any(), lambda cap: (graphs.pair, iter_cycles(
+        return not reach.any(), lambda cap=None: (graphs.pair, iter_cycles(
             graphs.pair, edge_mask=edges.ravel(), vertex_mask=reach.ravel(), cap=cap))
-    return not reaches(edges, diagonal, diagonal), lambda cap: (graphs.pair, iter_paths(
+    return not reaches(edges, diagonal, diagonal), lambda cap=None: (graphs.pair, iter_paths(
         graphs.pair, diagonal.ravel(), diagonal.ravel(), edge_mask=edges.ravel(),
         interior_mask=~diagonal.ravel(), cap=cap))
 
@@ -319,9 +319,9 @@ def evaluate_condition(
     if holds:
         return []
     try:
-        return _violations(rule, condition, *listing(resolve_cycle_cap()), max_violations)
-    except CycleCapExceeded as exc:
-        raise CycleCapExceeded(f"{condition}: {exc}") from None
+        return _violations(rule, condition, *listing(), max_violations)
+    except CapExceeded as exc:
+        raise CapExceeded(f"{condition}: {exc}") from None
 
 
 def check_periodic(

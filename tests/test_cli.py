@@ -296,6 +296,29 @@ def test_verify_json_bytes_match_reference(tmp_path, capsys, monkeypatch, f21):
         3, "", "error: P-i: cycle enumeration exceeded the cap of 1 examined edges\n")
 
 
+def test_overflowing_norm_cycles_read_infinity(tmp_path, capsys):
+    # every (2,3) norm weight is 2e200, so every cycle of two or more edges
+    # overflows; multiplied as complex numbers, inf * 0j turned a value into
+    # nan, and the one whose real part went nan was not reported at all
+    from qca1d import RuleTable
+    path = write_rule(tmp_path, RuleTable(2, 3, np.full((8, 2), 1e100, dtype=complex)))
+    code, out, err = run(capsys, "verify", path, "--mode", "periodic", "--json")
+    assert code == 1 and err == ""
+    values = [r["value"] for r in json.loads(out)["reports"] if r["condition"] == "P-i"]
+    assert values == [[2e200, 0.0]] + [[float("inf"), 0.0]] * 4 + [[2e200, 0.0]]
+
+
+def test_paths_stops_at_the_work_budget(tmp_path, capsys, monkeypatch):
+    # the (2,4) mismatch paths multiply with their length: without a budget,
+    # --max-len 14 was still enumerating after 100 s
+    monkeypatch.setenv("QCA_CYCLE_CAP", "10000")
+    path = write_rule(tmp_path, quantized_shift(2, 4))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "paths", path, "--max-len", "14")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and err == "error: path enumeration exceeded the cap of 10000 examined edges\n"
+
+
 def test_certificate_overflow_leaves_the_decision_to_enumeration(tmp_path, capsys):
     from qca1d import RuleTable
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qca1d import (
-    CycleCapExceeded,
+    CapExceeded,
     RuleTable,
     check_infinite,
     check_periodic,
@@ -107,7 +107,7 @@ def test_array_decision_matches_enumeration(seed):
             holds, listing = _search(rule, condition, sector, graphs)
             try:
                 violated = bool(_violations(rule, condition, *listing(LISTING_CAP), 1))
-            except CycleCapExceeded:
+            except CapExceeded:
                 assert condition in ("P-ii", "I-iv"), (label, condition)
                 violated = _mismatch_cycle_exists(graphs.pair, sector, rule.tolerance)
             if condition in CERTIFIED:
@@ -203,7 +203,7 @@ def test_cap_counts_examined_edges_not_cycles():
     no_diagonal = ~g2.diagonal
     mismatch = g2.mismatch & (np.abs(g2.weight) > 1e-9)
     assert list(iter_cycles(g2, edge_mask=mismatch, vertex_mask=no_diagonal)) == []
-    with pytest.raises(CycleCapExceeded, match="examined edges"):
+    with pytest.raises(CapExceeded, match="examined edges"):
         list(iter_cycles(g2, edge_mask=mismatch, vertex_mask=no_diagonal, cap=10))
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qca1d import (
-    CycleCapExceeded,
+    CapExceeded,
     ParameterError,
     check_periodic,
     deterministic_sector,
@@ -247,7 +247,7 @@ def test_frame_rule_keeps_the_later_of_two_keys_for_one_config():
 def test_frame_rule_refuses_a_check_block_over_the_cap():
     # j = 1 at (2, 14): blocks of 4096 x 4096 inner products, past 2^22
     vectors = {config_str(c): [1, 0] for c in all_configs(2, 14)}
-    with pytest.raises(CycleCapExceeded, match="a frame check block has 16777216 inner products"):
+    with pytest.raises(CapExceeded, match="a frame check block has 16777216 inner products"):
         frame_rule(2, 14, 1, vectors)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qca1d import (
-    CycleCapExceeded,
+    CapExceeded,
     RuleTable,
     config_index,
     deterministic_sector,
@@ -141,7 +141,7 @@ def test_mismatch_restrict_requires_pair_graph(ident):
 
 
 def test_cycle_cap(ident):
-    with pytest.raises(CycleCapExceeded, match="2"):
+    with pytest.raises(CapExceeded, match="2"):
         enumerate_cycles(rule_graph(ident), cap=2)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qca1d import (
-    DimensionCapExceeded,
+    CapExceeded,
     RuleTable,
     all_configs,
     apply_global,
@@ -27,8 +27,9 @@ from qca1d import (
     walk_defect,
 )
 import qca1d.oracle as oracle
-from qca1d.oracle import (DEFAULT_MAX_DIM, MAX_WALK_COST, evolution_step, exact_defect_kernel,
-                          shift_orbit_representatives, walk_cost)
+from qca1d.graphs import MAX_DENSE_DIM, MAX_WALK_COST
+from qca1d.oracle import (evolution_step, exact_defect_kernel, shift_orbit_representatives,
+                          walk_cost)
 from qca1d.rules import config_digits
 
 from conftest import haar_unitary, quantized_shift, unitary_grid, with_noise
@@ -339,7 +340,7 @@ def test_evolve_matrix_free_path():
         rule = random_rule(q, 3, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
         for n in range(1, 13):
-            if q**n > DEFAULT_MAX_DIM:
+            if q**n > MAX_DENSE_DIM:
                 break
             f = global_matrix(rule, n)
             state = expected = random_state(q, n, rng)
@@ -376,10 +377,11 @@ def test_dimension_cap():
     # the dense reference is refused past one fixed cap, at any q
     f21 = make_family("f21", {})
     for rule, refused in ((f21, 13), (random_rule(3, 2, np.random.default_rng(0)), 8)):
-        assert rule.q ** (refused - 1) <= DEFAULT_MAX_DIM < rule.q**refused
-        with pytest.raises(DimensionCapExceeded, match=f"the cap {DEFAULT_MAX_DIM}; apply_global"):
+        assert rule.q ** (refused - 1) <= MAX_DENSE_DIM < rule.q**refused
+        message = f"dense matrix dimension {rule.q**refused}, over the cap of {MAX_DENSE_DIM}"
+        with pytest.raises(CapExceeded, match=message):
             global_matrix(rule, refused)
-    with pytest.raises(DimensionCapExceeded):
+    with pytest.raises(CapExceeded):
         ring_defect(f21, 13)
 
 
@@ -413,7 +415,7 @@ def ring_rules(q, k, seed):
 def assert_walk_defect_matches(rule, n, reference, exact):
     """walk_defect against a reference defect, or its refusal past its cap."""
     if walk_cost(rule.q, rule.k, n) > MAX_WALK_COST:
-        with pytest.raises(DimensionCapExceeded):
+        with pytest.raises(CapExceeded):
             walk_defect(rule, n)
         return
     walk = walk_defect(rule, n)
@@ -446,7 +448,7 @@ def test_orbit_defect_matches_full_gram(q, k):
 @pytest.mark.parametrize("q,n", ((2, 10), (2, 11), (2, 12), (3, 6), (3, 7), (4, 5)))
 def test_orbit_defect_matches_full_gram_up_to_dense_cap(q, n):
     # (4, 6) is left out for test time; (2, 12) has its size, 4096
-    assert 512 < q**n <= DEFAULT_MAX_DIM
+    assert 512 < q**n <= MAX_DENSE_DIM
     rule = with_noise(quantized_shift(q, 2, n), 1e-3, n)
     assert_orbit_defect_matches(rule, n, exact=False)
 
@@ -457,7 +459,7 @@ def test_walk_defect_matches_orbit_rows_up_to_their_cap(q, k):
     # the rings past those the dense test above covers, up to 4096 configurations
     for rule, exact in ring_rules(q, k, 100 * q + k):
         for n in range(1, 13):
-            if q**n > DEFAULT_MAX_DIM:
+            if q**n > MAX_DENSE_DIM:
                 break
             if q**n > 512:
                 fits = walk_cost(q, k, n) <= MAX_WALK_COST
@@ -495,7 +497,7 @@ def test_exact_kernel_is_the_cheaper_one_that_takes_the_ring():
     assert exact_defect_kernel(4, 4, 6) is ring_defect  # the walk refuses (4, 4)
     assert exact_defect_kernel(2, 7, 13) is None
     assert exact_defect_kernel(2, 2, 10**9) is None
-    with pytest.raises(DimensionCapExceeded):
+    with pytest.raises(CapExceeded):
         walk_defect(make_family("f21", {}), MAX_WALK_COST)
     with pytest.raises(ValueError):
         walk_defect(make_family("f21", {}), 0)
