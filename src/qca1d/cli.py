@@ -223,8 +223,9 @@ def _cmd_graph(args) -> int:
 
 def _cmd_paths(args) -> int:
     rule = load_rule(args.rulefile)
-    for length in range(1, args.max_len + 1):
-        monomials = path_monomials(rule, length)
+    # every length before any output, so an exit 3 leaves stdout empty
+    lengths = [path_monomials(rule, length) for length in range(1, args.max_len + 1)]
+    for length, monomials in enumerate(lengths, 1):
         print(f"n = {length}: {len(monomials)} monomials")
         for m in monomials:
             print(f"  {m}")

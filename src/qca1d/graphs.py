@@ -17,9 +17,10 @@ Both graphs are numpy arrays indexed by config (:class:`Graph`): norm edge
 i is config i, pair edge i is the pair (i // q^k, i % q^k).  The unitarity
 conditions are decided on boolean config masks by ``cycle_reach`` and
 ``reaches``, searches stepping by one de Bruijn kernel, ``advance``;
-``iter_cycles`` and ``iter_paths`` list witness cycles and paths as tuples
-of edge indices.  The deterministic sector is a greatest fixpoint on a
-config mask, tested by a batched ``reaches`` and on (2k-1)-cell strings.
+``iter_cycles`` and ``iter_paths`` list witness cycles and paths, each as
+its edge indices, edge labels and weight.  The deterministic sector is a
+greatest fixpoint on a config mask, tested by a batched ``reaches`` and on
+(2k-1)-cell strings.
 """
 
 from __future__ import annotations
@@ -102,7 +103,14 @@ class Graph:
 
     @cached_property
     def _weights(self) -> list:
-        return (self.weight.real if self.kind == "single" else self.weight).tolist()
+        """Edge weights, a float wherever the imaginary part is 0, so a real
+        product overflows to inf where a complex one turns inf * 0j into nan."""
+        if self.kind == "single":
+            return self.weight.real.tolist()
+        weights = self.weight.tolist()
+        for i in np.flatnonzero(self.weight.imag == 0).tolist():
+            weights[i] = weights[i].real
+        return weights
 
     @cached_property
     def _label(self) -> Callable[[int], tuple]:
@@ -114,13 +122,9 @@ class Graph:
         return cache(lambda e: (cfgs[ids[e] // n], cfgs[ids[e] % n]))
 
     def product(self, walk: Sequence[int]) -> complex:
-        """Weight of a walk: the product of its edge weights, left to right.
-        Norm weights are real and multiply as floats, so an overflow reads
-        inf, where a complex product would turn inf * 0j into nan."""
-        weights = map(self._weights.__getitem__, walk)
-        if self.kind == "single":
-            return complex(math.prod(weights))
-        return math.prod(weights, start=complex(1.0))
+        """Weight of a walk: the product of its edge weights, left to right,
+        real ones multiplied as floats."""
+        return complex(math.prod(map(self._weights.__getitem__, walk)))
 
     def configs(self, walk: Sequence[int]) -> tuple:
         """The neighborhood (norm graph) or ordered neighborhood pair (pair
@@ -277,16 +281,20 @@ def reaches(edges: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _walks(graph, roots, edge_mask, vertex_mask, exact_len, cap, kind):
+def _walks(graph, roots, edge_mask, vertex_mask, exact_len, cap, kind, label=None):
     """Depth-first walks for :func:`iter_cycles` and :func:`iter_paths`.
 
     From each root (source, targets, floor) in turn, yield the walks that
     end on their first vertex in ``targets``, their interior vertices
     distinct, above ``floor``, in ``vertex_mask`` and different from the
-    source.  ``cap`` bounds the edges examined over all roots, masked ones
-    included; None reads it from QCA_CYCLE_CAP, or DEFAULT_CYCLE_CAP.
+    source, as (walk, labels, weight): its edge indices, ``label(e)`` per
+    edge (by default ``graph._label``) and :meth:`Graph.product` bit for bit.
+    Labels and prefix products ride the stack, so a walk costs its last edge.
+    ``cap`` bounds the edges examined over all roots, masked ones included;
+    None reads it from QCA_CYCLE_CAP, or DEFAULT_CYCLE_CAP.
     """
-    out, dst = graph.out_edges, graph.dst.tolist()
+    out, dst, weights = graph.out_edges, graph.dst.tolist(), graph._weights
+    label = graph._label if label is None else label
     edge_ok = [True] * len(dst) if edge_mask is None else edge_mask.tolist()
     interior_ok = [True] * graph.n_vertices if vertex_mask is None else vertex_mask.tolist()
     if cap is None:
@@ -294,6 +302,8 @@ def _walks(graph, roots, edge_mask, vertex_mask, exact_len, cap, kind):
     work = 0
     for source, targets, floor in roots:
         path: list[int] = []
+        labels: list = []
+        prefix = [1.0]  # prefix[i]: the product of the first i path weights
         interior: set[int] = set()
         stack = [iter(out[source])]  # one out-edge iterator per vertex on the path
         while stack:
@@ -308,11 +318,13 @@ def _walks(graph, roots, edge_mask, vertex_mask, exact_len, cap, kind):
                 t = dst[e]
                 if t in targets:
                     if exact_len is None or depth == exact_len:
-                        yield tuple(path) + (e,)
+                        yield (*path, e), (*labels, label(e)), complex(prefix[-1] * weights[e])
                     continue
                 if (exact_len is None or depth < exact_len) and t > floor and t != source \
                         and t not in interior and interior_ok[t]:
                     path.append(e)
+                    labels.append(label(e))
+                    prefix.append(prefix[-1] * weights[e])
                     interior.add(t)
                     stack.append(iter(out[t]))
                     break  # descend; the loop resumes on this iterator after the pop
@@ -320,6 +332,8 @@ def _walks(graph, roots, edge_mask, vertex_mask, exact_len, cap, kind):
                 stack.pop()
                 if path:
                     interior.discard(dst[path.pop()])
+                    labels.pop()
+                    prefix.pop()
 
 
 def iter_cycles(
@@ -328,12 +342,13 @@ def iter_cycles(
     edge_mask: np.ndarray | None = None,
     vertex_mask: np.ndarray | None = None,
     cap: int | None = None,
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[tuple[tuple[int, ...], tuple, complex]]:
     """Yield every vertex-simple directed cycle, deterministically ordered.
 
     Only edges in ``edge_mask`` and vertices in ``vertex_mask`` (boolean
-    arrays; None allows all) are used.  Cycles are tuples of edge indices,
-    grouped by their minimal vertex (ascending) and within a group in
+    arrays; None allows all) are used.  Each cycle is (walk, configs, weight):
+    its edge indices, their :meth:`Graph.configs` and :meth:`Graph.product`.
+    Cycles are grouped by their minimal vertex (ascending) and within a group in
     depth-first edge order.  Parallel self-loops count as distinct cycles.
     Raises :class:`CapExceeded` once the search has examined more than
     ``cap`` edges, by default QCA_CYCLE_CAP or DEFAULT_CYCLE_CAP.
@@ -364,7 +379,8 @@ def enumerate_cycles(
         if graph.kind != "pair":
             raise ValueError("mismatch restriction applies to pair graphs only")
         edge_mask, vertex_mask = graph.mismatch, ~graph.diagonal
-    return list(iter_cycles(graph, edge_mask=edge_mask, vertex_mask=vertex_mask, cap=cap))
+    return [walk for walk, _, _ in iter_cycles(
+        graph, edge_mask=edge_mask, vertex_mask=vertex_mask, cap=cap)]
 
 
 def iter_paths(
@@ -376,19 +392,22 @@ def iter_paths(
     interior_mask: np.ndarray | None = None,
     exact_len: int | None = None,
     cap: int | None = None,
-) -> Iterator[tuple[int, ...]]:
+    label: Callable[[int], object] | None = None,
+) -> Iterator[tuple[tuple[int, ...], tuple, complex]]:
     """Paths from a source to a target with vertex-simple interior.
 
     ``sources``, ``targets`` and ``interior_mask`` are boolean vertex
     masks, ``edge_mask`` a boolean edge mask (None allows all).  Interior
     vertices must be distinct, lie in ``interior_mask`` and differ from both
-    endpoints; the endpoints themselves may coincide.  Paths are tuples of
-    edge indices in depth-first order from each source (ascending).
-    ``cap`` bounds the search as in :func:`iter_cycles`.
+    endpoints; the endpoints themselves may coincide.  Paths come in
+    depth-first order from each source (ascending) as (walk, labels,
+    weight), as in :func:`iter_cycles`; ``label`` maps an edge index to its
+    label, by default its config or config pair (:meth:`Graph.configs`).  ``cap``
+    bounds the search as in :func:`iter_cycles`.
     """
     ends = set(np.flatnonzero(targets).tolist())
     roots = ((s, ends, -1) for s in np.flatnonzero(sources).tolist())
-    return _walks(graph, roots, edge_mask, interior_mask, exact_len, cap, "path")
+    return _walks(graph, roots, edge_mask, interior_mask, exact_len, cap, "path", label)
 
 
 # ---------------------------------------------------------------------------

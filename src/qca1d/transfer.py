@@ -11,6 +11,7 @@ index w_a for a squared norm).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -123,7 +124,9 @@ def path_monomials(rule: RuleTable, n: int) -> list[Monomial]:
 
     Enumerates mismatch-edge paths of the pair graph whose first and last
     vertices are diagonal and whose interior vertices are distinct and off
-    the diagonal, then canonicalizes and deduplicates.  The result depends
+    the diagonal, each edge labelled with its canonical factor (edge i of the
+    full pair graph is the pair divmod(i, q^k)), then sorts each path's
+    labels into a monomial and deduplicates.  The result depends
     only on (q, k), not on the amplitude values.  The search stops with
     ``graphs.CapExceeded`` past QCA_CYCLE_CAP examined edges, as witness
     listing does.
@@ -131,6 +134,8 @@ def path_monomials(rule: RuleTable, n: int) -> list[Monomial]:
     if n < 1:
         raise ValueError(f"path length must be at least 1, got {n}")
     g2 = pair_graph(rule)
-    diagonal = g2.diagonal
-    return sorted({monomial_of(g2, path) for path in iter_paths(
-        g2, diagonal, diagonal, edge_mask=g2.mismatch, interior_mask=~diagonal, exact_len=n)})
+    diagonal, size = g2.diagonal, rule.q**rule.k
+    factor = cache(lambda e: tuple(sorted(divmod(e, size))))
+    paths = iter_paths(g2, diagonal, diagonal, edge_mask=g2.mismatch, interior_mask=~diagonal,
+                       exact_len=n, label=factor)
+    return [Monomial(f) for f in sorted({tuple(sorted(factors)) for _, factors, _ in paths})]

@@ -40,8 +40,10 @@ failing condition's decision hands its masks to the witness listing, which
 enumerates cycles or paths of ``graphs.rule_graph`` / ``graphs.pair_graph``
 over the mismatch mask that decided it, P-ii and I-iv cycles among the
 vertices the decision found a cycle reaches; enumeration also settles P-i,
-I-i or I-ii where the certificate cannot.  QCA_CYCLE_CAP bounds the edges
-that this listing examines, not the decisions.
+I-i or I-ii where the certificate cannot.  The search carries each walk's
+configs and weight on its stack, so a listed witness costs its last edge,
+not a pass over its length.  QCA_CYCLE_CAP bounds the edges that this
+listing examines, not the decisions.
 """
 
 from __future__ import annotations
@@ -106,8 +108,10 @@ class Verdict:
         """Write the verdict to ``out`` as one line of JSON, one report at a
         time: the bytes ``json.dumps`` writes for {"unitary", "mode",
         "reports": [{"condition", "witness", "value": [re, im], "margin"}]},
-        each witness element rendered once per verdict."""
-        labels, sep = WitnessLabels(json.dumps), ""
+        each witness element rendered once per verdict (config strings are
+        digits and need no escaping)."""
+        labels, sep = WitnessLabels(lambda label: f'"{label}"' if isinstance(label, str)
+                                    else f'["{label[0]}", "{label[1]}"]'), ""
         out.write(f'{{"unitary": {json.dumps(self.unitary)}, "mode": "{self.mode}", "reports": [')
         for r in self.reports:  # mode and condition names need no escaping
             w = r.witness
@@ -250,7 +254,7 @@ def _search(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs):
             graph = graphs.norm
             src, dst = graph.src.tolist(), graph.dst.tolist()
             return graph, (p for p in iter_paths(graph, ends, ends, cap=cap)
-                           if src[p[0]] != dst[p[-1]])
+                           if src[p[0][0]] != dst[p[0][-1]])
         return holds, listing
     edges = graphs.support  # the mismatch edges above the tolerance
     if condition == "I-iv":
@@ -270,13 +274,13 @@ def _violations(rule, condition, graph, walks, max_violations) -> list[Constrain
     """The walks that violate a condition, at least one when there is one,
     at most ``max_violations``: norm-graph walks whose weight is off 1 by
     more than the tolerance, and every walk over surviving mismatch edges.
+    ``walks`` yields (walk, configs, weight) as ``graphs.iter_cycles`` does.
     """
     target = 1.0 if graph.kind == "single" else 0.0
     reports = []
-    for walk in walks:
-        w = graph.product(walk)
+    for _, configs, w in walks:
         if target == 0.0 or abs(w - target) > rule.tolerance:  # any surviving mismatch walk fails
-            reports.append(ConstraintReport(condition, graph.configs(walk), w, abs(w - target)))
+            reports.append(ConstraintReport(condition, configs, w, abs(w - target)))
             if len(reports) >= max_violations:
                 break
     return reports

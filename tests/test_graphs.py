@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -13,14 +14,19 @@ from qca1d import (
     make_family,
     monomial_of,
     pair_graph,
+    path_monomials,
+    patt_rule,
+    quantize,
     rule_graph,
     sector_subgraph,
     to_dot,
     unit_configs,
 )
 from qca1d import graphs
-from qca1d.graphs import MAX_PAIR_ENTRIES, advance, cycle_reach, reaches
+from qca1d.graphs import MAX_PAIR_ENTRIES, advance, cycle_reach, iter_cycles, iter_paths, reaches
 from qca1d.transfer import Monomial
+
+from conftest import F21_SAMPLE, haar_unitary, quantized_shift, with_noise
 
 
 def mono(*pairs):
@@ -151,6 +157,51 @@ def test_cycle_order_deterministic(f21):
     b = enumerate_cycles(gb)
     assert [ga.configs(c) for c in a] == \
            [gb.configs(c) for c in b]
+
+
+CARRIED_RULES = {
+    "noisy shift(2,3)": lambda: with_noise(quantized_shift(2, 3), 1e-3),
+    "noisy shift(3,2)": lambda: with_noise(quantized_shift(3, 2), 1e-3),
+    "patt": lambda: quantize(patt_rule(), haar_unitary(np.random.default_rng(5), 2)),
+    "f21": lambda: make_family("f21", F21_SAMPLE),
+    # every product of two or more weights overflows
+    "all 1e100": lambda: RuleTable(2, 3, np.full((8, 2), 1e100, dtype=complex)),
+}
+
+
+@pytest.mark.parametrize("name", CARRIED_RULES)
+def test_walks_carry_their_configs_and_weight(name):
+    # the labels and weight carried on the search stack equal those
+    # recomputed from the walk; reprs make NaN and signed zeros count
+    rule = CARRIED_RULES[name]()
+    for graph in (rule_graph(rule), pair_graph(rule)):
+        diagonal = graph.diagonal
+        searches = [iter_cycles(graph), iter_paths(graph, diagonal, diagonal)]
+        if graph.kind == "pair":
+            mismatch = {"edge_mask": graph.mismatch}
+            searches += [
+                iter_cycles(graph, vertex_mask=~diagonal, **mismatch),
+                iter_paths(graph, diagonal, diagonal, interior_mask=~diagonal, **mismatch),
+                iter_paths(graph, diagonal, diagonal, interior_mask=~diagonal,
+                           exact_len=rule.k, **mismatch)]  # the shortest such paths
+        for triples in searches:
+            checked = 0
+            for walk, labels, weight in itertools.islice(triples, 2000):
+                assert labels == graph.configs(walk)
+                assert repr(weight) == repr(graph.product(walk))
+                checked += 1
+            assert checked > 0
+
+
+@pytest.mark.parametrize("q, k", [(2, 2), (2, 3), (3, 2)])
+def test_path_monomials_match_the_monomials_of_their_paths(q, k):
+    rule = with_noise(quantized_shift(q, k), 1e-3)
+    g2 = pair_graph(rule)
+    diagonal = g2.diagonal
+    for n in range(1, 6):
+        paths = iter_paths(g2, diagonal, diagonal, edge_mask=g2.mismatch,
+                           interior_mask=~diagonal, exact_len=n)
+        assert path_monomials(rule, n) == sorted({monomial_of(g2, p) for p, _, _ in paths})
 
 
 def mask_successors(edges, q):
