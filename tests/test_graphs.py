@@ -160,12 +160,12 @@ def test_cycle_order_deterministic(f21):
 
 
 CARRIED_RULES = {
-    "noisy shift(2,3)": lambda: with_noise(quantized_shift(2, 3), 1e-3),
-    "noisy shift(3,2)": lambda: with_noise(quantized_shift(3, 2), 1e-3),
+    "noisy_shift_2_3": lambda: with_noise(quantized_shift(2, 3), 1e-3),
+    "noisy_shift_3_2": lambda: with_noise(quantized_shift(3, 2), 1e-3),
     "patt": lambda: quantize(patt_rule(), haar_unitary(np.random.default_rng(5), 2)),
     "f21": lambda: make_family("f21", F21_SAMPLE),
     # every product of two or more weights overflows
-    "all 1e100": lambda: RuleTable(2, 3, np.full((8, 2), 1e100, dtype=complex)),
+    "all_1e100": lambda: RuleTable(2, 3, np.full((8, 2), 1e100, dtype=complex)),
 }
 
 
