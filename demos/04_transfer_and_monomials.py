@@ -40,14 +40,17 @@ z2 = z_polynomial(a2)
 print("\nsimplified pair-graph Z(t):", np.round(z2.real, 9)[:6], "...")
 print("expected for any single-frame size-3 rule: 1 - t^2 - 2t^3 - t^4")
 
+# One search lists the monomials of every length up to the bound, one
+# enumeration budget (QCA_CYCLE_CAP) for the whole list.
 print("\nmismatch-path monomials terminating on the diagonal (k = 3):")
+by_length = path_monomials(rule, 4)
 for n in (3, 4):
-    monomials = path_monomials(rule, n)
+    monomials = by_length[n - 1]
     print(f"  length {n}: {len(monomials)} monomials")
     row = "  ".join(str(m) for m in monomials[:8])
     print(f"    {row} ...")
 
 print("\neach monomial evaluates to a product of inner products; for this")
 print("frame rule every one vanishes, which is exactly condition P-iii:")
-values = [abs(m.evaluate(rule)) for m in path_monomials(rule, 3)]
+values = [abs(m.evaluate(rule)) for m in by_length[2]]
 print(f"  max |monomial| over the length-3 list: {max(values):.2e}")

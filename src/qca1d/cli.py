@@ -10,8 +10,8 @@ deterministic sector, and a ``simulate`` state that is not a list of
 [re, im] number pairs, not finite or not normalized), 3 an input over one
 of the resource caps defined in ``qca1d.graphs`` (``graphs.CapExceeded``).
 The environment variable QCA_CYCLE_CAP overrides the cap on the edges
-that one enumeration (a condition's witness listing, one ``paths``
-length) examines.  Identical arguments produce identical output.
+that one enumeration (a condition's witness listing, a ``paths`` run)
+examines.  Identical arguments produce identical output.
 
 In-process callers (test suites, benchmark harnesses, notebooks) may call
 ``main(argv)`` many times: it builds the argument parser on the first call
@@ -205,6 +205,8 @@ def _cmd_family(args) -> int:
     params = dict(_parse_param(p) for p in args.param or [])
     rule = make_family(args.name, params,
                        tolerance=DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance)
+    if args.tolerance is not None:  # a base read from a file keeps the file's tolerance
+        rule = rule.with_tolerance(args.tolerance)
     print(dump_rule(rule))
     return 0
 
@@ -222,9 +224,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_paths(args) -> int:
-    rule = load_rule(args.rulefile)
     # every length before any output, so an exit 3 leaves stdout empty
-    lengths = [path_monomials(rule, length) for length in range(1, args.max_len + 1)]
+    lengths = path_monomials(load_rule(args.rulefile), args.max_len)
     for length, monomials in enumerate(lengths, 1):
         print(f"n = {length}: {len(monomials)} monomials")
         for m in monomials:

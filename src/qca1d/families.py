@@ -434,11 +434,14 @@ FAMILIES: dict[str, Family] = {
     "patt": Family("reversible deterministic size-4 rule", {}, _patt, lambda rng, margin: {}),
     "frame": Family("rule from explicit orthogonal vector classes",
                     {"q": "states", "k": "neighborhood", "j": "frame depth",
-                     "vectors": "config -> [[re,im] x q] mapping (or JSON file path)"},
+                     "vectors": "JSON file path of a config -> [[re,im] x q] mapping; "
+                                "make_family also takes the mapping"},
                     _frame),
     "quantized": Family("rigid rotation of a deterministic reversible rule",
-                        {"base": "rule file path, family name, or rule dict",
-                         "unitary": "q x q matrix [[..]] (or JSON file path)"},
+                        {"base": "family name or rule file path; "
+                                 "make_family also takes a RuleTable or rule dict",
+                         "unitary": "JSON file path of a q x q matrix [[..]]; "
+                                    "make_family also takes the matrix"},
                         _quantized),
 }
 

@@ -281,24 +281,25 @@ def reaches(edges: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _walks(graph, roots, edge_mask, vertex_mask, exact_len, cap, kind, label=None):
+def _walks(graph, roots, edge_mask, vertex_mask, max_len, kind, label=None):
     """Depth-first walks for :func:`iter_cycles` and :func:`iter_paths`.
 
-    From each root (source, targets, floor) in turn, yield the walks that
-    end on their first vertex in ``targets``, their interior vertices
-    distinct, above ``floor``, in ``vertex_mask`` and different from the
-    source, as (walk, labels, weight): its edge indices, ``label(e)`` per
-    edge (by default ``graph._label``) and :meth:`Graph.product` bit for bit.
-    Labels and prefix products ride the stack, so a walk costs its last edge.
-    ``cap`` bounds the edges examined over all roots, masked ones included;
-    None reads it from QCA_CYCLE_CAP, or DEFAULT_CYCLE_CAP.
+    From each root (source, targets, floor) in turn, yield the walks of at
+    most ``max_len`` edges (None: any) that end on their first vertex in
+    ``targets``, their interior vertices distinct, above ``floor``, in
+    ``vertex_mask`` and different from the source, as (walk, labels,
+    weight): its edge indices, ``label(e)`` per edge (by default
+    ``graph._label``) and :meth:`Graph.product` bit for bit.  Labels and
+    prefix products ride the stack, so a walk costs its last edge.  Past
+    QCA_CYCLE_CAP (or DEFAULT_CYCLE_CAP) edges examined over all roots,
+    masked ones included, it raises :class:`CapExceeded`.
     """
     out, dst, weights = graph.out_edges, graph.dst.tolist(), graph._weights
     label = graph._label if label is None else label
     edge_ok = [True] * len(dst) if edge_mask is None else edge_mask.tolist()
     interior_ok = [True] * graph.n_vertices if vertex_mask is None else vertex_mask.tolist()
-    if cap is None:
-        cap = int(os.environ.get("QCA_CYCLE_CAP", DEFAULT_CYCLE_CAP))
+    cap = int(os.environ.get("QCA_CYCLE_CAP", DEFAULT_CYCLE_CAP))
+    deepest = math.inf if max_len is None else max_len
     work = 0
     for source, targets, floor in roots:
         path: list[int] = []
@@ -314,13 +315,11 @@ def _walks(graph, roots, edge_mask, vertex_mask, exact_len, cap, kind, label=Non
                         f"{kind} enumeration exceeded the cap of {cap} examined edges")
                 if not edge_ok[e]:
                     continue
-                depth = len(path) + 1
                 t = dst[e]
                 if t in targets:
-                    if exact_len is None or depth == exact_len:
-                        yield (*path, e), (*labels, label(e)), complex(prefix[-1] * weights[e])
+                    yield (*path, e), (*labels, label(e)), complex(prefix[-1] * weights[e])
                     continue
-                if (exact_len is None or depth < exact_len) and t > floor and t != source \
+                if len(path) + 1 < deepest and t > floor and t != source \
                         and t not in interior and interior_ok[t]:
                     path.append(e)
                     labels.append(label(e))
@@ -341,7 +340,6 @@ def iter_cycles(
     *,
     edge_mask: np.ndarray | None = None,
     vertex_mask: np.ndarray | None = None,
-    cap: int | None = None,
 ) -> Iterator[tuple[tuple[int, ...], tuple, complex]]:
     """Yield every vertex-simple directed cycle, deterministically ordered.
 
@@ -351,26 +349,21 @@ def iter_cycles(
     Cycles are grouped by their minimal vertex (ascending) and within a group in
     depth-first edge order.  Parallel self-loops count as distinct cycles.
     Raises :class:`CapExceeded` once the search has examined more than
-    ``cap`` edges, by default QCA_CYCLE_CAP or DEFAULT_CYCLE_CAP.
+    QCA_CYCLE_CAP edges, by default DEFAULT_CYCLE_CAP.
     """
     starts = range(graph.n_vertices) if vertex_mask is None \
         else np.flatnonzero(vertex_mask).tolist()
-    return _walks(graph, ((s, {s}, s) for s in starts), edge_mask, vertex_mask, None,
-                  cap, "cycle")
+    return _walks(graph, ((s, {s}, s) for s in starts), edge_mask, vertex_mask, None, "cycle")
 
 
-def enumerate_cycles(
-    graph: Graph,
-    restrict: str | None = None,
-    cap: int | None = None,
-) -> list[tuple[int, ...]]:
+def enumerate_cycles(graph: Graph, restrict: str | None = None) -> list[tuple[int, ...]]:
     """All vertex-simple cycles, as tuples of edge indices.
 
     restrict="mismatch" keeps only cycles that lie entirely in the mismatch
     region of a pair graph: every edge a mismatch edge and every vertex off
     the diagonal.  (Closed mismatch walks through diagonal vertices are
-    classified as terminating paths, not cycles.)  ``cap`` bounds the
-    search as in :func:`iter_cycles`.
+    classified as terminating paths, not cycles.)  The search is bounded as
+    in :func:`iter_cycles`.
     """
     if restrict not in (None, "mismatch"):
         raise ValueError(f"unknown restrict value {restrict!r}")
@@ -379,8 +372,7 @@ def enumerate_cycles(
         if graph.kind != "pair":
             raise ValueError("mismatch restriction applies to pair graphs only")
         edge_mask, vertex_mask = graph.mismatch, ~graph.diagonal
-    return [walk for walk, _, _ in iter_cycles(
-        graph, edge_mask=edge_mask, vertex_mask=vertex_mask, cap=cap)]
+    return [walk for walk, _, _ in iter_cycles(graph, edge_mask=edge_mask, vertex_mask=vertex_mask)]
 
 
 def iter_paths(
@@ -390,8 +382,7 @@ def iter_paths(
     *,
     edge_mask: np.ndarray | None = None,
     interior_mask: np.ndarray | None = None,
-    exact_len: int | None = None,
-    cap: int | None = None,
+    max_len: int | None = None,
     label: Callable[[int], object] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], tuple, complex]]:
     """Paths from a source to a target with vertex-simple interior.
@@ -399,15 +390,16 @@ def iter_paths(
     ``sources``, ``targets`` and ``interior_mask`` are boolean vertex
     masks, ``edge_mask`` a boolean edge mask (None allows all).  Interior
     vertices must be distinct, lie in ``interior_mask`` and differ from both
-    endpoints; the endpoints themselves may coincide.  Paths come in
-    depth-first order from each source (ascending) as (walk, labels,
-    weight), as in :func:`iter_cycles`; ``label`` maps an edge index to its
-    label, by default its config or config pair (:meth:`Graph.configs`).  ``cap``
-    bounds the search as in :func:`iter_cycles`.
+    endpoints; the endpoints themselves may coincide.  ``max_len`` bounds
+    the edges of a path (None: no bound), so one search lists every length
+    up to it.  Paths come in depth-first order from each source (ascending)
+    as (walk, labels, weight), as in :func:`iter_cycles`; ``label`` maps an
+    edge index to its label, by default its config or config pair
+    (:meth:`Graph.configs`).  The search is bounded as in :func:`iter_cycles`.
     """
     ends = set(np.flatnonzero(targets).tolist())
     roots = ((s, ends, -1) for s in np.flatnonzero(sources).tolist())
-    return _walks(graph, roots, edge_mask, interior_mask, exact_len, cap, "path", label)
+    return _walks(graph, roots, edge_mask, interior_mask, max_len, "path", label)
 
 
 # ---------------------------------------------------------------------------

@@ -119,23 +119,26 @@ def trace_series(a: np.ndarray, order: int) -> np.ndarray:
     return coeffs
 
 
-def path_monomials(rule: RuleTable, n: int) -> list[Monomial]:
-    """Monomials of length-n mismatch paths terminating on the diagonal.
+def path_monomials(rule: RuleTable, max_len: int) -> list[list[Monomial]]:
+    """Monomials of the mismatch paths terminating on the diagonal, one
+    sorted list per length 1..``max_len``.
 
-    Enumerates mismatch-edge paths of the pair graph whose first and last
-    vertices are diagonal and whose interior vertices are distinct and off
-    the diagonal, each edge labelled with its canonical factor (edge i of the
-    full pair graph is the pair divmod(i, q^k)), then sorts each path's
-    labels into a monomial and deduplicates.  The result depends
-    only on (q, k), not on the amplitude values.  The search stops with
-    ``graphs.CapExceeded`` past QCA_CYCLE_CAP examined edges, as witness
-    listing does.
+    One search over the pair graph enumerates the mismatch-edge paths of at
+    most ``max_len`` edges whose first and last vertices are diagonal and
+    whose interior vertices are distinct and off the diagonal, each edge
+    labelled with its canonical factor (edge i of the full pair graph is
+    the pair divmod(i, q^k)); each path's labels, sorted, give a monomial,
+    deduplicated per length.  The result depends only on (q, k), not on
+    the amplitude values.  The search stops with ``graphs.CapExceeded``
+    past QCA_CYCLE_CAP examined edges, as witness listing does.
     """
-    if n < 1:
-        raise ValueError(f"path length must be at least 1, got {n}")
+    if max_len < 1:
+        raise ValueError(f"the maximum path length must be at least 1, got {max_len}")
     g2 = pair_graph(rule)
     diagonal, size = g2.diagonal, rule.q**rule.k
     factor = cache(lambda e: tuple(sorted(divmod(e, size))))
-    paths = iter_paths(g2, diagonal, diagonal, edge_mask=g2.mismatch, interior_mask=~diagonal,
-                       exact_len=n, label=factor)
-    return [Monomial(f) for f in sorted({tuple(sorted(factors)) for _, factors, _ in paths})]
+    found: list[set] = [set() for _ in range(max_len)]
+    for _, factors, _ in iter_paths(g2, diagonal, diagonal, edge_mask=g2.mismatch,
+                                    interior_mask=~diagonal, max_len=max_len, label=factor):
+        found[len(factors) - 1].add(tuple(sorted(factors)))
+    return [[Monomial(f) for f in sorted(length)] for length in found]

@@ -233,15 +233,14 @@ def _search(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs):
     mismatch conditions are decided exactly.  P-i, I-i and I-ii are
     certified by the norm potential, with half the tolerance as headroom for
     rounding; False there only means the certificate does not settle the
-    condition.  ``listing(cap=None)`` returns the graph the witnesses live
-    in and a lazy search for its candidate walks over the masks of this
-    decision, ``cap`` examined edges at most (QCA_CYCLE_CAP by default);
-    only it builds the graph.
+    condition.  ``listing()`` returns the graph the witnesses live in and a
+    lazy search for its candidate walks over the masks of this decision,
+    bounded by QCA_CYCLE_CAP; only it builds the graph.
     """
     tol = rule.tolerance
     if condition in ("P-i", "I-i"):
         return (_certified(graphs.potential[1], tol),
-                lambda cap=None: (graphs.norm, iter_cycles(graphs.norm, cap=cap)))
+                lambda: (graphs.norm, iter_cycles(graphs.norm)))
     if condition == "I-ii":
         # Norm-graph paths between (distinct) sector vertices, interior clear
         # of sector vertices; composite paths factor through these.  Closed
@@ -250,10 +249,10 @@ def _search(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs):
         ends = _sector_vertices(rule, sector)
         holds = ends.sum() < 2 or _certified(bound + float(np.ptp(phi[ends])), tol)
 
-        def listing(cap=None):
+        def listing():
             graph = graphs.norm
             src, dst = graph.src.tolist(), graph.dst.tolist()
-            return graph, (p for p in iter_paths(graph, ends, ends, cap=cap)
+            return graph, (p for p in iter_paths(graph, ends, ends)
                            if src[p[0][0]] != dst[p[0][-1]])
         return holds, listing
     edges = graphs.support  # the mismatch edges above the tolerance
@@ -263,11 +262,11 @@ def _search(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs):
     diagonal = np.eye(rule.q ** (rule.k - 1), dtype=bool)
     if condition in ("P-ii", "I-iv"):
         reach = cycle_reach(edges, ~diagonal)  # listed cycles start only here
-        return not reach.any(), lambda cap=None: (graphs.pair, iter_cycles(
-            graphs.pair, edge_mask=edges.ravel(), vertex_mask=reach.ravel(), cap=cap))
-    return not reaches(edges, diagonal, diagonal), lambda cap=None: (graphs.pair, iter_paths(
+        return not reach.any(), lambda: (graphs.pair, iter_cycles(
+            graphs.pair, edge_mask=edges.ravel(), vertex_mask=reach.ravel()))
+    return not reaches(edges, diagonal, diagonal), lambda: (graphs.pair, iter_paths(
         graphs.pair, diagonal.ravel(), diagonal.ravel(), edge_mask=edges.ravel(),
-        interior_mask=~diagonal.ravel(), cap=cap))
+        interior_mask=~diagonal.ravel()))
 
 
 def _violations(rule, condition, graph, walks, max_violations) -> list[ConstraintReport]:

@@ -86,12 +86,12 @@ def test_criterion_1_constraint_lists():
         mono(0), mono(7), mono(2, 5), mono(1, 2, 4), mono(3, 6, 5), mono(1, 3, 6, 4)}
     assert len(cycles3) == 6
 
-    assert path_monomials(rule2, 1) == []
-    assert set(path_monomials(rule2, 2)) == MONOMIALS_K2_N2
-    assert len(path_monomials(rule2, 2)) == 4
+    assert path_monomials(rule2, 1)[-1] == []
+    assert set(path_monomials(rule2, 2)[-1]) == MONOMIALS_K2_N2
+    assert len(path_monomials(rule2, 2)[-1]) == 4
 
-    n3 = path_monomials(rule3, 3)
-    n4 = path_monomials(rule3, 4)
+    n3 = path_monomials(rule3, 3)[-1]
+    n4 = path_monomials(rule3, 4)[-1]
     assert set(n3) == MONOMIALS_K3_N3 and len(n3) == 16
     assert set(n4) == MONOMIALS_K3_N4 and len(n4) == 32
     report(1, "constraint lists", started, 1.0)

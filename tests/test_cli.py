@@ -93,6 +93,14 @@ def test_family_list(capsys):
     code, out, _ = run(capsys, "family", "--list")
     assert code == 0
     assert "f31_000_111" in out and "patt" in out
+    # a --param value is a number or a string: the CLI takes a family name or
+    # a JSON file path, the objects only from Python
+    assert "  base (family name or rule file path; make_family also takes a RuleTable " \
+           "or rule dict)\n" in out
+    assert "  unitary (JSON file path of a q x q matrix [[..]]; make_family also takes " \
+           "the matrix)\n" in out
+    assert "  vectors (JSON file path of a config -> [[re,im] x q] mapping; make_family " \
+           "also takes the mapping)\n" in out
 
 
 def test_family_errors(capsys):
@@ -100,6 +108,25 @@ def test_family_errors(capsys):
     assert code == 2 and "rho" in err
     code, _, err = run(capsys, "family")
     assert code == 2
+
+
+def test_family_tolerance_applies_to_a_file_base(tmp_path, capsys):
+    # a base read from a file carried its own tolerance into the output
+    code, out, _ = run(capsys, "family", "patt")
+    base = tmp_path / "patt.json"
+    base.write_text(out)
+    unitary = tmp_path / "u.json"
+    unitary.write_text("[[0, 1], [1, 0]]")
+    outs = []
+    for name in (str(base), "patt"):
+        code, out, _ = run(capsys, "family", "quantized", "--param", f"base={name}",
+                           "--param", f"unitary={unitary}", "--tolerance", "1e-5")
+        assert code == 0 and json.loads(out)["tolerance"] == 1e-5
+        outs.append(out)
+    assert outs[0] == outs[1]
+    code, out, _ = run(capsys, "family", "quantized", "--param", f"base={base}",
+                       "--param", f"unitary={unitary}")
+    assert code == 0 and json.loads(out)["tolerance"] == 1e-9
 
 
 def test_family_refuses_zero_tolerance(capsys):
@@ -340,6 +367,36 @@ def test_paths_output(tmp_path, capsys):
     assert code == 0
     assert "n = 3: 16 monomials" in out and "n = 4: 32 monomials" in out
     assert "w_{01}w_{02}w_{04}" in out
+
+
+def test_paths_below_length_1_exits_2(tmp_path, capsys, f21):
+    path = write_rule(tmp_path, f21)
+    for max_len in ("0", "-3"):
+        assert run(capsys, "paths", path, "--max-len", max_len) == (
+            2, "", f"error: the maximum path length must be at least 1, got {max_len}\n")
+
+
+def test_paths_builds_one_pair_graph(tmp_path, capsys, monkeypatch):
+    # one search lists every length, so the pair graph is built once per run
+    import qca1d.transfer as transfer
+
+    calls = []
+    monkeypatch.setattr(transfer, "pair_graph",
+                        lambda rule, f=transfer.pair_graph: calls.append(1) or f(rule))
+    path = write_rule(tmp_path, quantized_shift(2, 3))
+    code, out, _ = run(capsys, "paths", path, "--max-len", "6")
+    assert code == 0 and "n = 6:" in out and len(calls) == 1
+
+
+def test_paths_budget_covers_the_whole_run(tmp_path, capsys, monkeypatch):
+    # the search of --max-len L examines every edge a shorter bound would, so
+    # the run stops where a run of the last length alone would
+    monkeypatch.setenv("QCA_CYCLE_CAP", "2000")
+    path = write_rule(tmp_path, quantized_shift(2, 3))
+    code, out, _ = run(capsys, "paths", path, "--max-len", "5")
+    assert code == 0 and "n = 5:" in out
+    assert run(capsys, "paths", path, "--max-len", "6") == (
+        3, "", "error: path enumeration exceeded the cap of 2000 examined edges\n")
 
 
 def test_zpoly_output(tmp_path, capsys, f21):

@@ -98,7 +98,8 @@ def _conditions(rule, infinite):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_array_decision_matches_enumeration(seed):
+def test_array_decision_matches_enumeration(seed, monkeypatch):
+    monkeypatch.setenv("QCA_CYCLE_CAP", str(LISTING_CAP))
     mismatches = []
     settled = {c: 0 for c in CERTIFIED}
     for label, rule, infinite in _grid(seed):
@@ -106,7 +107,7 @@ def test_array_decision_matches_enumeration(seed):
         for condition, sector in _conditions(rule, infinite):
             holds, listing = _search(rule, condition, sector, graphs)
             try:
-                violated = bool(_violations(rule, condition, *listing(LISTING_CAP), 1))
+                violated = bool(_violations(rule, condition, *listing(), 1))
             except CapExceeded:
                 assert condition in ("P-ii", "I-iv"), (label, condition)
                 violated = _mismatch_cycle_exists(graphs.pair, sector, rule.tolerance)
@@ -197,14 +198,15 @@ def test_noisy_shift_listing_stops_at_cap(tmp_path, capsys):
     assert code == 3 and "cycle enumeration exceeded the cap" in err
 
 
-def test_cap_counts_examined_edges_not_cycles():
+def test_cap_counts_examined_edges_not_cycles(monkeypatch):
     # the mismatch region of the shift has no cycle, yet the search works
     g2 = pair_graph(quantized_shift(2, 3))
     no_diagonal = ~g2.diagonal
     mismatch = g2.mismatch & (np.abs(g2.weight) > 1e-9)
     assert list(iter_cycles(g2, edge_mask=mismatch, vertex_mask=no_diagonal)) == []
+    monkeypatch.setenv("QCA_CYCLE_CAP", "10")
     with pytest.raises(CapExceeded, match="examined edges"):
-        list(iter_cycles(g2, edge_mask=mismatch, vertex_mask=no_diagonal, cap=10))
+        list(iter_cycles(g2, edge_mask=mismatch, vertex_mask=no_diagonal))
 
 
 def test_pair_size_guard_exits_3(tmp_path, capsys):

@@ -146,9 +146,10 @@ def test_mismatch_restrict_requires_pair_graph(ident):
         enumerate_cycles(rule_graph(ident), restrict="mismatch")
 
 
-def test_cycle_cap(ident):
+def test_cycle_cap(ident, monkeypatch):
+    monkeypatch.setenv("QCA_CYCLE_CAP", "2")
     with pytest.raises(CapExceeded, match="2"):
-        enumerate_cycles(rule_graph(ident), cap=2)
+        enumerate_cycles(rule_graph(ident))
 
 
 def test_cycle_order_deterministic(f21):
@@ -183,7 +184,7 @@ def test_walks_carry_their_configs_and_weight(name):
                 iter_cycles(graph, vertex_mask=~diagonal, **mismatch),
                 iter_paths(graph, diagonal, diagonal, interior_mask=~diagonal, **mismatch),
                 iter_paths(graph, diagonal, diagonal, interior_mask=~diagonal,
-                           exact_len=rule.k, **mismatch)]  # the shortest such paths
+                           max_len=rule.k, **mismatch)]  # the shortest such paths
         for triples in searches:
             checked = 0
             for walk, labels, weight in itertools.islice(triples, 2000):
@@ -198,10 +199,12 @@ def test_path_monomials_match_the_monomials_of_their_paths(q, k):
     rule = with_noise(quantized_shift(q, k), 1e-3)
     g2 = pair_graph(rule)
     diagonal = g2.diagonal
-    for n in range(1, 6):
+    by_length = path_monomials(rule, 5)
+    assert len(by_length) == 5
+    for n, monomials in enumerate(by_length, 1):
         paths = iter_paths(g2, diagonal, diagonal, edge_mask=g2.mismatch,
-                           interior_mask=~diagonal, exact_len=n)
-        assert path_monomials(rule, n) == sorted({monomial_of(g2, p) for p, _, _ in paths})
+                           interior_mask=~diagonal, max_len=n)
+        assert monomials == sorted({monomial_of(g2, p) for p, _, _ in paths if len(p) == n})
 
 
 def mask_successors(edges, q):

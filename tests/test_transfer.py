@@ -154,19 +154,19 @@ def test_frame_z_polynomial_k3():
 
 
 def test_path_monomials_k2(f21):
-    assert path_monomials(f21, 1) == []
-    assert set(path_monomials(f21, 2)) == MONOMIALS_K2_N2
+    assert path_monomials(f21, 1)[-1] == []
+    assert set(path_monomials(f21, 2)[-1]) == MONOMIALS_K2_N2
 
 
 def test_path_monomials_k3():
     rule = make_family("f31", {"r1": 0.9, "r2": 1.2, "r6": 0.7})
-    assert path_monomials(rule, 1) == [] and path_monomials(rule, 2) == []
-    assert set(path_monomials(rule, 3)) == MONOMIALS_K3_N3
-    assert set(path_monomials(rule, 4)) == MONOMIALS_K3_N4
+    assert path_monomials(rule, 1)[-1] == [] and path_monomials(rule, 2)[-1] == []
+    assert set(path_monomials(rule, 3)[-1]) == MONOMIALS_K3_N3
+    assert set(path_monomials(rule, 4)[-1]) == MONOMIALS_K3_N4
 
 
 def test_path_monomials_independent_of_amplitudes(f21, f21_00):
-    assert path_monomials(f21, 2) == path_monomials(f21_00, 2)
+    assert path_monomials(f21, 2)[-1] == path_monomials(f21_00, 2)[-1]
 
 
 def test_monomial_evaluate(f21):
@@ -190,11 +190,11 @@ def test_monomial_vanishing_matches_path_condition():
     for rule in (passing, broken):
         monomial_zero = all(
             abs(m.evaluate(rule)) <= rule.tolerance
-            for n in range(1, 4)
-            for m in path_monomials(rule, n))
+            for monomials in path_monomials(rule, 3)
+            for m in monomials)
         condition_ok = evaluate_condition(rule, "P-iii") == []
         assert monomial_zero == condition_ok
     rule31 = make_family("f31", {"r1": 1.1, "r2": 0.8, "r6": 1.3})
     assert evaluate_condition(rule31, "P-iii") == []
     assert all(abs(m.evaluate(rule31)) <= 1e-9
-               for n in range(1, 6) for m in path_monomials(rule31, n))
+               for monomials in path_monomials(rule31, 5) for m in monomials)
