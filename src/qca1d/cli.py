@@ -15,8 +15,10 @@ examines.  Identical arguments produce identical output.
 
 In-process callers (test suites, benchmark harnesses, notebooks) may call
 ``main(argv)`` many times: it builds the argument parser on the first call
-and reuses it, since parsing never changes it.  ``build_parser()`` returns
-a fresh parser for a caller that wants to change one.
+and reuses it, since parsing never changes it.  It parses once per call:
+a command's argv by that command's parser, the top-level parser reporting
+what is left over; any other argv (help, none, an unknown command) by the
+top-level parser.  ``build_parser()`` returns a fresh parser to change.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .oracle import (
     probabilities,
     state_dim,
 )
-from .rules import DEFAULT_TOLERANCE, RuleFormatError, RuleTable, config_str, dump_rule, index_config, load_rule
+from .rules import RuleFormatError, RuleTable, config_str, dump_rule, index_config, load_rule
 from .transfer import path_monomials, transfer_matrix, z_polynomial
 from .unitarity import (
     INFINITE_CONDITIONS,
@@ -203,11 +205,7 @@ def _cmd_family(args) -> int:
     if not args.name:
         raise ParameterError("family name required (or use --list)")
     params = dict(_parse_param(p) for p in args.param or [])
-    rule = make_family(args.name, params,
-                       tolerance=DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance)
-    if args.tolerance is not None:  # a base read from a file keeps the file's tolerance
-        rule = rule.with_tolerance(args.tolerance)
-    print(dump_rule(rule))
+    print(dump_rule(make_family(args.name, params, tolerance=args.tolerance)))
     return 0
 
 
@@ -251,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qca1d",
         description="decide unitarity of one-dimensional quantum cellular automata")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its parser, read by main
 
     p = sub.add_parser("verify", parents=[tolerance],
                        help="decide unitarity from the rule table")
@@ -309,14 +308,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 @cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on its first call: ``parse_args``
-    makes a new namespace per call and leaves the parser as it was."""
+    """The parser ``main`` uses, built on its first call: parsing makes a
+    new namespace per call and leaves the parser as it was."""
     return build_parser()
 
 
 def main(argv=None) -> int:
-    try:
-        args = _parser().parse_args(argv)
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    try:  # parser.parse_args(argv), without its pass over a command's argv
+        args, extra = (parser.parse_known_args(argv) if command is None
+                       else command.parse_known_args(argv[1:]))
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -460,16 +460,13 @@ def _load_json_param(value, what):
 
 
 def _resolve_base_rule(value, tolerance):
-    if isinstance(value, RuleTable):
-        return value
-    if isinstance(value, str):
-        if value in FAMILIES:
-            return make_family(value, {}, tolerance=tolerance)
-        data = _load_json_param(value, "base rule")
-        return rule_from_dict(data)
-    if isinstance(value, dict):
-        return rule_from_dict(value)
-    raise ParameterError("parameter 'base' must be a rule table, rule dict, family name or path")
+    if isinstance(value, str) and value in FAMILIES:
+        return make_family(value, {}, tolerance=tolerance)
+    if isinstance(value, (str, dict)):
+        value = rule_from_dict(_load_json_param(value, "base rule"))
+    if not isinstance(value, RuleTable):
+        raise ParameterError("parameter 'base' must be a rule table, rule dict, family name or path")
+    return value if tolerance is None else value.with_tolerance(tolerance)
 
 
 def _resolve_matrix(value):
@@ -486,11 +483,14 @@ def make_family(
     name: str,
     params: Mapping | None = None,
     *,
-    tolerance: float = DEFAULT_TOLERANCE,
+    tolerance: float | None = None,
 ) -> RuleTable:
-    """Build a rule table from a family name and its parameters."""
+    """Build a rule table from a family name and its parameters at
+    ``tolerance``; None means DEFAULT_TOLERANCE, or a ``quantized`` base's own."""
     if name not in FAMILIES:
         raise ParameterError(f"unknown family {name!r}; known: {', '.join(family_names())}")
+    if tolerance is None and name != "quantized":
+        tolerance = DEFAULT_TOLERANCE
     return FAMILIES[name].build(dict(params or {}), tolerance)
 
 

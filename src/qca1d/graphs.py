@@ -33,8 +33,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .rules import (Config, RuleTable, all_configs, config_index, config_str,
-                    deterministic_outputs, index_config, unit_hits, vdots)
+from .rules import (Config, RuleTable, all_configs, config_index, config_str, index_config,
+                    unit_hits, vdots)
 
 # Every resource limit.  check_cap refuses each size before its array is
 # allocated or its work starts; enumeration raises the same CapExceeded once
@@ -44,6 +44,7 @@ MAX_PAIR_ENTRIES = 1 << 22  # q^(2k) pair weights, 64 MiB as complex128
 MAX_STATE_DIM = 2**24  # amplitudes of a ring state
 MAX_DENSE_DIM = 4096  # q^N of a dense ring matrix or of the exact orbit-row defect
 MAX_WALK_COST = MAX_DENSE_DIM**2  # the orbit rows' cost at their cap, see oracle.walk_cost
+_EPS = float(np.finfo(float).eps)  # not a limit: float rounding, for mismatch_support
 
 
 class CapExceeded(RuntimeError):
@@ -197,8 +198,8 @@ def norm_potential(rule: RuleTable) -> tuple[np.ndarray, float]:
     """
     q, k = rule.q, rule.k
     n = q ** (k - 1)
-    weights = np.sum(np.abs(rule.amplitudes) ** 2, axis=1)
-    if not np.all(weights > 0):
+    weights = (np.abs(rule.amplitudes) ** 2).sum(axis=1)
+    if not (weights > 0).all():
         return np.zeros(n), math.inf
     logw = np.log(weights)
     vertex = np.arange(n)
@@ -207,7 +208,7 @@ def norm_potential(rule: RuleTable) -> tuple[np.ndarray, float]:
         phi += logw[vertex // q ** (k - 1 - j)]
     a = np.arange(q**k)
     residual = np.abs(logw - (phi[a % n] - phi[a // q]))
-    return phi, float(np.sum(np.partition(residual, a.size - n)[a.size - n:]))
+    return phi, float(np.partition(residual, a.size - n)[a.size - n:].sum())
 
 
 def mismatch_support(rule: RuleTable) -> np.ndarray:
@@ -222,12 +223,11 @@ def mismatch_support(rule: RuleTable) -> np.ndarray:
     check_cap(rule.q ** (2 * rule.k), MAX_PAIR_ENTRIES, "the pair graph has {} weights")
     amps, tol = rule.amplitudes, rule.tolerance
     magnitude = np.abs(amps.conj() @ amps.T)
-    scale = max(float(np.max(np.sum(np.abs(amps) ** 2, axis=1))), tol)
-    slack = 8 * rule.q * np.finfo(float).eps * scale
-    for a, b in zip(*np.nonzero(np.abs(magnitude - tol) <= slack)):
+    scale = max(float((np.abs(amps) ** 2).sum(axis=1).max()), tol)
+    for a, b in zip(*np.nonzero(np.abs(magnitude - tol) <= 8 * rule.q * _EPS * scale)):
         magnitude[a, b] = abs(complex(np.vdot(amps[a], amps[b])))
     support = magnitude > tol
-    np.fill_diagonal(support, False)
+    support.ravel()[::len(support) + 1] = False  # the diagonal, a == b
     return support
 
 
@@ -268,10 +268,10 @@ def reaches(edges: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarra
     axes = tuple(range(-edges.ndim, 0))
     found = np.zeros(start.shape[:start.ndim - edges.ndim], dtype=bool)
     seen, frontier = start | stop, start
-    while frontier.any():
+    while np.count_nonzero(frontier):
         hit = advance(edges, frontier)
         found |= (hit & stop).any(axis=axes)
-        frontier = hit & ~seen
+        frontier = hit > seen  # hit & ~seen, in one call
         seen |= frontier
     return found
 
@@ -423,29 +423,31 @@ def deterministic_sector(rule: RuleTable) -> frozenset[Config]:
     q, k = rule.q, rule.k
     n = q ** (k - 1)
     config = np.arange(q**k)
-    pre, suf = config // q, config % n
-    out = deterministic_outputs(rule)
+    vertex, pre, suf = config[:n], config // q, config % n
+    hits = unit_hits(rule)
+    count = np.count_nonzero(hits, axis=1)
+    out = np.where(count == 1, hits.argmax(axis=1), -1)  # as rules.deterministic_outputs
+    moving, unique, sector = pre != suf, out >= 0, count > 0
     rows = max(1, MAX_PAIR_ENTRIES // n)  # frontier rows per search, start windows per block
-    sector = unit_hits(rule).any(axis=1)
     while True:
-        live = sector & (out >= 0)
-        cycle = np.flatnonzero(live & (pre != suf))
+        live = sector & unique
+        cycle = (live & moving).nonzero()[0]
         for first in range(0, cycle.size, rows):
             a = cycle[first:first + rows]
-            live[a] = reaches(sector, config[:n] == suf[a, None], config[:n] == pre[a, None])
+            live[a] = reaches(sector, vertex == suf[a, None], vertex == pre[a, None])
         pruned = live.copy()
-        starts = np.flatnonzero(live)
+        starts = live.nonzero()[0]
         for first in range(0, starts.size, rows):
-            cells = (starts[first:first + rows, None] * n + np.arange(n)).ravel()
+            cells = (starts[first:first + rows, None] * n + vertex).ravel()
             walk, made = True, 0
             for j in range(k):
                 w = cells // q ** (k - 1 - j) % q**k
                 walk = walk & live[w]
                 made = made * q + out[w]  # off the walks out[w] may be -1, made stays an index
-            broken = cells[walk & ~live[made]]
-            for j in range(k):
+            broken = cells[walk > live[made]]
+            for j in range(k if broken.size else 0):
                 pruned[broken // q ** (k - 1 - j) % q**k] = False
-        if np.array_equal(pruned, sector):
+        if np.count_nonzero(pruned) == np.count_nonzero(sector):  # pruned only drops configs
             return frozenset(itertools.compress(rule.configs(), sector.tolist()))
         sector = pruned
 

@@ -117,17 +117,19 @@ class RuleTable:
             raise RuleFormatError(f"neighborhood size k={self.k} must be at least 1")
         if not 0 < self.tolerance < np.inf:
             raise RuleFormatError(f"tolerance {self.tolerance} must be positive and finite")
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex, order="C")  # the table's own copy
         if amps.shape != (self.q**self.k, self.q):
             raise RuleFormatError(
                 f"amplitude table has shape {amps.shape}, expected {(self.q**self.k, self.q)}"
             )
-        if not np.isfinite(amps).all():
+        top = np.abs(amps.view(float)).max()  # nan or inf when an entry is not finite
+        if not top < np.inf:
             raise RuleFormatError("amplitude table contains non-finite entries")
-        with np.errstate(over="ignore"):  # a squared norm past float range is refused below
-            if not np.isfinite(np.square(np.abs(amps)).sum(axis=1)).all():
-                raise RuleFormatError("amplitude table has a row whose squared norm overflows")
-        amps = amps.copy()
+        # a row's squared norm is at most 2q top^2, half the float range below this top
+        if top > (sys.float_info.max / (4 * self.q)) ** 0.5:
+            with np.errstate(over="ignore"):  # a squared norm past float range is refused below
+                if not np.isfinite(np.square(np.abs(amps)).sum(axis=1)).all():
+                    raise RuleFormatError("amplitude table has a row whose squared norm overflows")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 

@@ -188,31 +188,34 @@ def det_factorization_check(
     return abs(direct - factored) <= rule.tolerance * restricted.shape[0]
 
 
-def _oriented_reports(rule: RuleTable, sector: frozenset[Config]) -> Iterator[ConstraintReport]:
+def _oriented_reports(rule: RuleTable, sector: frozenset[Config],
+                      inside: np.ndarray | None = None) -> Iterator[ConstraintReport]:
     tol, q, k = rule.tolerance, rule.q, rule.k
     n = q ** (k - 1)
-    rho = np.flatnonzero(sector_mask(sector, q, k))
+    rho = (sector_mask(sector, q, k) if inside is None else inside).nonzero()[0]
     # one column per coupled pair (rho, rho') and prefix gamma, in that order
     coupled = np.abs(rule.amplitudes[rho][:, rho % q] - 1.0) <= tol
     check_cap(np.count_nonzero(coupled) * n * (k - 1), MAX_PAIR_ENTRIES,
               "the I-v gather has {} window entries")
-    right, right_out = (np.repeat(rho[pairs], n) for pairs in np.nonzero(coupled))
+    right, right_out = (rho[pairs].repeat(n) for pairs in coupled.nonzero())
     gamma = np.arange(right.size) % n
     digits = config_digits(q, k - 1)
-    windows = window_indices(np.vstack((digits[:, gamma], digits[:, right // q])), q, k)
-    values = np.prod(rule.amplitudes[windows, digits[:, right_out // q]], axis=0)
+    windows = window_indices(np.concatenate((digits[:, gamma], digits[:, right // q])), q, k)
+    values = rule.amplitudes[windows, digits[:, right_out // q]].prod(axis=0)
     hit = np.abs(values) <= tol
-    configs, prefixes = list(rule.configs()), list(all_configs(q, k - 1))
-    for g, a, b, z in zip(gamma[hit].tolist(), right[hit].tolist(),
-                          right_out[hit].tolist(), values[hit].tolist()):
-        yield ConstraintReport("I-v", ("scalar", prefixes[g], configs[a], configs[b]), z, abs(z))
     # row i of extension_matrix(gamma) is row index(gamma) * q + i of the table
     dets = np.linalg.det(rule.amplitudes.reshape(-1, q, q)).tolist()
-    yield from (ConstraintReport("I-v", ("det", prefix), det, abs(det))
-                for prefix, det in zip(prefixes, dets) if abs(det) <= tol * q)
+    singular = [(g, det) for g, det in enumerate(dets) if abs(det) <= tol * q]
+    if singular or np.count_nonzero(hit):  # the config labels, only for reports
+        configs, prefixes = list(rule.configs()), list(all_configs(q, k - 1))
+        for g, a, b, z in zip(gamma[hit].tolist(), right[hit].tolist(),
+                              right_out[hit].tolist(), values[hit].tolist()):
+            yield ConstraintReport("I-v", ("scalar", prefixes[g], configs[a], configs[b]), z, abs(z))
+        yield from (ConstraintReport("I-v", ("det", prefixes[g]), d, abs(d)) for g, d in singular)
 
 
-def check_surjectivity(rule: RuleTable, sector: frozenset[Config]) -> list[ConstraintReport]:
+def check_surjectivity(rule: RuleTable, sector: frozenset[Config],
+                       inside: np.ndarray | None = None) -> list[ConstraintReport]:
     """Violations of the surjectivity constraints, as I-v reports.
 
     Border scalars are checked for every coupled sector pair (rho, rho')
@@ -228,11 +231,12 @@ def check_surjectivity(rule: RuleTable, sector: frozenset[Config]) -> list[Const
     violation free; violations are reported in the rightward reading, and
     the mirrored reading stops at its first.  A reading whose gather has
     more than ``MAX_PAIR_ENTRIES`` window entries raises ``CapExceeded``
-    before it is allocated.
+    before it is allocated.  ``inside``, the sector's config mask
+    (``graphs.sector_mask``), saves building it again.
     """
     if not sector:
         raise ValueError("the deterministic sector is empty")
-    reports = list(_oriented_reports(rule, sector))
+    reports = list(_oriented_reports(rule, sector, inside))
     if not reports:
         return []
     mirrored = frozenset(tuple(reversed(c)) for c in sector)

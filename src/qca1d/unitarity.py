@@ -190,7 +190,17 @@ class _RuleGraphs:
     by the conditions of one check."""
 
     def __init__(self, rule: RuleTable):
-        self.rule = rule
+        self.rule, self._inside = rule, (None, None)
+
+    def inside(self, sector) -> np.ndarray:
+        """The config mask of ``sector``, kept for the next call with it."""
+        if self._inside[0] is not sector:
+            self._inside = sector, sector_mask(sector, self.rule.q, self.rule.k)
+        return self._inside[1]
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:  # the pair-graph vertices (u, u), one axis per end
+        return np.eye(self.rule.q ** (self.rule.k - 1), dtype=bool)
 
     @cached_property
     def norm(self) -> Graph:
@@ -209,11 +219,10 @@ class _RuleGraphs:
         return mismatch_support(self.rule)
 
 
-def _sector_vertices(rule: RuleTable, sector) -> np.ndarray:
+def _sector_vertices(rule: RuleTable, inside: np.ndarray) -> np.ndarray:
     """Mask of the norm-graph vertices that are a prefix or suffix of a
-    sector config."""
+    config of the sector mask ``inside``: config a = prefix * q + s = s' * n + suffix."""
     q, n = rule.q, rule.q ** (rule.k - 1)
-    inside = sector_mask(sector, q, rule.k)  # config a = prefix * q + s = s' * n + suffix
     return inside.reshape(n, q).any(axis=1) | inside.reshape(q, n).any(axis=0)
 
 
@@ -246,8 +255,9 @@ def _search(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs):
         # of sector vertices; composite paths factor through these.  Closed
         # ones are cycles (I-i); with under two sector vertices all are.
         phi, bound = graphs.potential
-        ends = _sector_vertices(rule, sector)
-        holds = ends.sum() < 2 or _certified(bound + float(np.ptp(phi[ends])), tol)
+        ends = _sector_vertices(rule, graphs.inside(sector))
+        span = phi[ends]  # its range, max - min, bounds the path log weights
+        holds = np.count_nonzero(ends) < 2 or _certified(bound + float(span.max() - span.min()), tol)
 
         def listing():
             graph = graphs.norm
@@ -257,12 +267,12 @@ def _search(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs):
         return holds, listing
     edges = graphs.support  # the mismatch edges above the tolerance
     if condition == "I-iv":
-        inside = sector_mask(sector, rule.q, rule.k)
-        edges = edges & np.outer(inside, inside)
-    diagonal = np.eye(rule.q ** (rule.k - 1), dtype=bool)
+        inside = graphs.inside(sector)
+        edges = edges & inside[:, None] & inside
+    diagonal = graphs.diagonal
     if condition in ("P-ii", "I-iv"):
         reach = cycle_reach(edges, ~diagonal)  # listed cycles start only here
-        return not reach.any(), lambda: (graphs.pair, iter_cycles(
+        return not np.count_nonzero(reach), lambda: (graphs.pair, iter_cycles(
             graphs.pair, edge_mask=edges.ravel(), vertex_mask=reach.ravel()))
     return not reaches(edges, diagonal, diagonal), lambda: (graphs.pair, iter_paths(
         graphs.pair, diagonal.ravel(), diagonal.ravel(), edge_mask=edges.ravel(),
@@ -361,5 +371,6 @@ def check_infinite(
     for condition in ("I-i", "I-ii", "I-iii", "I-iv"):
         reports.extend(evaluate_condition(
             rule, condition, sector=sector, max_violations=max_violations, graphs=graphs))
-    reports.extend(itertools.islice(check_surjectivity(rule, sector), max_violations))
+    reports.extend(itertools.islice(
+        check_surjectivity(rule, sector, inside=graphs.inside(sector)), max_violations))
     return Verdict(not reports, "infinite", tuple(reports))

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import sys
 import time
 import tracemalloc
 
@@ -127,6 +128,30 @@ def test_family_tolerance_applies_to_a_file_base(tmp_path, capsys):
     code, out, _ = run(capsys, "family", "quantized", "--param", f"base={base}",
                        "--param", f"unitary={unitary}")
     assert code == 0 and json.loads(out)["tolerance"] == 1e-9
+
+
+def test_family_tolerance_reaches_the_rotation_check_of_a_file_base(tmp_path, capsys):
+    # a rotation off unitary by 2e-6: within 1e-5, not within patt's own 1e-9
+    code, out, _ = run(capsys, "family", "patt")
+    base = tmp_path / "patt.json"
+    base.write_text(out)
+    unitary = tmp_path / "u.json"
+    unitary.write_text("[[0, 1.000001], [1, 0]]")
+    quantized = ["family", "quantized", "--param", f"unitary={unitary}", "--param"]
+    outs = []
+    for name in (str(base), "patt"):
+        code, out, err = run(capsys, *quantized, f"base={name}", "--tolerance", "1e-5")
+        assert code == 0 and err == "" and json.loads(out)["tolerance"] == 1e-5, name
+        outs.append(out)
+    assert outs[0] == outs[1]
+    # without --tolerance the file's own 1e-9 checks the rotation, as the default does
+    for name in (str(base), "patt"):
+        code, out, err = run(capsys, *quantized, f"base={name}")
+        assert (code, out) == (2, "") and "rotation matrix is not unitary (defect 2.000e-06)" in err
+    loose = tmp_path / "loose.json"
+    loose.write_text(json.dumps(json.loads(base.read_text()) | {"tolerance": 1e-5}))
+    code, out, _ = run(capsys, *quantized, f"base={loose}")
+    assert code == 0 and json.loads(out)["tolerance"] == 1e-5
 
 
 def test_family_refuses_zero_tolerance(capsys):
@@ -658,6 +683,53 @@ def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch, f21):
     assert fresh.format_help() == cli._parser().format_help()
 
 
+def _reference_main(argv=None):
+    """``main`` as the top-level parser alone would run it: one
+    ``parse_args`` over the whole argv, the same exit codes."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return args.func(args)
+    except cli.CapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def test_main_parses_once_as_the_top_level_parser_would(tmp_path, capsys, monkeypatch, f21):
+    path = write_rule(tmp_path, f21)
+    verify = ["verify", path, "--mode", "periodic"]
+    argvs = [[], ["--help"], ["-h"], ["bogus"], ["veri", *verify[1:]], ["verify"]]
+    argvs += [[sub, "--help"] for sub in
+              ("verify", "oracle", "simulate", "family", "graph", "paths", "zpoly")]
+    argvs += [
+        verify, verify[:3] + ["sideways"], verify + ["--bogus"], verify[:2] + ["--mo", "periodic"],
+        ["verify", path, "--mode=periodic", "--tolerance=1e-3"],
+        ["verify", "--mode", "periodic", "--", path], ["verify", path, "--", "--mode", "periodic"],
+        verify + ["--"], ["--tolerance", "1", *verify], ["oracle", path, "--sites", "x"],
+        ["paths", path, "--max-len", "2", "extra"], ["family", "--list", "--", "f21"],
+    ]
+    for argv in argvs:
+        expected = (_reference_main(list(argv)), *capsys.readouterr())
+        assert (main(list(argv)), *capsys.readouterr()) == expected, argv
+    # argv=None reads sys.argv
+    for argv in (verify, ["verify", path], []):
+        monkeypatch.setattr(sys, "argv", ["qca1d", *argv])
+        expected = (_reference_main(), *capsys.readouterr())
+        assert (main(), *capsys.readouterr()) == expected, argv
+    # a command's argv is parsed once, by the command's parser
+    calls = []
+    original = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda self, *a, **kw: calls.append(self.prog) or original(self, *a, **kw))
+    assert main(verify) == 0 and calls == ["qca1d verify"]
+    assert main(["bogus"]) == 2 and calls[1:] == ["qca1d"]
+
+
 def _reference_witness_str(witness):
     """The text witness, one config_str per element."""
     if witness[0] == "det":
@@ -716,7 +788,7 @@ def test_options_a_command_does_not_read_are_usage_errors(tmp_path, capsys, f21)
     for command, extra in removed:
         assert run(capsys, *argvs[command])[0] == 0
         code, out, err = run(capsys, *argvs[command], *extra)
-        assert code == 2 and out == "" and err.startswith("usage: qca1d"), (command, extra)
+        assert code == 2 and out == "" and err.startswith("usage: qca1d [-h] {"), (command, extra)
         assert f"unrecognized arguments: {' '.join(extra)}" in err
 
 

@@ -233,3 +233,39 @@ def test_table_validation():
 def test_table_is_frozen(ident):
     with pytest.raises(ValueError):
         ident.amplitudes[0, 0] = 2.0
+
+
+def test_squared_norm_overflow_boundary():
+    # 1.3e154 squares to 1.69e308, within float range; two of them sum past it
+    # (sqrt of the float max is 1.34e154), above the bound of the pre-check
+    table = np.zeros((4, 2))
+    table[1] = [1.3e154, 1.3e154]
+    with pytest.raises(RuleFormatError, match="overflows"):
+        RuleTable(2, 2, table)
+    table[1] = [1.3e154, 0]
+    assert RuleTable(2, 2, table).amplitudes[1, 0] == 1.3e154
+    # one entry whose real and imaginary parts each square within range
+    with pytest.raises(RuleFormatError, match="overflows"):
+        RuleTable(2, 2, np.eye(2, dtype=complex)[[0, 1, 1, 0]] * [1, 1e154 + 1e154j])
+    # a non-finite entry is reported as such, before the overflow test
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 1)):
+        table = np.zeros((4, 2), dtype=complex)
+        table[0] = [1e300, 1e300]
+        table[3, 1] = bad
+        with pytest.raises(RuleFormatError, match="non-finite"):
+            RuleTable(2, 2, table)
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_table_owns_a_read_only_copy(dtype):
+    source = np.eye(2, dtype=dtype)[[0, 1, 1, 0]]
+    rule = RuleTable(2, 2, source)
+    source[:] = 7
+    assert rule.amplitudes.dtype == complex and not rule.amplitudes.flags.writeable
+    assert np.array_equal(rule.amplitudes, np.eye(2)[[0, 1, 1, 0]])
+    assert rule.amplitudes.flags.c_contiguous
+    # a strided view of the caller's array is copied too, C-ordered
+    view = np.asfortranarray(np.eye(2, dtype=dtype)[[1, 0, 0, 1]])
+    rule = RuleTable(2, 2, view)
+    view[0, 0] = 7
+    assert rule.amplitudes[0, 0] == 0 and rule.amplitudes.flags.c_contiguous
