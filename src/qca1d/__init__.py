@@ -34,7 +34,6 @@ from .graphs import (
     enumerate_cycles,
     pair_graph,
     rule_graph,
-    sector_subgraph,
     to_dot,
 )
 from .transfer import Monomial, monomial_of, path_monomials, trace_series, transfer_matrix, z_polynomial

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import cache
 
@@ -32,12 +33,14 @@ import numpy as np
 
 from .families import FAMILIES, ParameterError, family_names, make_family
 from .graphs import (
+    MAX_DIM_DIGITS,
     CapExceeded,
+    check_cap,
     deterministic_sector,
     format_weight,
     pair_graph,
     rule_graph,
-    sector_subgraph,
+    sector_mask,
     to_dot,
 )
 from .oracle import (
@@ -100,14 +103,16 @@ def _cmd_oracle(args) -> int:
     if args.samples < 1:  # checked on both branches, though the exact one reads no sample
         raise ValueError(f"need at least one sample vector, got --samples {args.samples}")
     rule = _load(args)
-    dim = state_dim(rule.q, args.sites)
+    check_cap(int(args.sites * math.log10(rule.q)) + 1, MAX_DIM_DIGITS,  # exact near it, q <= 10
+              f"ring dimension {rule.q}^{args.sites} has {{}} digits")
     kernel = exact_defect_kernel(rule.q, rule.k, args.sites)
     exact = kernel is not None
     if exact:
         defect = kernel(rule, args.sites)
-    else:
+    else:  # state_dim refuses a ring state over MAX_STATE_DIM
         rng = np.random.default_rng(args.seed)
         defect = defect_estimate(rule, args.sites, samples=args.samples, rng=rng)
+    dim = rule.q**args.sites
     if args.defect_only:
         print(repr(defect))
         return 0
@@ -211,13 +216,11 @@ def _cmd_family(args) -> int:
 
 def _cmd_graph(args) -> int:
     rule = _load(args)
-    if args.which in ("g1", "g2"):
-        graph = rule_graph(rule) if args.which == "g1" else pair_graph(rule)
-    else:
-        sector = deterministic_sector(rule)
-        base = rule_graph(rule) if args.which == "d1" else pair_graph(rule)
-        graph = sector_subgraph(base, sector)
-    print(to_dot(graph, name=args.which))
+    graph = rule_graph(rule) if args.which in ("g1", "d1") else pair_graph(rule)
+    inside = None if args.which[0] == "g" else sector_mask(deterministic_sector(rule), rule.q, rule.k)
+    if args.which == "d2":  # a pair edge is in the sector when both its configs are
+        inside = (inside[:, None] & inside).ravel()
+    print(to_dot(graph, args.which, inside))
     return 0
 
 

@@ -44,6 +44,7 @@ MAX_PAIR_ENTRIES = 1 << 22  # q^(2k) pair weights, 64 MiB as complex128
 MAX_STATE_DIM = 2**24  # amplitudes of a ring state
 MAX_DENSE_DIM = 4096  # q^N of a dense ring matrix or of the exact orbit-row defect
 MAX_WALK_COST = MAX_DENSE_DIM**2  # the orbit rows' cost at their cap, see oracle.walk_cost
+MAX_DIM_DIGITS = 4300  # decimal digits of a printed q^N; Python 3.11+ converts no longer int
 _EPS = float(np.finfo(float).eps)  # not a limit: float rounding, for mismatch_support
 
 
@@ -61,16 +62,15 @@ def check_cap(size: int, cap: int, what: str) -> None:
 class Graph:
     """A norm graph (kind "single") or pair graph (kind "pair") as arrays.
 
-    ``edges`` holds the id of each edge: its config index a (norm graph) or
-    a * q^k + b for the ordered pair (a, b) (pair graph).  The full graphs
-    hold every id in order, so there edge i has id i; ``sector_subgraph``
-    keeps some of them.  Edge i runs from vertex ``src[i]`` to ``dst[i]``
-    and carries ``weight[i]``.  Walks are tuples of edge indices.
+    Edge i is config i (norm graph) or the ordered pair (i // q^k, i % q^k)
+    (pair graph), so ``edges`` is ``arange(weight.size)``; it runs from
+    vertex ``src[i]`` to ``dst[i]`` and carries ``weight[i]``.  Walks are
+    tuples of edge indices; a restriction is a boolean edge or vertex mask.
     """
 
-    def __init__(self, kind: str, q: int, k: int, edges: np.ndarray, weight: np.ndarray):
-        self.kind, self.q, self.k = kind, q, k
-        self.edges, self.weight = edges, weight
+    def __init__(self, kind: str, q: int, k: int, weight: np.ndarray):
+        self.kind, self.q, self.k, self.weight = kind, q, k, weight
+        self.edges = edges = np.arange(weight.size)
         n = q ** (k - 1)
         if kind == "single":
             self.n_vertices = n
@@ -80,13 +80,12 @@ class Graph:
             a, b = np.divmod(edges, q**k)  # (a[:-1], b[:-1]) -> (a[1:], b[1:])
             self.src, self.dst = (a // q) * n + b // q, (a % n) * n + b % n
 
-    @property
+    @cached_property
     def mismatch(self) -> np.ndarray:
         """Edge mask of the pair edges (a, b) with a != b."""
         if self.kind == "single":
-            return np.zeros(self.edges.size, dtype=bool)
-        a, b = np.divmod(self.edges, self.q**self.k)
-        return a != b
+            return np.zeros(self.weight.size, dtype=bool)
+        return ~np.eye(self.q**self.k, dtype=bool).ravel()
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -97,10 +96,12 @@ class Graph:
 
     @cached_property
     def out_edges(self) -> list[list[int]]:
-        """Per vertex, the indices of the edges leaving it, in index order."""
-        order = np.argsort(self.src, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(self.src, minlength=self.n_vertices)).tolist()
-        return [order[start:end] for start, end in zip([0] + ends, ends)]
+        """Per vertex, the indices of the edges leaving it, in index order:
+        each config axis read as (prefix, appended digit), prefixes first."""
+        d = 1 if self.kind == "single" else 2
+        layout = self.edges.reshape((self.q ** (self.k - 1), self.q) * d)
+        axes = (*range(0, 2 * d, 2), *range(1, 2 * d, 2))
+        return layout.transpose(axes).reshape(self.n_vertices, -1).tolist()
 
     @cached_property
     def _weights(self) -> list:
@@ -117,10 +118,10 @@ class Graph:
     def _label(self) -> Callable[[int], tuple]:
         """Edge index -> config or config pair, one tuple per edge shared by
         every walk through it."""
-        ids, cfgs, n = self.edges.tolist(), list(all_configs(self.q, self.k)), self.q**self.k
+        cfgs, n = list(all_configs(self.q, self.k)), self.q**self.k
         if self.kind == "single":
-            return lambda e: cfgs[ids[e]]
-        return cache(lambda e: (cfgs[ids[e] // n], cfgs[ids[e] % n]))
+            return cfgs.__getitem__
+        return cache(lambda e: (cfgs[e // n], cfgs[e % n]))
 
     def product(self, walk: Sequence[int]) -> complex:
         """Weight of a walk: the product of its edge weights, left to right,
@@ -144,7 +145,7 @@ def rule_graph(rule: RuleTable) -> Graph:
     i2..ik and carries weight <<i1..ik | i1..ik>>.
     """
     amps = rule.amplitudes
-    return Graph("single", rule.q, rule.k, np.arange(len(amps)), vdots(amps, amps))
+    return Graph("single", rule.q, rule.k, vdots(amps, amps))
 
 
 def pair_graph(rule: RuleTable) -> Graph:
@@ -158,7 +159,7 @@ def pair_graph(rule: RuleTable) -> Graph:
     check_cap(rule.q ** (2 * rule.k), MAX_PAIR_ENTRIES, "the pair graph has {} weights")
     amps = rule.amplitudes
     gram = vdots(amps[:, None, :], amps[None, :, :])
-    return Graph("pair", rule.q, rule.k, np.arange(gram.size), gram.ravel())
+    return Graph("pair", rule.q, rule.k, gram.ravel())
 
 
 def sector_mask(sector: Iterable[Config], q: int, k: int) -> np.ndarray:
@@ -166,18 +167,6 @@ def sector_mask(sector: Iterable[Config], q: int, k: int) -> np.ndarray:
     inside = np.zeros(q**k, dtype=bool)
     inside[[config_index(cfg, q) for cfg in sector]] = True
     return inside
-
-
-def sector_subgraph(graph: Graph, sector: Iterable[Config]) -> Graph:
-    """Edges whose configuration(s) all lie in the deterministic sector."""
-    q, k = graph.q, graph.k
-    inside = sector_mask(sector, q, k)
-    if graph.kind == "single":
-        keep = inside[graph.edges]
-    else:
-        a, b = np.divmod(graph.edges, q**k)
-        keep = inside[a] & inside[b]
-    return Graph(graph.kind, q, k, graph.edges[keep], graph.weight[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +453,9 @@ def format_weight(z: complex, digits: int = 6) -> str:
     return f"{z.real:.{digits}g}{z.imag:+.{digits}g}i"
 
 
-def to_dot(graph: Graph, name: str = "g") -> str:
-    """Graphviz rendering; mismatch-region structure is kept visible.
+def to_dot(graph: Graph, name: str = "g", edge_mask: np.ndarray | None = None) -> str:
+    """Graphviz rendering of every vertex and of the edges in ``edge_mask``
+    (None: all); mismatch-region structure is kept visible.
 
     Each edge is labelled "<appended symbols> / <weight>"; diagonal edges of
     a pair graph are drawn grey.
@@ -474,14 +464,14 @@ def to_dot(graph: Graph, name: str = "g") -> str:
     lines = [f"digraph {name} {{"]
     lines.extend(f'  "{v}";' for v in names)
     n, q = graph.q**graph.k, graph.q
-    for i, s, t, w, mismatch in zip(graph.edges.tolist(), graph.src.tolist(),
-                                    graph.dst.tolist(), graph.weight.tolist(),
-                                    graph.mismatch.tolist()):
+    keep = graph.edges if edge_mask is None else np.flatnonzero(edge_mask)
+    for i, s, t, w in zip(keep.tolist(), graph.src[keep].tolist(), graph.dst[keep].tolist(),
+                          graph.weight[keep].tolist()):
         if graph.kind == "single":
             attrs = f'label="{i % q} / {format_weight(w)}"'
         else:
             attrs = f'label="({i // n % q},{i % q}) / {format_weight(w)}"'
-            if not mismatch:
+            if i // n == i % n:  # the diagonal edge (a, a)
                 attrs += ", color=gray"
         lines.append(f'  "{names[s]}" -> "{names[t]}" [{attrs}];')
     lines.append("}")

@@ -40,23 +40,18 @@ class Monomial:
 
     def __str__(self) -> str:
         parts = []
-        for f in self.factors:
-            if len(f) == 1:
-                parts.append(f"w_{f[0]}" if f[0] < 10 else f"w_{{{f[0]}}}")
-            elif f[0] < 10 and f[1] < 10:
-                parts.append(f"w_{{{f[0]}{f[1]}}}")
-            else:
-                parts.append(f"w_{{{f[0]},{f[1]}}}")
+        for f in self.factors:  # w_3, w_{12} for (1, 2) or (12,), w_{3,12}
+            index = ("" if max(f) < 10 else ",").join(map(str, f))
+            parts.append(f"w_{index}" if len(index) == 1 else f"w_{{{index}}}")
         return "".join(parts)
 
 
 def monomial_of(graph: Graph, walk: Sequence[int]) -> Monomial:
     """Monomial of a walk (a tuple of edge indices) of a norm or pair graph."""
-    ids = graph.edges[list(walk)].tolist()
     if graph.kind == "single":
-        return Monomial(tuple(sorted((a,) for a in ids)))
+        return Monomial(tuple(sorted((int(a),) for a in walk)))
     n = graph.q**graph.k
-    return Monomial(tuple(sorted(tuple(sorted(divmod(i, n))) for i in ids)))
+    return Monomial(tuple(sorted(tuple(sorted(divmod(int(i), n))) for i in walk)))
 
 
 def transfer_matrix(graph: Graph, convention: str = "raw") -> np.ndarray:
@@ -105,9 +100,7 @@ def trace_series(a: np.ndarray, order: int) -> np.ndarray:
     """
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    z = z_polynomial(a)
-    if abs(z[0] - 1.0) > 1e-12:
-        raise ValueError("generating polynomial must have constant term 1")
+    z = z_polynomial(a)  # z[0] is 1: np.poly's leading coefficient
     coeffs = np.zeros(order + 1, dtype=complex)
     for n in range(1, order + 1):
         zn = z[n] if n < len(z) else 0.0

@@ -9,6 +9,7 @@ import numpy as np
 
 import qca1d.cli as cli
 from qca1d import (
+    RuleTable,
     check_infinite,
     check_periodic,
     config_str,
@@ -175,6 +176,54 @@ def test_infinite_tolerance_is_refused(tmp_path, capsys):
             (["family", "f21", "--tolerance", "inf"], "tolerance inf")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and message in err and "finite" in err, argv
+
+
+def test_validation_branches_exit_2_with_their_message(tmp_path, capsys):
+    def put(name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    rule = rule_to_dict(deterministic_shift(2, 2))
+    shift, missing = put("shift.json", rule), str(tmp_path / "missing.json")
+    eye2, eye3 = put("eye2.json", np.eye(2).tolist()), put("eye3.json", np.eye(3).tolist())
+    vectors = {"00": [[1, 0], [0, 0]], "01": [[0, 0], [1, 0]],
+               "10": [[1, 0], [0, 0]], "11": [[0, 0], [1, 0]]}
+    three = put("three.json", vectors | {"01": [[0, 0], [1, 0], [0, 0]]})
+    frame = ["family", "frame", "--param", "k=2", "--param", "j=1", "--param"]
+    quantized = ["family", "quantized", "--param"]
+    verify = ["--mode", "periodic"]
+    for argv, message in (
+            (["family", "f21", "--param", "theta"], "--param expects key=value, got 'theta'"),
+            (["family", "f21", "--param", "theta=abc"], "parameter 'theta' must be a real number"),
+            (frame + ["q=2", "--param", f"vectors={three}"], "vector for 01 must have 2 components"),
+            (frame + [f"vectors={put('vectors.json', vectors)}"], "frame requires parameter 'q'"),
+            (frame + ["q=2", "--param", f"vectors={put('list.json', [1, 2])}"],
+             "parameter 'vectors' must map config strings to vectors"),
+            (quantized + ["base=patt"], "quantized requires parameters 'base' and 'unitary'"),
+            (quantized + [f"base={missing}", "--param", f"unitary={eye2}"],
+             f"base rule file {missing!r} does not exist"),
+            (quantized + ["base=3", "--param", f"unitary={eye2}"],
+             "parameter 'base' must be a rule table, rule dict, family name or path"),
+            (quantized + [f"base={shift}", "--param", f"unitary={eye3}"],
+             "rotation matrix must be 2 x 2, got (3, 3)"),
+            (["verify", put("array.json", [rule]), *verify],
+             "rule file must hold a JSON object, got list"),
+            (["verify", put("q11.json", rule | {"q": 11}), *verify],
+             "config strings use single digits; q must be at most 10"),
+            (["verify", put("listed.json", rule | {"amplitudes": list(rule["amplitudes"].values())}),
+              *verify], "field 'amplitudes' must be an object keyed by config strings")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
+def test_zero_norm_row_is_one_p_i_witness(tmp_path, capsys):
+    # a zero weight leaves the norm potential no bound, so P-i is listed
+    path = write_rule(tmp_path, RuleTable(2, 1, np.diag([0.0, 1.0])))
+    code, out, _ = run(capsys, "verify", path, "--mode", "periodic")
+    assert code == 1 and out == ("mode: periodic\nP-i: VIOLATED (1 reported)\n"
+                                 "  value=0 margin=1.000000e+00 witness: 0\n"
+                                 "P-ii: ok\nP-iii: ok\nverdict: NOT unitary\n")
 
 
 def test_family_refuses_non_integral_frame_sizes(tmp_path, capsys):
@@ -599,9 +648,11 @@ def test_pair_graph_commands_exit_3_before_allocating(tmp_path, capsys):
 
 
 def test_ring_state_commands_exit_3_before_allocating(tmp_path, capsys, f21):
-    # 2^40 amplitudes is over MAX_STATE_DIM
+    # 2^40 and 2^25 amplitudes are over MAX_STATE_DIM; no exact kernel takes
+    # a (2, 7) rule on 25 sites, so oracle would estimate on such states
     path = write_rule(tmp_path, f21)
-    for argv in (("oracle", path, "--sites", "40"),
+    wide = write_rule(tmp_path, quantized_shift(2, 7), "wide.json")
+    for argv in (("oracle", wide, "--sites", "25"),
                  ("simulate", path, "--sites", "40", "--steps", "1", "--initial", "01" * 20),
                  ("simulate", path, "--sites", "40", "--steps", "1", "--initial", "state.json")):
         tracemalloc.start()
@@ -612,6 +663,46 @@ def test_ring_state_commands_exit_3_before_allocating(tmp_path, capsys, f21):
             tracemalloc.stop()
         assert code == 3 and "cap" in err
         assert peak < 2**20
+
+
+def test_oracle_takes_every_ring_an_exact_kernel_takes(tmp_path, capsys, f21):
+    # the closed walks take these rings past MAX_STATE_DIM, and the
+    # dimension is printed as the exact integer q^N
+    for i, (rule, sites) in enumerate(((f21, 25), (f21, 40), (quantized_shift(3, 3), 16),
+                                       (quantized_shift(3, 3), 20), (quantized_shift(2, 5), 26))):
+        path = write_rule(tmp_path, rule, f"rule{i}.json")
+        code, out, _ = run(capsys, "oracle", path, "--sites", str(sites), "--json")
+        data = json.loads(out)
+        assert code == 0 and data["exact"] and data["dimension"] == rule.q**sites, (i, sites)
+        assert data["defect"] <= 1e-12
+        code, out, _ = run(capsys, "oracle", path, "--sites", str(sites))
+        assert code == 0 and f"sites: {sites} (dimension {rule.q**sites})\n" in out
+    for sites in ("0", "-3"):  # walk_defect refuses with the message state_dim gave
+        code, out, err = run(capsys, "oracle", path, "--sites", sites)
+        assert (code, out, err) == (2, "", f"error: need at least one site, got {sites}\n")
+    wide = write_rule(tmp_path, quantized_shift(2, 7), "wide.json")
+    code, out, err = run(capsys, "oracle", wide, "--sites", "25")
+    assert (code, out) == (3, "")
+    assert err == "error: ring state dimension 2^25, over the cap of 16777216\n"
+
+
+def test_oracle_refuses_a_dimension_too_long_to_print(tmp_path, capsys, monkeypatch, f21):
+    # Python 3.11+ converts no int of more than 4300 digits to str: 10^4299 has
+    # 4300 and prints, 10^4300 and 2^20000 are refused before any kernel runs
+    ten = write_rule(tmp_path, RuleTable(10, 1, np.eye(10)), "ten.json")
+    code, out, _ = run(capsys, "oracle", ten, "--sites", "4299", "--json")
+    assert code == 0 and json.loads(out)["dimension"] == 10**4299
+
+    def refuse(*args):
+        raise AssertionError("a kernel was picked")
+
+    monkeypatch.setattr(cli, "exact_defect_kernel", refuse)
+    path = write_rule(tmp_path, f21)
+    for rule_path, q, sites, digits in ((ten, 10, 4300, 4301), (path, 2, 20000, 6021)):
+        for flags in ((), ("--json",), ("--defect-only",)):
+            code, out, err = run(capsys, "oracle", rule_path, "--sites", str(sites), *flags)
+            assert (code, out) == (3, "") and err == (
+                f"error: ring dimension {q}^{sites} has {digits} digits, over the cap of 4300\n")
 
 
 def test_empty_oracle_sample_and_negative_steps_exit_2(tmp_path, capsys, f21):

@@ -13,6 +13,7 @@ from qca1d import (
     inner,
     make_family,
     random_params,
+    walk_defect,
 )
 from qca1d.cli import main
 from qca1d.graphs import iter_cycles, mismatch_support, pair_graph
@@ -229,6 +230,27 @@ def test_periodic_verdict_is_monotone_in_the_tolerance():
                 violated = {r.condition for r in verdict.reports}
                 assert violated <= before, (label, eps, tol)
                 before = violated
+
+
+def test_periodic_verdict_bounds_the_ring_defects():
+    # the ring contract of a periodic verdict (qca1d.rules): on the rings of
+    # N <= min(r, 16) sites, r = n^2 + n + 1 and n = q^(k-1), a unitary verdict
+    # keeps the exact defect within (1 + tol)^N - 1, and a NOT-unitary one
+    # shows a defect over tol on one of them
+    verdicts = [0, 0]
+    for seed in range(4):
+        for label, rule, infinite in noisy_grid(seed):
+            if infinite:
+                continue
+            n, tol = rule.q ** (rule.k - 1), rule.tolerance
+            sizes = range(1, min(n * n + n + 1, 16) + 1)
+            unitary = check_periodic(rule, max_violations=1).unitary
+            if unitary:
+                assert all(walk_defect(rule, N) <= (1 + tol) ** N - 1 for N in sizes), label
+            else:
+                assert any(walk_defect(rule, N) > tol for N in sizes), label
+            verdicts[unitary] += 1
+    assert verdicts == [236, 148]
 
 
 def test_infinite_verdict_is_monotone_in_the_tolerance():

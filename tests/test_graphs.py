@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,12 +19,12 @@ from qca1d import (
     patt_rule,
     quantize,
     rule_graph,
-    sector_subgraph,
     to_dot,
     unit_configs,
 )
 from qca1d import graphs
-from qca1d.graphs import MAX_PAIR_ENTRIES, advance, cycle_reach, iter_cycles, iter_paths, reaches
+from qca1d.graphs import (MAX_PAIR_ENTRIES, advance, cycle_reach, iter_cycles, iter_paths, reaches,
+                          sector_mask)
 from qca1d.transfer import Monomial
 
 from conftest import F21_SAMPLE, haar_unitary, quantized_shift, with_noise
@@ -76,6 +77,23 @@ def test_rule_graph_k1_degenerate():
     assert len(g.edges) == 2
     assert all(s == t == 0 for s, t in zip(g.src, g.dst))
     assert len(enumerate_cycles(g)) == 2
+
+
+@pytest.mark.parametrize("q, k", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 5), (4, 3), (3, 3)])
+def test_edge_i_is_config_i(q, k):
+    # norm edge i is config i and pair edge i the pair divmod(i, q^k), in
+    # every graph; out_edges lists each vertex's edges in index order
+    rule = quantized_shift(q, k)
+    configs = list(rule.configs())
+    for g in (rule_graph(rule), pair_graph(rule)):
+        assert (g.edges == np.arange(g.weight.size)).all()
+        if g.kind == "single":
+            assert list(g.configs(g.edges)) == configs and not g.mismatch.any()
+        else:
+            pairs = [divmod(i, q**k) for i in range(g.weight.size)]
+            assert list(g.configs(g.edges)) == [(configs[a], configs[b]) for a, b in pairs]
+            assert g.mismatch.tolist() == [a != b for a, b in pairs]
+        assert g.out_edges == [np.flatnonzero(g.src == v).tolist() for v in range(g.n_vertices)]
 
 
 def test_pair_graph_k2(f21):
@@ -465,18 +483,41 @@ def test_sector_walks_stay_within_block_bound():
     assert peak <= 3 * MAX_PAIR_ENTRIES * np.dtype(np.intp).itemsize
 
 
+def test_enumerate_cycles_refuses_an_unknown_restriction(f21):
+    with pytest.raises(ValueError, match="^unknown restrict value 'diagonal'$"):
+        enumerate_cycles(pair_graph(f21), restrict="diagonal")
+
+
+def dot_edges(dot):
+    """(source, target, config) of each edge a DOT rendering draws: the
+    config (norm graph) or config pair (pair graph) is the source vertex
+    with the label's appended symbols."""
+    edges = []
+    for src, dst, digits in re.findall(r'"(\S*)" -> "(\S*)" \[label="\(?([\d,]*)\)? /', dot):
+        cfgs = tuple(tuple(map(int, p + d)) for p, d in zip(src.split("|"), digits.split(",")))
+        edges.append((src, dst, cfgs[0] if len(cfgs) == 1 else cfgs))
+    return edges
+
+
 def test_sector_subgraph(ident, f21_00):
-    d1 = sector_subgraph(rule_graph(f21_00), deterministic_sector(f21_00))
-    assert list(zip(d1.src.tolist(), d1.dst.tolist())) == [(0, 0)]
+    # the d1 and d2 views of ``graph``: the whole graph, its edges masked to the sector
+    inside = sector_mask(deterministic_sector(f21_00), 2, 2)
+    d1 = to_dot(rule_graph(f21_00), "d1", inside)
+    assert [(s, t) for s, t, _ in dot_edges(d1)] == [("0", "0")]
+    assert '"1";' in d1  # every vertex is drawn, edges or not
 
     rule = make_family("f31_000_111", {"m1": 1.4, "m2": 0.8})
-    d2 = sector_subgraph(pair_graph(rule), deterministic_sector(rule))
-    assert set(edge_configs(d2)) == {
+    inside = sector_mask(deterministic_sector(rule), 2, 3)
+    d2 = to_dot(pair_graph(rule), "d2", (inside[:, None] & inside).ravel())
+    assert {cfgs for _, _, cfgs in dot_edges(d2)} == {
         ((0, 0, 0), (0, 0, 0)), ((0, 0, 0), (1, 1, 1)),
         ((1, 1, 1), (0, 0, 0)), ((1, 1, 1), (1, 1, 1))}
+    assert len(dot_edges(d2)) == 4
 
-    empty = sector_subgraph(rule_graph(ident), frozenset())
-    assert len(empty.edges) == 0
+    empty = to_dot(rule_graph(ident), "d1", sector_mask(frozenset(), 2, 2))
+    assert dot_edges(empty) == [] and " -> " not in empty
+    full = rule_graph(f21_00)
+    assert [cfg for _, _, cfg in dot_edges(to_dot(full))] == list(edge_configs(full))
 
 
 def test_dot_export(f21):

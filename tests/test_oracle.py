@@ -390,6 +390,16 @@ def test_site_count_validation(f21):
         global_matrix(f21, 0)
 
 
+def test_state_and_count_validation(f21):
+    with pytest.raises(ValueError, match=r"^state has shape \(4,\), expected \(8,\)$"):
+        apply_global(f21, 3, np.ones(4))
+    with pytest.raises(ValueError, match="^steps must be nonnegative, got -1$"):
+        evolve(f21, 3, basis_state(2, 3, "010"), -1)
+    with pytest.raises(ValueError, match="^need at least one sample vector, got 0$"):
+        defect_estimate(f21, 3, samples=0)
+    assert not is_permutation_matrix(np.full((2, 2), 0.5))
+
+
 def permutation_rule(q, k, rng):
     """f(i | a) = delta(i, pi(a_j)) for a random cell j and alphabet permutation pi:
     a site-wise permutation after a shift, so F is a permutation matrix."""

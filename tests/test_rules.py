@@ -134,6 +134,11 @@ def test_json_roundtrip(f21):
     assert back.approx_equal(f21) and back.tolerance == f21.tolerance
 
 
+def test_approx_equal_needs_the_same_shape(ident):
+    wider = RuleTable(2, 3, np.repeat(ident.amplitudes, 2, axis=0))
+    assert not ident.approx_equal(wider) and not wider.approx_equal(ident)
+
+
 def test_rule_dict_errors(ident):
     good = rule_to_dict(ident)
     for breakage in (

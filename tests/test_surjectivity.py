@@ -96,6 +96,10 @@ def test_restricted_preconditions(f21_00):
     # both borders are sector configs but 000 does not transition into ...1
     with pytest.raises(ValueError, match="not 1"):
         restricted_evolution(two_ended, "000", "000", "111", 1)
+    for evolution in (lambda n: restricted_evolution(f21_00, "00", "00", "00", n),
+                      lambda n: reduced_evolution(f21_00, "00", n)):
+        with pytest.raises(ValueError, match="^interior length must be nonnegative, got -1$"):
+            evolution(-1)
 
 
 def test_reduced_matches_direct_definition(ident, f21_00):

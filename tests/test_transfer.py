@@ -22,6 +22,13 @@ def mono(*pairs):
                                  for p in pairs)))
 
 
+def test_monomial_names_and_square_check():
+    # a two-digit index takes a comma, in a pair as on its own
+    assert str(mono((1, 2), (3, 12), 4, 11)) == "w_{12}w_{3,12}w_4w_{11}"
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        z_polynomial(np.zeros((2, 3)))
+
+
 MONOMIALS_K2_N2 = {mono((0, 1), (0, 2)), mono((1, 3), (2, 3)), mono((0, 1), (1, 3)),
           mono((0, 2), (2, 3))}
 
