@@ -10,6 +10,7 @@ from qca1d import (
     RuleTable,
     config_index,
     deterministic_sector,
+    dump_rule,
     enumerate_cycles,
     inner,
     make_family,
@@ -23,6 +24,7 @@ from qca1d import (
     unit_configs,
 )
 from qca1d import graphs
+from qca1d.cli import main
 from qca1d.graphs import (MAX_PAIR_ENTRIES, advance, cycle_reach, iter_cycles, iter_paths, reaches,
                           sector_mask)
 from qca1d.transfer import Monomial
@@ -499,16 +501,19 @@ def dot_edges(dot):
     return edges
 
 
-def test_sector_subgraph(ident, f21_00):
-    # the d1 and d2 views of ``graph``: the whole graph, its edges masked to the sector
-    inside = sector_mask(deterministic_sector(f21_00), 2, 2)
-    d1 = to_dot(rule_graph(f21_00), "d1", inside)
+def test_sector_subgraph(tmp_path, capsys, ident, f21_00):
+    # graph --which d1|d2 draws the whole graph, its edges masked to the sector
+    def draw(rule, which):
+        path = tmp_path / "rule.json"
+        path.write_text(dump_rule(rule))
+        assert main(["graph", str(path), "--which", which]) == 0
+        return capsys.readouterr().out
+
+    d1 = draw(f21_00, "d1")
     assert [(s, t) for s, t, _ in dot_edges(d1)] == [("0", "0")]
     assert '"1";' in d1  # every vertex is drawn, edges or not
 
-    rule = make_family("f31_000_111", {"m1": 1.4, "m2": 0.8})
-    inside = sector_mask(deterministic_sector(rule), 2, 3)
-    d2 = to_dot(pair_graph(rule), "d2", (inside[:, None] & inside).ravel())
+    d2 = draw(make_family("f31_000_111", {"m1": 1.4, "m2": 0.8}), "d2")
     assert {cfgs for _, _, cfgs in dot_edges(d2)} == {
         ((0, 0, 0), (0, 0, 0)), ((0, 0, 0), (1, 1, 1)),
         ((1, 1, 1), (0, 0, 0)), ((1, 1, 1), (1, 1, 1))}
