@@ -51,7 +51,7 @@ from .oracle import (
     probabilities,
     state_dim,
 )
-from .rules import RuleFormatError, RuleTable, config_str, dump_rule, index_config, load_rule
+from .rules import RuleFormatError, RuleTable, config_digits, dump_rule, load_rule
 from .transfer import path_monomials, transfer_matrix, z_polynomial
 from .unitarity import (
     INFINITE_CONDITIONS,
@@ -157,32 +157,52 @@ def _parse_initial(value: str, rule: RuleTable, n_sites: int) -> np.ndarray:
     return state
 
 
+_TOP_CHUNK = 2**13  # amplitudes that simulate --top ranks at a time
+_LABEL_ROWS = 2**10  # listed configs whose labels are rendered at a time
+
+
+def _top_indices(state: np.ndarray, top: int, tolerance: float) -> np.ndarray:
+    """The first ``top`` of a stable argsort of -rank, rank the probability rounded to the
+    tolerance (NaN last), so that rounding in the evolution cannot reorder tied configs; a
+    chunk at a time, merged after the first ``top`` so far, unless ``top`` is a chunk or more."""
+    index = np.zeros(0, dtype=int)
+    size = _TOP_CHUNK if top < _TOP_CHUNK else len(state)
+    for low in range(0, len(state) if top else 0, size):
+        rank = np.abs(state[low:low + size])  # -rank, exactly, held in place
+        rank **= 2
+        rank /= -tolerance
+        np.rint(rank, out=rank)
+        if low:  # after the first top so far, which come first in index order
+            index = np.concatenate((index, np.arange(low, low + len(rank))))
+            rank = np.concatenate((ranks, rank))
+        last = min(top, len(rank)) - 1  # stable argsort's first top, of values <= the last
+        keep = np.flatnonzero(~(rank > np.partition(rank, last)[last]))  # NaN too
+        keep = keep[np.argsort(rank[keep], kind="stable")[:top]]
+        index, ranks = index[keep] if low else keep, rank[keep]
+    return index
+
+
 def _cmd_simulate(args) -> int:
     if args.steps < 0:
         raise ValueError(f"--steps must be nonnegative, got {args.steps}")
     if args.top < 0:
         raise ValueError(f"--top must be nonnegative, got {args.top}")
     rule = _load(args)
-    state = _parse_initial(args.initial, rule, args.sites)
+    state, spare = _parse_initial(args.initial, rule, args.sites), None
     advance = evolution_step(rule, args.sites)
+    chars = np.array(list("0123456789"))  # cell values as label characters
     print(f"sites: {args.sites}, steps: {args.steps}")
     for step in range(args.steps + 1):
-        if step:
-            state = advance(state)
+        if step:  # two vectors for the run: each step writes into the one the last read
+            state, spare = advance(state, out=spare), state
         norm = float(np.linalg.norm(state))
-        # rank by the probability rounded to the tolerance, then by config
-        # index, so that rounding in the evolution cannot reorder tied configs
-        rank = np.abs(state)
-        rank **= 2
-        rank /= rule.tolerance
-        np.rint(rank, out=rank)
-        top = min(args.top, len(rank))  # stable argsort's first --top, of values >= top-th
-        cut = -np.partition(-rank, top - 1)[top - 1] if top > 0 else -np.inf
-        keep = np.flatnonzero(~(rank < cut))  # keeps NaN, which both sorts rank last
-        order = keep[np.argsort(-rank[keep], kind="stable")[: args.top]]
-        tops = " ".join(
-            f"{config_str(index_config(int(i), rule.q, args.sites))}:{p:.6f}"
-            for i, p in zip(order, np.abs(state[order]) ** 2) if p > 0)
+        order = _top_indices(state, args.top, rule.tolerance)
+        probs = np.abs(state[order]) ** 2
+        order, probs = order[probs > 0], probs[probs > 0]
+        rows = (chars[config_digits(rule.q, args.sites, order[low:low + _LABEL_ROWS]).T.copy()]
+                for low in range(0, len(order), _LABEL_ROWS))
+        labels = (label for row in rows for label in row.view(f"U{args.sites}").ravel().tolist())
+        tops = " ".join(f"{label}:{p:.6f}" for label, p in zip(labels, probs))
         print(f"step {step:4d}  norm={norm:.12f}  top: {tops}")
     return 0
 

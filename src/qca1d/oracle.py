@@ -68,6 +68,16 @@ def _checked_state(state: np.ndarray, q: int, n_sites: int) -> np.ndarray:
     return state
 
 
+def _checked_out(out: np.ndarray | None, dim: int, *busy: np.ndarray) -> np.ndarray:
+    """``out``, a C-contiguous complex vector of dim apart from ``busy``; fresh if None."""
+    if out is not None and not (isinstance(out, np.ndarray) and out.shape == (dim,)
+                                and out.dtype == complex and out.flags.c_contiguous
+                                and not any(np.shares_memory(out, a) for a in busy)):
+        raise ValueError(f"out must be a C-contiguous complex vector of {dim} amplitudes "
+                         "sharing no memory with the state or the scratch vectors")
+    return np.empty(dim, dtype=complex) if out is None else out
+
+
 def random_state(q: int, n_sites: int, rng: np.random.Generator) -> np.ndarray:
     dim = state_dim(q, n_sites)
     state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -256,7 +266,7 @@ def _global_map(rule: RuleTable, n_sites: int) -> tuple[Callable, Callable]:
 
     The ring size is validated, the kernel chains built and two scratch
     vectors of q^N amplitudes allocated once, when the maps are made; each
-    map checks every state it is given and returns a fresh array.
+    map checks every state it is given and returns ``out`` (``_checked_out``) or a fresh array.
     Cells 0..k-2, which the last windows read around the wrap (every cell
     when n < k), are fixed to one value at a time, each with its chain of
     kernels, and are no axes of the state.  A step contracts the block of
@@ -301,21 +311,22 @@ def _global_map(rule: RuleTable, n_sites: int) -> tuple[Callable, Callable]:
             np.matmul(legs, kernel, out=c.reshape(out, mid, -1).transpose(1, 2, 0) if adjoint
                       else c.reshape(mid, -1, out))
 
-    def forward(state: np.ndarray) -> np.ndarray:
-        rows = _checked_state(state, q, n).reshape(q**b, -1)
-        out, last = np.empty(dim, dtype=complex), scratch[(len(steps) - 1) % 2]
+    def forward(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        vec = _checked_state(state, q, n)
+        rows = vec.reshape(q**b, -1)
+        out, last = _checked_out(out, dim, vec, scratch), scratch[(len(steps) - 1) % 2]
         for p, chain in enumerate(forward_chains):
             run(chain, rows[p], last if p else out, False)
             if p:
                 out += last
         return out
 
-    def adjoint(state: np.ndarray) -> np.ndarray:
+    def adjoint(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         vec = _checked_state(state, q, n)
-        out = np.empty((q**b, dim // q**b), dtype=complex)
+        out = _checked_out(out, dim, vec, scratch)
         for p, chain in enumerate(adjoint_chains):
-            run(chain, vec, out[p], True)
-        return out.reshape(-1)
+            run(chain, vec, out.reshape(q**b, -1)[p], True)
+        return out
 
     return forward, adjoint
 
@@ -331,9 +342,8 @@ def apply_global(
     return _global_map(rule, n_sites)[bool(adjoint)](state)
 
 
-def evolution_step(rule: RuleTable, n_sites: int) -> Callable[[np.ndarray], np.ndarray]:
-    """One application of the evolution: the matrix-free step of
-    ``apply_global``, its block kernels built once for every call."""
+def evolution_step(rule: RuleTable, n_sites: int) -> Callable[..., np.ndarray]:
+    """One step of ``apply_global`` with its kernels built once; ``out`` as in ``_global_map``."""
     return _global_map(rule, n_sites)[0]
 
 
@@ -343,13 +353,13 @@ def evolve(
     state: np.ndarray,
     steps: int,
 ) -> np.ndarray:
-    """Apply the evolution ``steps`` times to a configuration-space vector."""
+    """Apply the evolution ``steps`` times to a state, in two vectors of its own."""
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    state = _checked_state(state, rule.q, n_sites)
+    state, spare = _checked_state(state, rule.q, n_sites), None
     step = evolution_step(rule, n_sites)
-    for _ in range(steps):
-        state = step(state)
+    for t in range(steps):
+        state, spare = step(state, out=spare), state if t else None  # not the caller's
     return state
 
 
@@ -373,11 +383,11 @@ def defect_estimate(
 
 def probabilities(state: np.ndarray, tolerance: float = 1e-9) -> np.ndarray:
     """Measurement distribution |amplitude|^2 of a normalized state."""
-    state = np.asarray(state)
-    norm_sq = float(np.sum(np.abs(state) ** 2))
+    probs = np.abs(np.asarray(state)) ** 2
+    norm_sq = float(np.sum(probs))
     if abs(norm_sq - 1.0) > tolerance:
         raise ValueError(f"state is not normalized: |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
-    return np.abs(state) ** 2
+    return probs
 
 
 def is_permutation_matrix(matrix: np.ndarray, tol: float = 1e-9) -> bool:

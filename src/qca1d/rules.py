@@ -49,10 +49,10 @@ def index_config(index: int, q: int, k: int) -> Config:
     return tuple(reversed(digits))
 
 
-def config_digits(q: int, length: int) -> np.ndarray:
-    """Cells of every string of the given length: entry [s, i] is cell s of string i."""
+def config_digits(q: int, length: int, index: np.ndarray | None = None) -> np.ndarray:
+    """Cells of every string of the given length, or of those indexed: [s, i] is cell s of i."""
     place = q ** np.arange(length - 1, -1, -1)
-    return np.arange(q**length)[None, :] // place[:, None] % q
+    return (np.arange(q**length) if index is None else index)[None, :] // place[:, None] % q
 
 
 def window_indices(cells: np.ndarray, q: int, k: int) -> np.ndarray:
@@ -306,7 +306,7 @@ def _table_array(table: dict, q: int, k: int) -> np.ndarray | None:
     if values.shape != (q**k, q, 2) or values.dtype.kind not in "biuf":
         return None
     amps = np.empty((q**k, q), dtype=complex)
-    amps[index] = values.astype(float).view(complex)[..., 0]
+    amps[index] = values.astype(float, copy=False).view(complex)[..., 0]
     return amps
 
 

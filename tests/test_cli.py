@@ -6,6 +6,7 @@ import time
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import qca1d.cli as cli
 from qca1d import (
@@ -14,6 +15,7 @@ from qca1d import (
     check_periodic,
     config_str,
     dump_rule,
+    evolve,
     index_config,
     make_family,
     verdict_from_json,
@@ -596,6 +598,59 @@ def test_simulate_top_ranks_ties_by_config_index(tmp_path, capsys, f21):
                            "--initial", str(state_path), "--top", str(top))
         tops = out.splitlines()[1].split("top: ")[1].split()
         assert code == 0 and [entry.split(":")[0] for entry in tops] == listed
+
+
+@pytest.mark.parametrize("chunk", [3, 4])
+def test_simulate_top_ranks_chunk_by_chunk_as_one_stable_sort(tmp_path, capsys, monkeypatch,
+                                                              f21, chunk):
+    # tie-heavy states, ranked a few amplitudes at a time: the listed configs
+    # are those of one stable argsort of the whole rounded rank
+    monkeypatch.setattr(cli, "_TOP_CHUNK", chunk)
+    rule_path = write_rule(tmp_path, f21)
+    state_path = tmp_path / "state.json"
+    rng = np.random.default_rng(27 + chunk)
+    straddled = set()
+    for n in (3, 5, 6):
+        dim = 2**n
+        state = rng.choice([0, 0.5, 1, 1j, -1, 0.5j], size=dim)
+        state /= np.linalg.norm(state)
+        state_path.write_text(json.dumps([[z.real, z.imag] for z in state]))
+        evolved = evolve(f21, n, state, 1)
+        for top in (0, 1, 2, 8, dim, dim + 5):
+            code, out, _ = run(capsys, "simulate", rule_path, "--sites", str(n), "--steps", "1",
+                               "--initial", str(state_path), "--top", str(top))
+            assert code == 0
+            for line, vec in zip(out.splitlines()[1:], (state, evolved)):
+                probs = np.abs(vec) ** 2
+                rank = np.rint(probs / f21.tolerance)
+                size = chunk if top < chunk else dim  # what _top_indices reads at a time
+                if any(rank[low - 1] == rank[low] for low in range(size, dim, size)):
+                    straddled.add(top)
+                expected = [config_str(index_config(int(i), 2, n))
+                            for i in np.argsort(-rank, kind="stable")[:top] if probs[i] > 0]
+                assert [entry.split(":")[0] for entry in line.split("top: ")[1].split()] == expected
+    assert straddled >= {1, 2}  # ties straddle chunk boundaries at each chunk size
+    # NaN, which no state file can hold, ranks last in each chunk and overall
+    state = rng.choice([np.nan, 0, 1, 1j], size=17)
+    rank = np.rint(np.abs(state) ** 2 / f21.tolerance)
+    for top in (0, 1, 5, 12, 17, 20):
+        assert np.array_equal(cli._top_indices(state, top, f21.tolerance),
+                              np.argsort(-rank, kind="stable")[:top])
+
+
+def test_simulate_runs_in_four_state_vectors(tmp_path, capsys):
+    # the state, the spare vector the next step writes into and the map's two
+    # scratch vectors: no step result of its own, and --top ranks in chunks
+    path = write_rule(tmp_path, make_family("f21", {"theta": 0.7, "rho": 1.5}))
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "simulate", path, "--sites", "18", "--steps", "3",
+                           "--initial", "0" * 17 + "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.count("step ") == 4
+    assert peak <= 4.25 * 2**18 * 16
 
 
 def test_simulate_builds_the_evolution_once(tmp_path, capsys, monkeypatch, f21):

@@ -270,6 +270,33 @@ def test_buffered_maps_allocate_only_their_result(f21):
         assert peak <= 1.5 * state.nbytes, apply.__name__
 
 
+@pytest.mark.parametrize("q, k", [(2, 2), (2, 3), (3, 2)])
+def test_maps_write_into_a_caller_owned_out(q, k):
+    rng = np.random.default_rng(50 + 10 * q + k)
+    rule = random_rule(q, k, rng)
+    for n in range(1, 6):  # n < k included
+        dim = q**n
+        for apply in (*oracle._global_map(rule, n), evolution_step(rule, n)):
+            v, w = random_state(q, n, rng), random_state(q, n, rng)
+            first, out = apply(v), np.empty(dim, dtype=complex)
+            kept = first.copy()
+            assert apply(w, out=out) is out and np.array_equal(out, apply(w)), n
+            assert apply(v, out=out) is out and np.array_equal(out, first), n
+            assert np.array_equal(first, kept)  # an earlier result is left as it was
+            for bad in (v, v[:], v.view(), np.empty(dim + 1, dtype=complex),
+                        np.empty((1, dim), dtype=complex), np.empty(dim),
+                        np.empty(dim, dtype=np.complex64),
+                        np.empty(2 * dim, dtype=complex)[::2], [0j] * dim):
+                with pytest.raises(ValueError, match="out must be"):
+                    apply(v, out=bad)
+        # evolve steps in two vectors of its own and leaves the caller's state
+        v = random_state(q, n, rng)
+        kept, expected = v.copy(), v
+        for _ in range(3):
+            expected = apply_global(rule, n, expected)
+        assert np.array_equal(evolve(rule, n, v, 3), expected) and np.array_equal(v, kept)
+
+
 @pytest.mark.parametrize("rule", [
     make_family("f21", {"theta": 0.5, "rho": 1.2}),
     make_family("f31", {"r1": 1.1, "r2": 0.8, "r6": 1.3, "theta": 0.9}),

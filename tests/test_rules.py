@@ -211,6 +211,22 @@ def test_rule_dict_reads_keys_in_any_order_and_reports_the_first_error():
         rule_from_dict(data)
 
 
+def test_rule_dict_table_is_bitwise_the_same_in_any_key_order_and_number_type():
+    # keys in config order and shuffled keys are scattered into the same table;
+    # int and float entries of the same numbers give the same bits
+    rule = RuleTable(3, 2, np.arange(1, 28).reshape(9, 3) * (1 - 2j))
+    floats = rule_to_dict(rule)
+    ints = dict(floats, amplitudes={key: [[int(re), int(im)] for re, im in entry]
+                                    for key, entry in floats["amplitudes"].items()})
+    rng = np.random.default_rng(27)
+    for data in (floats, ints):
+        keys = list(data["amplitudes"])
+        shuffled = dict(data, amplitudes={keys[i]: data["amplitudes"][keys[i]]
+                                          for i in rng.permutation(len(keys))})
+        for case in (data, shuffled):
+            assert rule_from_dict(case).amplitudes.tobytes() == rule.amplitudes.tobytes()
+
+
 def test_rule_dict_rejects_bad_q_and_k_before_sizing(ident):
     good = rule_to_dict(ident)
     for q, k, name in ((2, 0, "'k'"), (2, -3, "'k'"), (1, 2, "'q'"), (2, 10**8, "'k'")):
