@@ -16,11 +16,12 @@ weights are products of edge weights.
 Both graphs are numpy arrays indexed by config (:class:`Graph`): norm edge
 i is config i, pair edge i is the pair (i // q^k, i % q^k).  The unitarity
 conditions are decided on boolean config masks by ``cycle_reach`` and
-``reaches``, searches stepping by one de Bruijn kernel, ``advance``;
+``reaches``, searches stepping by one boolean de Bruijn kernel, ``advance``;
 ``iter_cycles`` and ``iter_paths`` list witness cycles and paths, each as
 its edge indices, edge labels and weight.  The deterministic sector is a
 greatest fixpoint on a config mask, tested by a batched ``reaches`` and on
-(2k-1)-cell strings.
+(2k-1)-cell strings.  ``advance`` steps masks only: the walk weights of
+``oracle.walk_defect`` step by a gather over each vertex's predecessors.
 """
 
 from __future__ import annotations
@@ -220,23 +221,22 @@ def mismatch_support(rule: RuleTable) -> np.ndarray:
     return support
 
 
-def advance(edges: np.ndarray, frontier: np.ndarray,
-            times: np.ufunc = np.logical_and, plus: np.ufunc = np.logical_or) -> np.ndarray:
+def advance(edges: np.ndarray, frontier: np.ndarray) -> np.ndarray:
     """The vertices one edge past the vertex mask ``frontier``: ``edges``
     has one config axis of q^k per graph (norm or pair), ``frontier`` one
     axis of n = q^(k-1) per graph after any batch axes.  Each config axis is
     viewed as (prefix, appended digit) to AND in the frontier (repeated over
     the digit on the last axis, so the AND runs along contiguous rows), then
-    as (dropped digit, suffix) to OR out the dropped digits.
-
-    Other ``times`` and ``plus`` step over another semiring: with
-    np.multiply and np.maximum, edge weights and a frontier of walk weights
-    give the heaviest walk weight one edge further."""
+    as (dropped digit, suffix) to OR out the dropped digits.  Boolean only
+    and index-free: an int64 index table of a gather would take 8x the
+    mask, 32 MiB at the (2, 11) pair cap.  Walk weights step by such a
+    predecessor gather instead, in ``oracle._closed_walks``."""
     d, n = edges.ndim, frontier.shape[-1]
     q, batch = edges.shape[0] // n, frontier.shape[:frontier.ndim - d]
     rows = frontier.repeat(q, axis=-1).reshape(batch + (n, 1) * (d - 1) + (n * q,))
-    step = times(edges.reshape((n, q) * (d - 1) + (n * q,)), rows).reshape(batch + (q, n) * d)
-    return plus.reduce(step, axis=tuple(range(len(batch), step.ndim, 2)))
+    step = np.logical_and(edges.reshape((n, q) * (d - 1) + (n * q,)), rows)
+    step = step.reshape(batch + (q, n) * d)
+    return np.logical_or.reduce(step, axis=tuple(range(len(batch), step.ndim, 2)))
 
 
 def cycle_reach(edges: np.ndarray, inside: np.ndarray) -> np.ndarray:

@@ -1,9 +1,12 @@
 import argparse
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -651,6 +654,24 @@ def test_simulate_runs_in_four_state_vectors(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 0 and out.count("step ") == 4
     assert peak <= 4.25 * 2**18 * 16
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two cores")
+def test_simulate_norm_is_the_same_for_every_blas_thread_count(tmp_path):
+    # np.linalg.norm sums by BLAS dot products, whose split over two threads
+    # printed norm=1.000000000001 here at step 1, against 1.000000000000
+    path = write_rule(tmp_path, make_family("f21", {"theta": 0.7, "rho": 1.5}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-m", "qca1d.cli", "simulate", path, "--sites", "20",
+                               "--steps", "1", "--initial", "0" * 19 + "1"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1] and "norm=1.000000000000" in outs[0]
 
 
 def test_simulate_builds_the_evolution_once(tmp_path, capsys, monkeypatch, f21):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from functools import reduce
 
@@ -27,7 +28,7 @@ from qca1d import (
     walk_defect,
 )
 import qca1d.oracle as oracle
-from qca1d.graphs import MAX_DENSE_DIM, MAX_WALK_COST
+from qca1d.graphs import MAX_DENSE_DIM, MAX_WALK_COST, pair_graph, rule_graph
 from qca1d.oracle import (evolution_step, exact_defect_kernel, shift_orbit_representatives,
                           walk_cost)
 from qca1d.rules import config_digits
@@ -526,6 +527,108 @@ def test_walk_defect_is_the_same_in_blocks_of_one_start_vertex(monkeypatch):
     whole = [walk_defect(rule, n) for n in (1, 2, 5, 14)]
     monkeypatch.setattr(oracle, "MAX_PAIR_ENTRIES", 64)  # the 64 pair edges of (2, 3)
     assert [walk_defect(rule, n) for n in (1, 2, 5, 14)] == whole
+
+
+def closed_walks(q, k, n):
+    """The edge configs of every closed walk of n edges in the norm graph:
+    a start vertex, then n appended digits, ending on the start vertex."""
+    walks = []
+    for start in itertools.product(range(q), repeat=k - 1):
+        for digits in itertools.product(range(q), repeat=n):
+            cells = start + digits
+            if cells[n:] == start:
+                walks.append([config_index(cells[j:j + k], q) for j in range(n)])
+    return walks
+
+
+@pytest.mark.parametrize("q,k,largest", ((2, 1, 5), (2, 2, 5), (2, 3, 5), (3, 2, 4)))
+def test_walk_defect_is_the_extreme_closed_walk_products_bit_for_bit(q, k, largest):
+    # every walk weight is a left-to-right product of |<a|b>| as Python
+    # floats, and every extreme runs over every closed walk
+    noisy = with_noise(quantized_shift(q, k, 10 * q + k), 1e-3, q + k)
+    dead = noisy.amplitudes.copy()
+    dead[1] = 0.0
+    rules = (noisy, RuleTable(q, k, dead), permutation_rule(q, k, np.random.default_rng(q + k)))
+    for rule in rules:
+        weights = np.abs(rule.amplitudes.conj() @ rule.amplitudes.T)
+        mismatch = weights.copy()
+        np.fill_diagonal(mismatch, 0.0)
+        w, m = weights.tolist(), mismatch.tolist()
+
+        def product(first, y, x):
+            value = first[y[0]][x[0]]
+            for a, b in zip(y[1:], x[1:]):
+                value *= w[a][b]
+            return value
+
+        for n in range(1, largest + 1):
+            walks = closed_walks(q, k, n)
+            assert len(walks) == q**n  # the ring configurations
+            norms = [product(w, x, x) for x in walks]
+            off = max(product(m, y, x) for y in walks for x in walks)
+            assert walk_defect(rule, n) == max(max(norms) - 1.0, 1.0 - min(norms), off)
+
+
+def trace_defects(rule, r):
+    """d_N / q^N for N = 1..r, d_N = tr(M^N) - 2 tr(T^N) + q^N the Frobenius
+    defect |F^dagger F - I|_F^2 of the N-site ring: M and T are the transfer
+    matrices of the pair graph weighted by |<a|b>|^2 and of the norm graph
+    weighted by |a|^2, whose closed walks of N edges are the ring's config
+    pairs and configs.  Powers of M/q and T/q, not eigenvalues: on the
+    unitary variety M/q has a nilpotent part, whose eigenvalues are
+    ill-conditioned."""
+    norm, pair = rule_graph(rule), pair_graph(rule)
+    t = np.zeros((norm.n_vertices,) * 2)
+    np.add.at(t, (norm.src, norm.dst), norm.weight.real / rule.q)
+    m = np.zeros((pair.n_vertices,) * 2)
+    np.add.at(m, (pair.src, pair.dst), np.abs(pair.weight) ** 2 / rule.q)
+    defects, tn, mn = [], np.eye(len(t)), np.eye(len(m))
+    for _ in range(r):
+        tn, mn = tn @ t, mn @ m
+        defects.append(np.trace(mn) - 2 * np.trace(tn) + 1.0)
+    return np.array(defects)
+
+
+def test_trace_defect_vanishes_on_every_size_up_to_its_recurrence_order():
+    # d_N satisfies a linear recurrence of order r = n^2 + n + 1 (M, T and
+    # the scalar q), so d_N = 0 for N = 1..r is d_N = 0 at every ring size
+    for seed in (0, 1):
+        for label, rule, infinite in unitary_grid(seed):
+            if infinite:
+                continue
+            n = rule.q ** (rule.k - 1)
+            assert n <= 9, label
+            defects = trace_defects(rule, n * n + n + 1)
+            assert np.max(np.abs(defects)) <= 1e-12, label
+
+
+def dense_frobenius_defect(rule, n):
+    """|F^dagger F - I|_F^2 from the dense matrix: the Gram rows of one config
+    per shift orbit, each counted once per config of its orbit, as the rows
+    of an orbit are permutations of each other."""
+    q, dim = rule.q, rule.q**n
+    f = global_matrix(rule, n)
+    reps = shift_orbit_representatives(dim, n)
+    gram = f[:, reps].conj().T @ f
+    gram[np.arange(len(reps)), reps] -= 1.0
+    rotated, period = reps, np.zeros(len(reps), dtype=int)
+    for p in range(1, n + 1):
+        rotated = rotated % (dim // q) * q + rotated // (dim // q)
+        period[(period == 0) & (rotated == reps)] = p
+    return float(period @ np.sum(np.abs(gram) ** 2, axis=1))
+
+
+@pytest.mark.parametrize("q,k", ((2, 1), (2, 2), (2, 3), (3, 2), (4, 2)))
+def test_trace_defect_is_the_frobenius_defect_of_the_dense_matrix(q, k):
+    # every ring the dense matrix takes, on a noisy rule; the unitary ones
+    # read 0 in the test above.  d_N / q^N is a difference of traces near 1,
+    # so it rounds in absolute terms: 3.4e-15 at most here, against defects
+    # of 1e-6 and more
+    rule = with_noise(quantized_shift(q, k, q * k), 1e-3, q * k)
+    sizes = [n for n in range(1, 13) if q**n <= MAX_DENSE_DIM]
+    for n, defect in zip(sizes, trace_defects(rule, sizes[-1])):
+        dense = dense_frobenius_defect(rule, n) / q**n
+        assert dense > 1e-7 and abs(defect - dense) <= 1e-13, (n, defect, dense)
 
 
 def test_exact_kernel_is_the_cheaper_one_that_takes_the_ring():
