@@ -144,13 +144,17 @@ def _parse_initial(value: str, rule: RuleTable, n_sites: int) -> np.ndarray:
         raise RuleFormatError(
             f"--initial {value!r} is neither a length-{n_sites} config string nor a "
             f"readable state file: {exc}")
-    if not isinstance(data, list) or len(data) != dim or not all(
+    try:  # numbers give a bool, int or float array; a string, null or an int past 64 bits do not
+        pairs = np.array(data)
+    except ValueError:  # ragged: a pair of another length, or a list in a pair
+        pairs = np.zeros(0)
+    if pairs.shape == (dim, 2) and pairs.dtype.kind in "biuf":
+        state = pairs.astype(float, copy=False).view(complex).reshape(dim)
+    elif not isinstance(data, list) or len(data) != dim or not all(
             isinstance(p, list) and len(p) == 2 for p in data):
         raise RuleFormatError(f"state file must hold {dim} [re, im] pairs")
-    try:
-        state = np.array([complex(re, im) for re, im in data])
-    except (TypeError, OverflowError):  # a string, null, or an int past float range
-        raise RuleFormatError(f"state file {value!r} holds a pair that is not two numbers") from None
+    else:
+        raise RuleFormatError(f"state file {value!r} holds a pair that is not two numbers")
     if not np.isfinite(state).all():
         raise RuleFormatError(f"state file {value!r} holds non-finite amplitudes")
     probabilities(state, rule.tolerance)  # raises unless |norm^2 - 1| <= tolerance
@@ -164,17 +168,24 @@ _LABEL_ROWS = 2**10  # listed configs whose labels are rendered at a time
 def _top_indices(state: np.ndarray, top: int, tolerance: float) -> np.ndarray:
     """The first ``top`` of a stable argsort of -rank, rank the probability rounded to the
     tolerance (NaN last), so that rounding in the evolution cannot reorder tied configs; a
-    chunk at a time, merged after the first ``top`` so far, unless ``top`` is a chunk or more."""
+    chunk at a time in one buffer, unless ``top`` is a chunk or more.  After the first chunk
+    only a rank strictly before the top-th so far can enter (any but NaN if that is NaN):
+    a tie comes later in index order."""
     index = np.zeros(0, dtype=int)
     size = _TOP_CHUNK if top < _TOP_CHUNK else len(state)
+    buffer = np.empty(min(size, len(state)))
     for low in range(0, len(state) if top else 0, size):
-        rank = np.abs(state[low:low + size])  # -rank, exactly, held in place
+        chunk = state[low:low + size]
+        rank = np.abs(chunk, out=buffer[:len(chunk)])  # -rank, exactly, held in place
         rank **= 2
         rank /= -tolerance
         np.rint(rank, out=rank)
-        if low:  # after the first top so far, which come first in index order
-            index = np.concatenate((index, np.arange(low, low + len(rank))))
-            rank = np.concatenate((ranks, rank))
+        if low:
+            cut = ranks[-1]
+            new = np.flatnonzero(rank < cut if cut == cut else rank == rank)
+            if not len(new):
+                continue
+            index, rank = np.concatenate((index, new + low)), np.concatenate((ranks, rank[new]))
         last = min(top, len(rank)) - 1  # stable argsort's first top, of values <= the last
         keep = np.flatnonzero(~(rank > np.partition(rank, last)[last]))  # NaN too
         keep = keep[np.argsort(rank[keep], kind="stable")[:top]]
@@ -184,10 +195,13 @@ def _top_indices(state: np.ndarray, top: int, tolerance: float) -> np.ndarray:
 
 def _norm(state: np.ndarray) -> float:
     """The 2-norm, the same for every BLAS thread count: numpy's pairwise sum of the
-    squared real and imaginary parts, a chunk at a time, chunk sums added in index order."""
+    squared real and imaginary parts, a chunk at a time in one buffer, chunk sums added in
+    index order."""
     total = 0.0
+    buffer = np.empty(2 * min(_TOP_CHUNK, len(state)))
     for low in range(0, len(state), _TOP_CHUNK):
-        total += float(np.sum(np.square(state[low:low + _TOP_CHUNK].view(float))))
+        part = state[low:low + _TOP_CHUNK].view(float)
+        total += float(np.square(part, out=buffer[:len(part)]).sum())
     return math.sqrt(total)
 
 

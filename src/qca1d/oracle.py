@@ -25,10 +25,13 @@ or 4, 1 for q >= 5), as a batched matmul over the window cells the block
 shares with its neighbours; its kernel is the same window-index product
 as ``global_matrix`` (``rules.window_product``), over the block's L + k - 1
 cells.  F^dagger takes the same kernels: it runs the steps of F in reverse
-order, each conjugate-transposed.  The bound comes from a sweep on a shared
-2-core x86-64 host with one BLAS thread: a forward f21 pass on 16 sites
-took 7.4, 2.5, 2.3, 1.7, 2.4, 2.3 and 6.5 ms at q^L = 2, 4, 8, 16, 32, 64
-and 256.  States over MAX_STATE_DIM are refused.
+order, each conjugate-transposed.  The k - 1 cells read around the wrap
+are fixed to each of their values in turn, one chain of steps each; F
+skips the chain of a value on which the state is zero, when the kernels
+are all finite (0 * inf is nan).  The bound comes from a sweep on
+a shared 2-core x86-64 host with one BLAS thread: a forward f21 pass on
+16 sites took 7.4, 2.5, 2.3, 1.7, 2.4, 2.3 and 6.5 ms at q^L = 2, 4, 8,
+16, 32, 64 and 256.  States over MAX_STATE_DIM are refused.
 """
 
 from __future__ import annotations
@@ -323,6 +326,9 @@ def _global_map(rule: RuleTable, n_sites: int) -> tuple[Callable, Callable]:
     vector the step before did not, the last step of a chain into its
     result.  A step has one kernel per value of the fixed cells it reads,
     all built in one product; blocks clear of those cells share one kernel.
+    F skips a chain whose input row is zero when every kernel is finite:
+    the first chain that runs writes the result, the later ones add to it
+    through the scratch vector, and the result is zeroed when none runs.
     """
     q, k, n = rule.q, rule.k, n_sites
     dim = state_dim(q, n)
@@ -342,6 +348,8 @@ def _global_map(rule: RuleTable, n_sites: int) -> tuple[Callable, Callable]:
              for values in all_configs(q, b)]
     forward_chains = [[kernel[i] for (_, kernel, _), i in zip(steps, pick)] for pick in picks]
     adjoint_chains = [[adj[i] for (_, _, adj), i in zip(steps, pick)][::-1] for pick in picks]
+    # finite kernels map a zero row to +-0, which adds nothing; 0 * inf would be nan
+    infinite = not all(np.isfinite(kernel).all() for _, kernel, _ in kernels.values())
     scratch = np.empty((2, dim), dtype=complex)
 
     def run(chain, c, result, adjoint):
@@ -356,10 +364,16 @@ def _global_map(rule: RuleTable, n_sites: int) -> tuple[Callable, Callable]:
         vec = _checked_state(state, q, n)
         rows = vec.reshape(q**b, -1)
         out, last = _checked_out(out, dim, vec, scratch), scratch[(len(steps) - 1) % 2]
-        for p, chain in enumerate(forward_chains):
-            run(chain, rows[p], last if p else out, False)
-            if p:
+        first = True  # no chain has written out yet
+        for row, chain, live in zip(rows, forward_chains, (rows.any(axis=1) | infinite).tolist()):
+            if not live:
+                continue
+            run(chain, row, out if first else last, False)
+            if not first:
                 out += last
+            first = False
+        if first:
+            out[...] = 0.0
         return out
 
     def adjoint(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -352,15 +353,33 @@ def test_two_keys_naming_one_config_exit_2(tmp_path, capsys):
 
 
 def test_state_file_of_bare_numbers_exits_2(tmp_path, capsys, f21):
+    # each refusal with its message: a state file is read as one numpy array
     rule_path = write_rule(tmp_path, f21)
-    state_path = tmp_path / "state.json"
-    for state, message in (([1, 0, 0, 0], "[re, im] pairs"),
-                           ([[1, 0], ["0", 0], [0, 0], [0, 0]], "not two numbers"),
-                           ([[1, 0], [10**400, 0], [0, 0], [0, 0]], "not two numbers")):
-        state_path.write_text(json.dumps(state))
-        code, out, err = run(capsys, "simulate", rule_path, "--sites", "2",
-                             "--steps", "1", "--initial", str(state_path))
-        assert code == 2 and out == "" and message in err
+    path = tmp_path / "state.json"
+    pairs = "error: state file must hold 4 [re, im] pairs\n"
+    numbers = f"error: state file {str(path)!r} holds a pair that is not two numbers\n"
+    finite = f"error: state file {str(path)!r} holds non-finite amplitudes\n"
+    rest = [[0, 0], [0, 0]]
+    for state, message in (
+            ({"0": [1, 0]}, pairs), (7, pairs), ([1, 0, 0, 0], pairs), ([[1, 0]] + rest, pairs),
+            ([[1, 0], [0, 0], [0, 0]] + rest, pairs), ([[1, 0], [0, 0, 0]] + rest, pairs),
+            ([[1, 0], [0]] + rest, pairs), ([[1, 0], "00"] + rest, pairs),
+            ([[1, 0], ["0", 0]] + rest, numbers), ([[1, 0], [0, None]] + rest, numbers),
+            ([[1, 0], [[0], 0]] + rest, numbers), ([[1, 0], [[0, 0], [0, 0]]] + rest, numbers),
+            ([[1, 0], [{"re": 0}, 0]] + rest, numbers), ([[1, 0], [10**400, 0]] + rest, numbers),
+            ([[1, 0], [float("nan"), 0]] + rest, finite), ([[1, 0], [0, -math.inf]] + rest, finite),
+            ([[1, 0], [1e-3, 0]] + rest,
+             "error: state is not normalized: |norm^2 - 1| = 1.000e-06\n")):
+        path.write_text(json.dumps(state))
+        result = run(capsys, "simulate", rule_path, "--sites", "2", "--steps", "1",
+                     "--initial", str(path))
+        assert result == (2, "", message), state
+    # bools, ints and floats are numbers: true, 1 and 1.0 are one amplitude
+    expected = run(capsys, "simulate", rule_path, "--sites", "2", "--steps", "1", "--initial", "10")
+    for one, zero in ((1, 0), (True, False), (1.0, -0.0)):
+        path.write_text(json.dumps([[0, 0], [0.0, zero], [one, zero], [False, 0]]))
+        assert run(capsys, "simulate", rule_path, "--sites", "2", "--steps", "1",
+                   "--initial", str(path)) == expected
 
 
 def test_no_sector_exit_code(tmp_path, capsys):
@@ -619,7 +638,7 @@ def test_simulate_top_ranks_chunk_by_chunk_as_one_stable_sort(tmp_path, capsys, 
         state /= np.linalg.norm(state)
         state_path.write_text(json.dumps([[z.real, z.imag] for z in state]))
         evolved = evolve(f21, n, state, 1)
-        for top in (0, 1, 2, 8, dim, dim + 5):
+        for top in (0, 1, 2, 8, chunk - 1, chunk, dim, dim + 5):
             code, out, _ = run(capsys, "simulate", rule_path, "--sites", str(n), "--steps", "1",
                                "--initial", str(state_path), "--top", str(top))
             assert code == 0
@@ -639,6 +658,28 @@ def test_simulate_top_ranks_chunk_by_chunk_as_one_stable_sort(tmp_path, capsys, 
     for top in (0, 1, 5, 12, 17, 20):
         assert np.array_equal(cli._top_indices(state, top, f21.tolerance),
                               np.argsort(-rank, kind="stable")[:top])
+    # ranks as whole numbers (tolerance 1): a later chunk that ties the top-th
+    # stays out, one a rounding step before it enters, and a NaN top-th lets in
+    # any number; the same at each chunk size
+    for ranks, top, expected in (([5, 3, 1, 0, 3, 1, 3], 2, [0, 1]),
+                                 ([5, 3, 1, 0, 4, 1, 3], 2, [0, 4]),
+                                 ([np.nan, 2, np.nan, np.nan, 0, np.nan, 1], 2, [1, 6]),
+                                 ([np.nan, 2, np.nan, np.nan, 0, np.nan, 1], 3, [1, 6, 4])):
+        state = np.sqrt(np.array(ranks)) + 0j
+        assert np.array_equal(np.argsort(-np.rint(np.abs(state) ** 2), kind="stable")[:top],
+                              expected)
+        assert cli._top_indices(state, top, 1.0).tolist() == expected
+
+
+def test_simulate_norm_sums_chunk_by_chunk_in_index_order():
+    # several states per size, as the square root maps neighbouring sums to one float
+    rng = np.random.default_rng(29)
+    for dim in (2**13 - 1, 2**13 + 1, 2**16) * 8:
+        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        total = 0.0
+        for low in range(0, dim, 2**13):
+            total += float(np.sum(np.square(state[low:low + 2**13].view(float))))
+        assert cli._TOP_CHUNK == 2**13 and cli._norm(state) == math.sqrt(total)
 
 
 def test_simulate_runs_in_four_state_vectors(tmp_path, capsys):

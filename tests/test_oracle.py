@@ -33,7 +33,8 @@ from qca1d.oracle import (evolution_step, exact_defect_kernel, shift_orbit_repre
                           walk_cost)
 from qca1d.rules import config_digits
 
-from conftest import haar_unitary, quantized_shift, unitary_grid, with_noise
+from conftest import (deterministic_shift, haar_unitary, quantized_shift, unitary_grid,
+                      with_noise)
 
 
 def kron_columns(rule, n, cols):
@@ -296,6 +297,54 @@ def test_maps_write_into_a_caller_owned_out(q, k):
         for _ in range(3):
             expected = apply_global(rule, n, expected)
         assert np.array_equal(evolve(rule, n, v, 3), expected) and np.array_equal(v, kept)
+
+
+@pytest.mark.parametrize("q, k", [(2, 2), (2, 3), (3, 2)])
+def test_forward_map_skips_the_chains_of_zero_wrap_rows(q, k):
+    # basis states, and states zero on every value of the wrap cells 0..k-2
+    # but one, which run one chain of the forward map; the adjoint runs them all
+    rng = np.random.default_rng(70 + 10 * q + k)
+    sparse = random_rule(q, k, rng).amplitudes * (rng.random((q**k, q)) < 0.6)
+    for rule in (random_rule(q, k, rng), RuleTable(q, k, sparse), deterministic_shift(q, k)):
+        for n in range(1, 7):
+            dim, b = q**n, min(k - 1, n)
+            matrix, step = global_matrix(rule, n), evolution_step(rule, n)
+            (_, adjoint), reference = oracle._global_map(rule, n), fresh_allocation_maps(rule, n)
+            states = list(np.eye(dim, dtype=complex)[rng.choice(dim, min(dim, 6), replace=False)])
+            rows = random_state(q, n, rng).reshape(q**b, -1)
+            for p in range(q**b):
+                states.append(np.zeros_like(rows))
+                states[-1][p] = rows[p]
+            for state in states:
+                state = state.ravel()
+                for apply, dense, expected in ((step, matrix, reference[0]),
+                                               (adjoint, matrix.conj().T, reference[1])):
+                    got = apply(state)
+                    assert np.allclose(got, dense @ state, rtol=0, atol=1e-12), n
+                    assert np.array_equal(got == 0, dense @ state == 0), n
+                    assert np.array_equal(got, expected(state)), n  # equal up to the sign of 0
+            out = np.full(dim, np.nan, dtype=complex)  # no chain runs: out is still written
+            assert step(np.zeros(dim), out=out) is out and not out.any()
+
+
+def test_chains_whose_kernels_overflow_run_on_zero_rows():
+    # f(.|1x) near 1e90: a block of four sites reading 1 from cell 0 on has
+    # an inf kernel, and 0 * inf is nan on the zero row of cell 0 = 1; the
+    # chain of cell 0 = 0 multiplies at most three such factors and stays finite
+    rng = np.random.default_rng(71)
+    amps = random_rule(2, 2, rng).amplitudes.copy()
+    amps[2:] *= 1e90
+    rule = RuleTable(2, 2, amps)
+    for n in (4, 5, 6):
+        half = 2 ** (n - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step, (expected, _) = evolution_step(rule, n), fresh_allocation_maps(rule, n)
+            for row in (0, 1):  # cell 0 = 0 or 1 on, the other row zero
+                state = np.zeros(2**n, dtype=complex)
+                state[row * half:(row + 1) * half] = rng.normal(size=half) + 1j
+                got, want = step(state), expected(state)
+                assert np.array_equal(np.isnan(got), np.isnan(want)), (n, row)
+                assert row or np.isnan(want).any()  # the zero row of cell 0 = 1 gives nan
 
 
 @pytest.mark.parametrize("rule", [
