@@ -135,7 +135,7 @@ def _parse_initial(value: str, rule: RuleTable, n_sites: int) -> np.ndarray:
     tolerance."""
     q = rule.q
     dim = state_dim(q, n_sites)
-    if len(value) == n_sites and all(c.isdigit() and int(c) < q for c in value):
+    if len(value) == n_sites and all(c in "0123456789"[:q] for c in value):
         return basis_state(q, n_sites, value)
     try:
         with open(value, "r", encoding="utf-8") as fh:

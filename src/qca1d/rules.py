@@ -89,10 +89,9 @@ def all_configs(q: int, length: int) -> Iterator[Config]:
 def as_config(value: str | Sequence[int], q: int, length: int) -> Config:
     """Normalize a neighborhood given as digits string or int sequence."""
     if isinstance(value, str):
-        try:
-            cfg = tuple(int(c) for c in value)
-        except ValueError:
+        if not set(value) <= set("0123456789"):  # int() would also take other scripts' digits
             raise RuleFormatError(f"config string {value!r} has non-digit characters")
+        cfg = tuple(map(int, value))
     else:
         cfg = tuple(int(s) for s in value)
     if len(cfg) != length:
@@ -182,35 +181,10 @@ def parity_transform(rule: RuleTable) -> RuleTable:
     return RuleTable(rule.q, rule.k, rule.amplitudes[perm], rule.tolerance)
 
 
-def state_transpose(rule: RuleTable, perm: Sequence[int], side: str = "both") -> RuleTable:
-    """Relabel states by a permutation of {0, ..., q-1}.
-
-    side="input" permutes every cell of the neighborhood, side="output"
-    permutes the components of every amplitude vector, side="both" does both.
-    """
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(rule.q)):
-        raise ValueError(f"{perm} is not a permutation of 0..{rule.q - 1}")
-    if side not in ("input", "output", "both"):
-        raise ValueError(f"side must be input, output or both, got {side!r}")
-    amps = rule.amplitudes
-    if side in ("input", "both"):
-        rows = [config_index(tuple(perm[s] for s in cfg), rule.q) for cfg in rule.configs()]
-        amps = amps[rows]
-    if side in ("output", "both"):
-        amps = amps[:, list(perm)]
-    return RuleTable(rule.q, rule.k, amps, rule.tolerance)
-
-
 def unit_hits(rule: RuleTable) -> np.ndarray:
     """Entry [a, i]: whether |f(i|a) - 1| <= tolerance.  A component of
     modulus one but nonzero phase does not qualify."""
     return np.abs(rule.amplitudes - 1.0) <= rule.tolerance
-
-
-def unit_configs(rule: RuleTable) -> frozenset[Config]:
-    """Neighborhoods whose amplitude vector has a component equal to 1."""
-    return frozenset(itertools.compress(rule.configs(), unit_hits(rule).any(axis=1).tolist()))
 
 
 def deterministic_outputs(rule: RuleTable) -> np.ndarray:

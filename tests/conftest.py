@@ -3,8 +3,6 @@ import pytest
 
 from qca1d import (
     RuleTable,
-    all_configs,
-    config_index,
     config_str,
     deterministic_sector,
     make_family,
@@ -12,6 +10,7 @@ from qca1d import (
     quantize,
     random_params,
 )
+from qca1d.rules import all_configs, config_index
 
 
 def identity_rule(tol=1e-9):

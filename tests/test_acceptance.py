@@ -14,7 +14,6 @@ from qca1d import (
     check_infinite,
     check_periodic,
     deterministic_sector,
-    det_factorization_check,
     enumerate_cycles,
     evaluate_condition,
     evolve,
@@ -25,21 +24,22 @@ from qca1d import (
     make_family,
     monomial_of,
     pair_graph,
-    parity_transform,
     path_monomials,
     patt_rule,
     probabilities,
     quantize,
     random_params,
-    random_state,
     rule_graph,
-    state_transpose,
     trace_series,
     transfer_matrix,
     unitarity_defect,
     z_polynomial,
 )
+from qca1d.oracle import random_state
+from qca1d.rules import parity_transform
+
 from conftest import F21_00_SAMPLE, F21_SAMPLE
+from references import det_factorization_check, state_transpose
 from test_transfer import MONOMIALS_K3_N3, MONOMIALS_K3_N4, MONOMIALS_K2_N2, mono
 
 
@@ -176,7 +176,7 @@ def test_criterion_6_surjectivity_machinery():
         f1 = restricted = np.array(
             [[1.0, 0.0],
              [0.0, np.exp(1j * (params["phi1"] + params["alpha"])) * np.cos(params["theta"])]])
-        from qca1d import restricted_evolution
+        from references import restricted_evolution
 
         np.testing.assert_allclose(
             restricted_evolution(rule, "00", "00", "00", 1), f1, atol=1e-9)

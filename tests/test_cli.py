@@ -18,15 +18,14 @@ from qca1d import (
     check_infinite,
     check_periodic,
     config_str,
-    dump_rule,
     evolve,
     index_config,
     make_family,
     verdict_from_json,
-    walk_defect,
 )
 from qca1d.cli import main
-from qca1d.rules import rule_to_dict
+from qca1d.oracle import walk_defect
+from qca1d.rules import dump_rule, load_rule, rule_to_dict
 
 from conftest import (
     deterministic_shift,
@@ -341,15 +340,28 @@ def test_rule_entry_that_is_no_number_exits_2(tmp_path, capsys, f21):
 
 
 def test_two_keys_naming_one_config_exit_2(tmp_path, capsys):
-    # "\u0660" is an Arabic-Indic zero, which int() reads as 0: the second key
-    # names config 01 again, and config 10 has no entry
+    # "\u0660" is an Arabic-Indic zero, which int() reads as 0, so that the second
+    # key would name config 01 again; a config string takes ASCII digits only
     amplitudes = {"00": [[1, 0], [0, 0]], "\u06601": [[0, 0], [1, 0]],
                   "01": [[0, 0], [1, 0]], "11": [[0, 0], [1, 0]]}
     path = tmp_path / "rule.json"
     path.write_text(json.dumps({"q": 2, "k": 2, "amplitudes": amplitudes}, ensure_ascii=False),
                     encoding="utf-8")
     code, out, err = run(capsys, "verify", str(path), "--mode", "periodic")
-    assert code == 2 and out == "" and "'01'" in err
+    assert code == 2 and out == "" and "'\u06601' has non-digit characters" in err
+
+
+def test_initial_of_non_ascii_digits_is_no_config_string(tmp_path, capsys, monkeypatch, f21):
+    # int() reads the Arabic-Indic "\u0661\u0660" as 10, and str.isdigit() takes the
+    # superscript "\u00b2", which int() refuses: both are file names, not configs
+    path = write_rule(tmp_path, f21)
+    monkeypatch.chdir(tmp_path)
+    for initial in ("\u0661\u0660", "\u00b2\u00b2"):
+        code, out, err = run(capsys, "simulate", path, "--sites", "2", "--steps", "0",
+                             "--initial", initial)
+        assert (code, out) == (2, "") and err.startswith(
+            f"error: --initial {initial!r} is neither a length-2 config string nor a readable "
+            "state file: "), err
 
 
 def test_state_file_of_bare_numbers_exits_2(tmp_path, capsys, f21):
@@ -401,7 +413,7 @@ def test_cycle_cap_exit_code(tmp_path, capsys, monkeypatch, f21):
 
 
 def test_verify_json_bytes_match_reference(tmp_path, capsys, monkeypatch, f21):
-    from qca1d import RuleTable, load_rule
+    from qca1d import RuleTable
 
     huge = RuleTable(2, 3, np.full((8, 2), 1e100, dtype=complex))  # P-i, P-ii products overflow
     cases = [*rendering_cases(), ("periodic", f21), ("periodic", huge)]

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 from qca1d import (
-    CapExceeded,
     RuleTable,
     check_infinite,
     check_periodic,
     deterministic_sector,
-    dump_rule,
     inner,
     make_family,
     random_params,
-    walk_defect,
 )
 from qca1d.cli import main
-from qca1d.graphs import iter_cycles, mismatch_support, pair_graph
+from qca1d.graphs import CapExceeded, iter_cycles, mismatch_support, pair_graph
+from qca1d.oracle import walk_defect
+from qca1d.rules import dump_rule
 from qca1d.unitarity import (
     INFINITE_CONDITIONS,
     PERIODIC_CONDITIONS,

@@ -5,25 +5,21 @@ import numpy as np
 import pytest
 
 from qca1d import (
-    CapExceeded,
-    ParameterError,
     check_periodic,
     deterministic_sector,
-    dump_rule,
     evaluate_condition,
-    family_names,
     frame_rule,
     inner,
-    is_deterministic,
     make_family,
-    parity_transform,
     patt_rule,
     quantize,
     random_params,
 )
-from qca1d.families import FAMILIES, single_frame
+from qca1d.families import FAMILIES, ParameterError, family_names, single_frame
+from qca1d.graphs import CapExceeded
 from qca1d.oracle import exact_defect_kernel
-from qca1d.rules import DEFAULT_TOLERANCE, all_configs, as_config, config_digits, config_str
+from qca1d.rules import (DEFAULT_TOLERANCE, all_configs, as_config, config_digits, config_str,
+                         dump_rule, is_deterministic, parity_transform)
 
 from conftest import haar_unitary, with_noise
 
@@ -236,8 +232,8 @@ def test_frame_rule_round_trips_a_2_11_single_frame_table(j):
 
 
 def test_frame_rule_keeps_the_later_of_two_keys_for_one_config():
-    # "0\u0661" names config 01, as int() reads the Arabic-Indic digit one
-    vectors = {"00": [1, 0], "01": [0, 1], "10": [1, 0], "0\u0661": [0, 2]}
+    # the tuple (0, 1) names config 01, as the string "01" does
+    vectors = {"00": [1, 0], "01": [0, 1], "10": [1, 0], (0, 1): [0, 2]}
     with pytest.raises(ParameterError, match="missing vectors for 1 neighborhoods, e.g. 11"):
         frame_rule(2, 2, 1, vectors)
     rule = frame_rule(2, 2, 1, vectors | {"11": [0, 1]})

@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from qca1d import (
-    CapExceeded,
     RuleTable,
-    config_index,
     deterministic_sector,
-    dump_rule,
     enumerate_cycles,
     inner,
     make_family,
@@ -21,15 +18,16 @@ from qca1d import (
     quantize,
     rule_graph,
     to_dot,
-    unit_configs,
 )
 from qca1d import graphs
 from qca1d.cli import main
-from qca1d.graphs import (MAX_PAIR_ENTRIES, advance, cycle_reach, iter_cycles, iter_paths, reaches,
-                          sector_mask)
+from qca1d.graphs import (MAX_PAIR_ENTRIES, CapExceeded, advance, cycle_reach, iter_cycles, iter_paths,
+                          reaches, sector_mask)
+from qca1d.rules import config_index, dump_rule
 from qca1d.transfer import Monomial
 
 from conftest import F21_SAMPLE, haar_unitary, quantized_shift, with_noise
+from references import unit_configs
 
 
 def mono(*pairs):

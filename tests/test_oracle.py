@@ -6,13 +6,9 @@ import numpy as np
 import pytest
 
 from qca1d import (
-    CapExceeded,
     RuleTable,
-    all_configs,
-    apply_global,
     basis_state,
     check_periodic,
-    config_index,
     defect_estimate,
     evolve,
     global_matrix,
@@ -22,16 +18,13 @@ from qca1d import (
     patt_rule,
     probabilities,
     random_params,
-    random_state,
-    ring_defect,
     unitarity_defect,
-    walk_defect,
 )
 import qca1d.oracle as oracle
-from qca1d.graphs import MAX_DENSE_DIM, MAX_WALK_COST, pair_graph, rule_graph
-from qca1d.oracle import (evolution_step, exact_defect_kernel, shift_orbit_representatives,
-                          walk_cost)
-from qca1d.rules import config_digits
+from qca1d.graphs import MAX_DENSE_DIM, MAX_WALK_COST, CapExceeded, pair_graph, rule_graph
+from qca1d.oracle import (apply_global, evolution_step, exact_defect_kernel, random_state, ring_defect,
+                          shift_orbit_representatives, walk_cost, walk_defect)
+from qca1d.rules import all_configs, config_digits, config_index
 
 from conftest import (deterministic_shift, haar_unitary, quantized_shift, unitary_grid,
                       with_noise)
@@ -54,7 +47,7 @@ def random_rule(q, k, rng):
 
 def test_identity_map_global_matrix(ident):
     # delta(i, i2) shifts left; its parity twin delta(i, i1) is the identity map
-    from qca1d import parity_transform
+    from qca1d.rules import parity_transform
 
     copy_first = parity_transform(ident)
     np.testing.assert_array_equal(global_matrix(copy_first, 2), np.eye(4))
@@ -96,7 +89,7 @@ def test_f21_00_periodic_defect_matches_mismatch_cycle(f21_00):
 
 
 def test_evolve_identity_map(ident):
-    from qca1d import parity_transform
+    from qca1d.rules import parity_transform
 
     rng = np.random.default_rng(0)
     state = random_state(2, 4, rng)

@@ -7,20 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qca1d import (
-    RuleFormatError,
     RuleTable,
-    config_index,
-    dump_rule,
     index_config,
     inner,
-    is_deterministic,
     make_family,
-    parity_transform,
-    rule_from_dict,
-    rule_to_dict,
-    state_transpose,
-    unit_configs,
 )
+from qca1d.rules import (RuleFormatError, as_config, config_index, dump_rule, is_deterministic,
+                         parity_transform, rule_from_dict, rule_to_dict)
+
+from references import state_transpose, unit_configs
 
 
 def test_config_encoding_roundtrip():
@@ -179,20 +174,29 @@ def test_rule_tolerance_must_be_finite():
         RuleTable(2, 1, np.eye(2), float("inf"))
 
 
+def test_config_strings_take_ascii_digits_only():
+    assert as_config("10", 2, 2) == (1, 0) and as_config("", 2, 0) == ()
+    # int() reads the Arabic-Indic digits and refuses the superscript two
+    for value in ("\u0661\u0660", "\u00b2\u00b2", "1 ", "+1"):
+        with pytest.raises(RuleFormatError, match="has non-digit characters"):
+            as_config(value, 2, 2)
+
+
 def test_rule_dict_reads_keys_in_any_order_and_reports_the_first_error():
     rule = RuleTable(3, 2, np.arange(27).reshape(9, 3) * (1 - 0.5j))
     good = rule_to_dict(rule)
     table = good["amplitudes"]
     shuffled = dict(good, amplitudes={key: table[key] for key in reversed(list(table))})
     assert np.array_equal(rule_from_dict(shuffled).amplitudes, rule.amplitudes)
-    # non-ASCII digits are read one key at a time, as int() reads them, and
-    # a config spelt twice is refused: it would leave the row of the config
-    # it displaced unset
+    # a key of non-ASCII digits is refused, though int() reads them, and a
+    # config spelt twice is refused: it would leave the row of the config it
+    # displaced unset
     arabic = dict(good, amplitudes={key.replace("1", "\u0661"): v for key, v in table.items()})
-    assert np.array_equal(rule_from_dict(arabic).amplitudes, rule.amplitudes)
+    with pytest.raises(RuleFormatError, match="'0\u0661' has non-digit characters"):
+        rule_from_dict(arabic)
     twice = dict(table)
-    twice["0\u0661"] = twice.pop("22")  # read after "01"
-    with pytest.raises(RuleFormatError, match="'0\u0661' names config '01' again"):
+    twice[(0, 1)] = twice.pop("22")  # read after "01"
+    with pytest.raises(RuleFormatError, match="\\(0, 1\\) names config '01' again"):
         rule_from_dict(dict(good, amplitudes=twice))
     for entries, message in (
             ({"0x": [[0, 0]], "22": [[0, 0]] * 3}, "'0x' has non-digit"),

@@ -3,23 +3,18 @@ import pytest
 
 from qca1d import (
     RuleTable,
-    all_configs,
-    border_scalar,
     check_infinite,
     check_periodic,
-    check_surjectivity,
-    det_factorization_check,
     deterministic_sector,
-    extension_matrix,
     make_family,
-    parity_transform,
-    restricted_evolution,
-    reduced_evolution,
-    window_amplitude,
 )
-from qca1d.surjectivity import _oriented_reports, column_factor_product, extension_det_product
+from qca1d.rules import all_configs, parity_transform
+from qca1d.surjectivity import _oriented_reports, check_surjectivity
 
 from conftest import F21_00_SAMPLE, deterministic_shift, identity_rule, noisy_grid
+from references import (border_scalar, column_factor_product, det_factorization_check,
+                        extension_det_product, extension_matrix, reduced_evolution,
+                        restricted_evolution, window_amplitude)
 
 
 def test_extension_matrix_identity(ident):
@@ -140,7 +135,7 @@ def test_column_factorization(f21_00):
     full = restricted_evolution(f21_00, "00", "00", "00", n)
     red = reduced_evolution(f21_00, "00", n)
     from qca1d import index_config
-    from qca1d.surjectivity import _column_prefix
+    from references import _column_prefix
 
     for col in range(4):
         alpha = index_config(col, 2, n)

@@ -5,22 +5,21 @@ import numpy as np
 import pytest
 
 from qca1d import (
-    NoDeterministicSector,
     RuleTable,
     check_infinite,
     check_periodic,
-    config_index,
     evaluate_condition,
     global_matrix,
     make_family,
-    parity_transform,
-    state_transpose,
     unitarity_defect,
     verdict_from_json,
 )
+from qca1d.rules import config_index, parity_transform
 from qca1d.transfer import Monomial
+from qca1d.unitarity import NoDeterministicSector
 
 from conftest import F21_00_SAMPLE, reference_to_json, rendering_cases
+from references import state_transpose
 
 
 def witness_monomial(witness):
