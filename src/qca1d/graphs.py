@@ -14,14 +14,14 @@ the *diagonal*; all other pair edges are *mismatch* edges.  Cycle and path
 weights are products of edge weights.
 
 Both graphs are numpy arrays indexed by config (:class:`Graph`): norm edge
-i is config i, pair edge i is the pair (i // q^k, i % q^k).  The unitarity
-conditions are decided on boolean config masks by ``cycle_reach`` and
-``reaches``, searches stepping by one boolean de Bruijn kernel, ``advance``;
-``iter_cycles`` and ``iter_paths`` list witness cycles and paths, each as
-its edge indices, edge labels and weight.  The deterministic sector is a
-greatest fixpoint on a config mask, tested by a batched ``reaches`` and on
-(2k-1)-cell strings.  ``advance`` steps masks only: the walk weights of
-``oracle.walk_defect`` step by a gather over each vertex's predecessors.
+i is config i, pair edge i is the pair (i // q^k, i % q^k).  One kernel,
+:class:`Walk`, steps every walk over either graph, in a (plus, times)
+semiring: the unitarity conditions are decided on boolean config masks by
+``cycle_reach`` and ``reaches`` in (or, and), and ``oracle.walk_defect``
+takes max-times and min-times closed walks.  ``iter_cycles`` and
+``iter_paths`` list witness cycles and paths, each as its edge indices, edge
+labels and weight.  The deterministic sector is a greatest fixpoint on a
+config mask, tested by a batched ``reaches`` and on (2k-1)-cell strings.
 """
 
 from __future__ import annotations
@@ -221,22 +221,51 @@ def mismatch_support(rule: RuleTable) -> np.ndarray:
     return support
 
 
-def advance(edges: np.ndarray, frontier: np.ndarray) -> np.ndarray:
-    """The vertices one edge past the vertex mask ``frontier``: ``edges``
-    has one config axis of q^k per graph (norm or pair), ``frontier`` one
-    axis of n = q^(k-1) per graph after any batch axes.  Each config axis is
-    viewed as (prefix, appended digit) to AND in the frontier (repeated over
-    the digit on the last axis, so the AND runs along contiguous rows), then
-    as (dropped digit, suffix) to OR out the dropped digits.  Boolean only
-    and index-free: an int64 index table of a gather would take 8x the
-    mask, 32 MiB at the (2, 11) pair cap.  Walk weights step by such a
-    predecessor gather instead, in ``oracle._closed_walks``."""
-    d, n = edges.ndim, frontier.shape[-1]
-    q, batch = edges.shape[0] // n, frontier.shape[:frontier.ndim - d]
-    rows = frontier.repeat(q, axis=-1).reshape(batch + (n, 1) * (d - 1) + (n * q,))
-    step = np.logical_and(edges.reshape((n, q) * (d - 1) + (n * q,)), rows)
-    step = step.reshape(batch + (q, n) * d)
-    return np.logical_or.reduce(step, axis=tuple(range(len(batch), step.ndim, 2)))
+class Walk:
+    """Walks in a (plus, times) semiring over the de Bruijn graph of n =
+    q^(k-1) vertices on each of d axes (1: norm graph, 2: pair graph), one
+    per trailing batch column.  ``walk``, shape (n,)*d + batch, holds the
+    plus over the walks ending at each vertex; ``products``, shape (q^d,) +
+    (n,)*d + batch, their extensions by one edge, axis 0 the digits it
+    prepends: the predecessor of v by digit c is c n/q + v // q on each axis.
+    :meth:`step` reads the walk there through a view, with no index table,
+    times in the edges and reduces by plus over axis 0 into ``walk``."""
+
+    def __init__(self, q, n, d, batch=(), plus=np.logical_or, times=np.logical_and, dtype=bool):
+        self.plus, self.times, m = plus, times, min(n, q)
+        self.walk = np.empty((n,) * d + batch, dtype)
+        # a vertex axis is read by a broadcast as (c, v // q, v % q); with no
+        # batch the last one is repeated q times first, as (c, v), so the
+        # innermost loop runs n long, not q; the first of two axes is read as
+        # (c, 1, v // q), its 1 swapped with the second's c
+        if batch:
+            self._repeat = None
+            read = self.walk.reshape((m, 1, n // m) * (d - 1) + (m, n // m, 1) + batch)
+        else:
+            self._repeat = np.empty(self.walk.shape + (q,), dtype)
+            read = self._repeat.reshape((m, 1, n // m) * (d - 1) + (q, n))
+        self._read = read.swapaxes(1, 3) if d == 2 else read
+        self._layout = (q,) * d + (n // m, m) * (d - 1 + bool(batch)) + (n,) * (not batch)
+        self._out = np.empty(self._layout + batch, dtype)
+        self.products = self._out.reshape((q**d,) + self.walk.shape)
+
+    def edges(self, weights: np.ndarray) -> np.ndarray:
+        """A view of config-indexed edge weights, one axis of q n per graph,
+        as (prepended digits, vertex) for :meth:`step`."""
+        if weights.ndim == 2:
+            q = self._layout[0]
+            weights = weights.reshape(q, -1, q, weights.shape[1] // q).swapaxes(1, 2)
+        return weights.reshape(self._layout + (1,) * (self._out.ndim - len(self._layout)))
+
+    def step(self, edges: np.ndarray) -> np.ndarray:
+        if self._repeat is None:  # times in place: numpy's fast loop for an edge along the batch
+            np.copyto(self._out, self._read)
+            self.times(self._out, edges, out=self._out)
+        else:
+            for c in range(self._repeat.shape[-1]):
+                self._repeat[..., c] = self.walk  # faster than one copy q long innermost
+            self.times(self._read, edges, out=self._out)
+        return self.plus.reduce(self.products, axis=0, out=self.walk)
 
 
 def cycle_reach(edges: np.ndarray, inside: np.ndarray) -> np.ndarray:
@@ -244,23 +273,30 @@ def cycle_reach(edges: np.ndarray, inside: np.ndarray) -> np.ndarray:
     ``edges`` within ``inside`` reaches, its own included: those left after
     dropping the vertices without an in-edge from the kept ones until none
     is left, so empty exactly when there is no such cycle."""
-    kept = inside & advance(edges, inside)
-    while 0 < np.count_nonzero(kept) < np.count_nonzero(inside):
-        inside, kept = kept, kept & advance(edges, kept)
-    return kept
+    n = inside.shape[0]
+    walk = Walk(edges.shape[0] // n, n, edges.ndim)
+    step, kept = walk.edges(edges), walk.walk
+    kept[...], count = inside, np.count_nonzero(inside)
+    while True:
+        np.logical_and(walk.step(step), inside, out=kept)
+        left = np.count_nonzero(kept)
+        if not 0 < left < count:
+            return kept
+        inside, count = kept.copy(), left
 
 
 def reaches(edges: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     """Whether a walk of one or more edges of the mask ``edges`` leads from
     a vertex in the mask ``start`` to one in ``stop``, its interior vertices
-    all outside ``stop``; one answer per leading batch row of the masks."""
-    axes = tuple(range(-edges.ndim, 0))
-    found = np.zeros(start.shape[:start.ndim - edges.ndim], dtype=bool)
-    seen, frontier = start | stop, start
+    all outside ``stop``; one answer per trailing batch column of the masks."""
+    d, n = edges.ndim, start.shape[0]
+    walk = Walk(edges.shape[0] // n, n, d, start.shape[d:])
+    step, frontier = walk.edges(edges), walk.walk
+    found = np.zeros(start.shape[d:], dtype=bool)
+    seen, frontier[...] = start | stop, start
     while np.count_nonzero(frontier):
-        hit = advance(edges, frontier)
-        found |= (hit & stop).any(axis=axes)
-        frontier = hit > seen  # hit & ~seen, in one call
+        found |= (walk.step(step) & stop).any(axis=tuple(range(d)))
+        np.greater(frontier, seen, out=frontier)  # frontier & ~seen, in one call
         seen |= frontier
     return found
 
@@ -402,10 +438,10 @@ def deterministic_sector(rule: RuleTable) -> frozenset[Config]:
     The greatest fixpoint, on one boolean mask over the q^k configs, of two
     prunings of the unit-component configs.  A config a, the norm-graph
     edge a // q -> a % q^(k-1), stays when it is a self-loop or its suffix
-    reaches its prefix over sector edges (one ``reaches`` row per config);
+    reaches its prefix over sector edges (one ``reaches`` column per config);
     and when every walk of k sector windows with unique outputs through it
     produces a config that is again such a window: a string of 2k-1 cells,
-    window j its cells j..j+k-1.  Search rows and start windows run in
+    window j its cells j..j+k-1.  Search columns and start windows run in
     blocks that keep each array within ``MAX_PAIR_ENTRIES`` entries.  The
     result may be empty.
     """
@@ -417,13 +453,13 @@ def deterministic_sector(rule: RuleTable) -> frozenset[Config]:
     count = np.count_nonzero(hits, axis=1)
     out = np.where(count == 1, hits.argmax(axis=1), -1)  # as rules.deterministic_outputs
     moving, unique, sector = pre != suf, out >= 0, count > 0
-    rows = max(1, MAX_PAIR_ENTRIES // n)  # frontier rows per search, start windows per block
+    rows = max(1, MAX_PAIR_ENTRIES // n)  # frontier columns per search, start windows per block
     while True:
         live = sector & unique
         cycle = (live & moving).nonzero()[0]
         for first in range(0, cycle.size, rows):
             a = cycle[first:first + rows]
-            live[a] = reaches(sector, vertex == suf[a, None], vertex == pre[a, None])
+            live[a] = reaches(sector, vertex[:, None] == suf[a], vertex[:, None] == pre[a])
         pruned = live.copy()
         starts = live.nonzero()[0]
         for first in range(0, starts.size, rows):

@@ -10,9 +10,8 @@ site, every Gram entry is a product of N neighborhood inner products:
 window site s reads from x.  Two exact defect kernels read max |F^dagger F - I|
 from that identity without forming F.  ``walk_defect`` takes the pairs
 (y, x) as the closed walks of N edges in the pair graph and finds the
-extreme products by max-times and min-times walks, each step a gather of
-the walk weights at every vertex's de Bruijn predecessors, at a cost of
-about 2 N q^(4k-2) for any N.
+extreme products by max-times and min-times walks (``graphs.Walk``), at a
+cost of about 2 N q^(4k-2) for any N.
 ``ring_defect`` builds the Gram rows of one configuration per shift orbit,
 in memory of order #orbits * q^N, about 1/N of F, at a cost of about
 q^(2N); ``exact_defect_kernel`` picks the cheaper one.  The dense build
@@ -36,12 +35,12 @@ a shared 2-core x86-64 host with one BLAS thread: a forward f21 pass on
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import (MAX_DENSE_DIM, MAX_PAIR_ENTRIES, MAX_STATE_DIM, MAX_WALK_COST, check_cap)
+from .graphs import (MAX_DENSE_DIM, MAX_PAIR_ENTRIES, MAX_STATE_DIM, MAX_WALK_COST, Walk,
+                     check_cap)
 from .rules import (RuleTable, all_configs, as_config, config_digits, config_index, window_indices,
                     window_product)
 
@@ -167,78 +166,36 @@ def walk_cost(q: int, k: int, n_sites: int) -> int:
 
     Its pair-graph walk takes N steps over the q^(2k) pair edges, one batch
     row per each of the q^(2(k-1)) start vertices, and an edge product was
-    once measured at about twice a Gram entry.  Stepped by the predecessor
-    gather it takes about half as long as a Gram entry (one BLAS thread,
-    2-core x86-64: at (2, 5) and N = 12, 5.5 ms for 3.1M edge products
-    against 53 ms for the 16.8M entries of the orbit rows); the factor 2
-    stays, so that each ring keeps the kernel, and so the bits, that it had.
+    once measured at about twice a Gram entry.  Stepped by ``graphs.Walk``
+    it takes 0.75-0.84 of a Gram entry (one BLAS thread, 2-core x86-64: at
+    (2, 5) and N = 12, 5.3-6.2 ms for 3.1M edge products against 36-44 ms
+    for the 16.8M entries of the orbit rows); the factor 2 stays, so that
+    each ring keeps the kernel, and so the bits, that it had.
     """
     return 2 * n_sites * q ** (4 * k - 2)
 
 
-@cache
-def _predecessors(q: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two read-only (q^d, n^d) tables of the de Bruijn graph on n = q^(k-1)
-    vertices per axis, d axes (1: norm graph, 2: pair graph): the config, or
-    flat config pair, that enters each vertex from each choice of prepended
-    digits, and the vertex it leaves, config // q on each axis.  Cached: the
-    walk cap holds q^(4k-2) to 2^23, so a table has under q * 2^12 entries."""
-    edge = np.arange(q * n).reshape(q, n)  # prepended digit, vertex: the config
-    src = edge // q
-    if d == 2:
-        edge = (edge[:, None, :, None] * (q * n) + edge[None, :, None, :]).reshape(q * q, n * n)
-        src = (src[:, None, :, None] * n + src[None, :, None, :]).reshape(q * q, n * n)
-    edge.flags.writeable = src.flags.writeable = False
-    return edge, src
-
-
 def _closed_walks(q: int, first: np.ndarray, weights: np.ndarray, n_sites: int,
-                  semirings: Sequence[tuple[np.ufunc, float]]) -> list[float]:
-    """For each (plus, zero) of ``semirings``, ``plus`` over the closed walks
-    of n_sites edges of their weight, the product of ``first`` at the first
-    edge and ``weights`` at the others.
-
-    The weights have one config axis per graph, and ``zero`` is the weight
-    of no walk.  Per semiring, one column per start vertex holds the walk
-    weights ending at each vertex (vertex-major, so a gathered vertex is a
-    contiguous run of columns).  A step gathers the walk weights at each
-    vertex's predecessors (``_predecessors``) in one ``np.take`` shared by
-    the semirings, multiplies in the weights of the edges from them in
-    place and reduces by each ``plus`` over the predecessors into the walk
-    weights.  An inf ``zero`` multiplies with invalid ignored: inf * 0 =
-    nan, which np.fmin passes over.  Start vertices run in blocks of at
-    most MAX_PAIR_ENTRIES edge products per step and semiring.
-    """
-    d = first.ndim
-    n = first.shape[0] // q
+                  plus: np.ufunc, zero: float) -> float:
+    """``plus`` over the closed walks of n_sites edges of their weight, the
+    product of ``first`` at the first edge and ``weights`` at the others,
+    each with one config axis per graph; ``zero`` is the weight of no walk.
+    One ``graphs.Walk`` column per start vertex, in blocks of at most
+    MAX_PAIR_ENTRIES edge products per step."""
+    d, n = first.ndim, first.shape[0] // q
     vertices = n**d
-    edge, src = _predecessors(q, n, d)
-    first, weights = first.ravel()[edge][..., None], weights.ravel()[edge][..., None]
-    block = max(1, MAX_PAIR_ENTRIES // edge.size)
-    zeros = np.array([zero for _, zero in semirings])
-    best = zeros.copy()
+    block, best = max(1, MAX_PAIR_ENTRIES // (q**d * vertices)), zero
     for low in range(0, vertices, block):
         size = min(block, vertices - low)
-        walk = np.empty((len(semirings), vertices, size))
-        gathered = np.empty((len(semirings),) + src.shape + (size,))
-        # the walk weight of start vertex low + i at itself: vertex low + i, column i
-        start = walk.reshape(len(semirings), -1)[:, low * size::size + 1][:, :size]
-        walk[...] = zeros[:, None, None]
-        start[...] = 1.0
+        walk = Walk(q, n, d, (size,), plus, np.multiply, float)
+        edges = walk.edges(first), walk.edges(weights)
+        ends = walk.walk.reshape(vertices, size)
+        ends[...] = zero
+        np.fill_diagonal(ends[low:], 1.0)  # start vertex low + i, column i
         for step in range(n_sites):
-            # mode="wrap" (the indices are in range): under the default "raise", take buffers out
-            np.take(walk, src, axis=1, out=gathered, mode="wrap")
-            edges = weights if step else first
-            for ends, part, (plus, zero) in zip(walk, gathered, semirings):
-                if zero == np.inf:
-                    with np.errstate(invalid="ignore"):
-                        part *= edges
-                else:
-                    part *= edges
-                plus.reduce(part, axis=0, out=ends)
-        for j, (plus, _) in enumerate(semirings):
-            best[j] = plus(best[j], plus.reduce(start[j]))
-    return best.tolist()
+            walk.step(edges[step > 0])
+        best = plus(best, plus.reduce(ends[low:].diagonal()))
+    return float(best)
 
 
 def walk_defect(rule: RuleTable, n_sites: int) -> float:
@@ -257,10 +214,9 @@ def walk_defect(rule: RuleTable, n_sites: int) -> float:
     an unreachable vertex holds inf and inf * 0 = nan, which np.fmin passes
     over.  An off-diagonal walk has an edge (a, b) with a != b, and rotating
     the ring makes it the first edge: the largest |entry| is the max-times
-    walk whose first edge is such a mismatch edge.  The walks step by a
-    predecessor gather (``_closed_walks``), the two norm walks sharing it.
-    Refused with ``graphs.CapExceeded`` when ``walk_cost`` exceeds
-    MAX_WALK_COST.
+    walk whose first edge is such a mismatch edge.  Each extreme is one
+    ``graphs.Walk`` (``_closed_walks``).  Refused with ``graphs.CapExceeded``
+    when ``walk_cost`` exceeds MAX_WALK_COST.
     """
     q, k = rule.q, rule.k
     if n_sites < 1:
@@ -271,8 +227,10 @@ def walk_defect(rule: RuleTable, n_sites: int) -> float:
     norms = weights.diagonal()
     mismatch = weights.copy()
     np.fill_diagonal(mismatch, 0.0)
-    high, low = _closed_walks(q, norms, norms, n_sites, ((np.maximum, 0.0), (np.fmin, np.inf)))
-    (off,) = _closed_walks(q, mismatch, weights, n_sites, ((np.maximum, 0.0),))
+    high = _closed_walks(q, norms, norms, n_sites, np.maximum, 0.0)
+    with np.errstate(invalid="ignore"):  # inf * 0 = nan, which np.fmin passes over
+        low = _closed_walks(q, norms, norms, n_sites, np.fmin, np.inf)
+    off = _closed_walks(q, mismatch, weights, n_sites, np.maximum, 0.0)
     return max(high - 1.0, 1.0 - low, off)
 
 

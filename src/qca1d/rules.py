@@ -9,8 +9,8 @@ tolerance test using the table's ``tolerance``, tol.  A unitary periodic
 verdict keeps the exact defect of an N-site ring within (1 + tol)^N - 1:
 derived for the diagonal entries (at most N simple cycles, each within tol
 of 1), observed for the rest.  A NOT-unitary one showed a defect over tol
-at some N <= min(r, 16), r = n^2 + n + 1, n = q^(k-1): observed on the
-tests' noisy grid.
+at some N <= r, r = n^2 + n + 1, n = q^(k-1): observed on the tests' noisy
+grid.
 """
 
 from __future__ import annotations
@@ -87,13 +87,15 @@ def all_configs(q: int, length: int) -> Iterator[Config]:
 
 
 def as_config(value: str | Sequence[int], q: int, length: int) -> Config:
-    """Normalize a neighborhood given as digits string or int sequence."""
+    """Normalize a neighborhood given as digits string or sequence of integers."""
     if isinstance(value, str):
         if not set(value) <= set("0123456789"):  # int() would also take other scripts' digits
             raise RuleFormatError(f"config string {value!r} has non-digit characters")
         cfg = tuple(map(int, value))
-    else:
-        cfg = tuple(int(s) for s in value)
+    elif all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in value):
+        cfg = tuple(map(int, value))
+    else:  # int() would truncate a float and read a bool
+        raise RuleFormatError(f"config {value!r} has cells that are not integers")
     if len(cfg) != length:
         raise RuleFormatError(f"config {config_str(cfg)!r} has length {len(cfg)}, expected {length}")
     if any(s < 0 or s >= q for s in cfg):

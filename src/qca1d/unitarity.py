@@ -33,7 +33,7 @@ Each condition is first decided on numpy arrays indexed by config:
   (``graphs.mismatch_support``).  P-ii and I-iv then ask for a cycle off the
   diagonal (``graphs.cycle_reach``), P-iii and I-iii for a walk from the
   diagonal back to it (``graphs.reaches``).  Both search the mask itself,
-  one de Bruijn step (``graphs.advance``) at a time, and are exact.
+  one step of the boolean ``graphs.Walk`` at a time, and are exact.
 
 A condition that holds returns no reports and builds neither graph.  A
 failing condition's decision hands its masks to the witness listing, which

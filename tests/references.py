@@ -10,7 +10,8 @@ decision's batched gather; both interior operators are
 ``rules.window_product`` over the bordered interior's windows.
 
 ``state_transpose`` and ``unit_configs`` serve the covariance and sector
-tests.
+tests; ``walk_defects`` reads the exact ring defect of every ring size up to
+a bound from one walk, for the ring-contract test.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from qca1d.graphs import deterministic_sector
+from qca1d.graphs import Walk, deterministic_sector
 from qca1d.rules import (Config, RuleTable, all_configs, as_config, config_digits, config_index,
                          config_str, unit_hits, window_indices, window_product)
 
@@ -206,3 +207,33 @@ def state_transpose(rule: RuleTable, perm: Sequence[int], side: str = "both") ->
 def unit_configs(rule: RuleTable) -> frozenset[Config]:
     """Neighborhoods whose amplitude vector has a component equal to 1."""
     return frozenset(itertools.compress(rule.configs(), unit_hits(rule).any(axis=1).tolist()))
+
+
+def walk_defects(rule: RuleTable, sizes: int) -> list[float]:
+    """``oracle.walk_defect(rule, N)`` for N = 1..sizes, bit for bit, from one
+    walk of ``sizes`` steps per semiring: the closed walks of N edges are the
+    diagonal of the walk after step N, one batch column per start vertex."""
+    q = rule.q
+    weights = np.abs(rule.amplitudes.conj() @ rule.amplitudes.T)
+    norms = weights.diagonal()
+    mismatch = weights.copy()
+    np.fill_diagonal(mismatch, 0.0)
+
+    def closed(first, edges, plus, zero):
+        d, n = first.ndim, first.shape[0] // q
+        walk = Walk(q, n, d, (n**d,), plus, np.multiply, float)
+        steps = walk.edges(first), walk.edges(edges)
+        ends = walk.walk.reshape(n**d, n**d)
+        ends[...] = zero
+        np.fill_diagonal(ends, 1.0)
+        found = []
+        for step in range(sizes):
+            walk.step(steps[step > 0])
+            found.append(float(plus(zero, plus.reduce(ends.diagonal()))))
+        return found
+
+    high = closed(norms, norms, np.maximum, 0.0)
+    with np.errstate(invalid="ignore"):  # inf * 0 = nan, which np.fmin passes over
+        low = closed(norms, norms, np.fmin, np.inf)
+    off = closed(mismatch, weights, np.maximum, 0.0)
+    return [max(h - 1.0, 1.0 - lo, o) for h, lo, o in zip(high, low, off)]

@@ -14,7 +14,6 @@ from qca1d import (
 )
 from qca1d.cli import main
 from qca1d.graphs import CapExceeded, iter_cycles, mismatch_support, pair_graph
-from qca1d.oracle import walk_defect
 from qca1d.rules import dump_rule
 from qca1d.unitarity import (
     INFINITE_CONDITIONS,
@@ -25,6 +24,7 @@ from qca1d.unitarity import (
 )
 
 from conftest import noisy_grid, quantized_shift, unitary_grid, with_noise
+from references import walk_defects
 
 CERTIFIED = ("P-i", "I-i", "I-ii")  # False only means "not settled"
 LISTING_CAP = 10**5
@@ -233,21 +233,21 @@ def test_periodic_verdict_is_monotone_in_the_tolerance():
 
 def test_periodic_verdict_bounds_the_ring_defects():
     # the ring contract of a periodic verdict (qca1d.rules): on the rings of
-    # N <= min(r, 16) sites, r = n^2 + n + 1 and n = q^(k-1), a unitary verdict
-    # keeps the exact defect within (1 + tol)^N - 1, and a NOT-unitary one
-    # shows a defect over tol on one of them
+    # N <= r sites, r = n^2 + n + 1 and n = q^(k-1), a unitary verdict keeps
+    # the exact defect within (1 + tol)^N - 1, and a NOT-unitary one shows a
+    # defect over tol on one of them; one walk reads every N <= r
     verdicts = [0, 0]
     for seed in range(4):
         for label, rule, infinite in noisy_grid(seed):
             if infinite:
                 continue
             n, tol = rule.q ** (rule.k - 1), rule.tolerance
-            sizes = range(1, min(n * n + n + 1, 16) + 1)
+            defects = walk_defects(rule, n * n + n + 1)
             unitary = check_periodic(rule, max_violations=1).unitary
             if unitary:
-                assert all(walk_defect(rule, N) <= (1 + tol) ** N - 1 for N in sizes), label
+                assert all(d <= (1 + tol) ** N - 1 for N, d in enumerate(defects, 1)), label
             else:
-                assert any(walk_defect(rule, N) > tol for N in sizes), label
+                assert any(d > tol for d in defects), label
             verdicts[unitary] += 1
     assert verdicts == [236, 148]
 

@@ -21,7 +21,7 @@ from qca1d import (
 )
 from qca1d import graphs
 from qca1d.cli import main
-from qca1d.graphs import (MAX_PAIR_ENTRIES, CapExceeded, advance, cycle_reach, iter_cycles, iter_paths,
+from qca1d.graphs import (MAX_PAIR_ENTRIES, CapExceeded, Walk, cycle_reach, iter_cycles, iter_paths,
                           reaches, sector_mask)
 from qca1d.rules import config_index, dump_rule
 from qca1d.transfer import Monomial
@@ -295,6 +295,15 @@ def reference_cycle_reach(succ, inside):
     return reached(u for u in inside if u in reached([u]))
 
 
+def advance(edges, frontier):
+    """One step of the boolean ``graphs.Walk`` from the vertex mask
+    ``frontier``, its batch axes last."""
+    d, n = edges.ndim, frontier.shape[0]
+    walk = Walk(edges.shape[0] // n, n, d, frontier.shape[d:])
+    walk.walk[...] = frontier
+    return walk.step(walk.edges(edges))
+
+
 @pytest.mark.parametrize("axes", [1, 2], ids=["norm", "pair"])
 @pytest.mark.parametrize("q,k", [(q, k) for q in (2, 3) for k in range(1, 5)])
 def test_step_kernels_match_plain_search(q, k, axes):
@@ -305,22 +314,45 @@ def test_step_kernels_match_plain_search(q, k, axes):
     for _ in range(8):
         edges = rng.uniform(size=(q**k,) * axes) < rng.uniform(0.3, 1.5) / q**axes
         succ = mask_successors(edges, q)
-        frontier = rng.uniform(size=(3,) + (n,) * axes) < 0.3
+        frontier = np.moveaxis(rng.uniform(size=(3,) + (n,) * axes) < 0.3, 0, -1)
         stepped = advance(edges, frontier)
         assert stepped.shape == frontier.shape
-        for row, got in zip(frontier, stepped):
+        for row, got in zip(np.moveaxis(frontier, -1, 0), np.moveaxis(stepped, -1, 0)):
             expected = {w for u in as_vertices(row) for w in succ.get(u, ())}
             assert as_vertices(got) == expected
-        assert np.array_equal(advance(edges, frontier[0]), stepped[0])
-        stop = rng.uniform(size=frontier.shape) < 0.2
+        assert np.array_equal(advance(edges, frontier[..., 0]), stepped[..., 0])
+        stop = np.moveaxis(rng.uniform(size=(3,) + (n,) * axes) < 0.2, 0, -1)
         found = reaches(edges, frontier, stop)
-        for row, start, end in zip(found, frontier, stop):
+        for row, start, end in zip(found, np.moveaxis(frontier, -1, 0), np.moveaxis(stop, -1, 0)):
             assert row == reference_reaches(succ, as_vertices(start), as_vertices(end))
-        assert reaches(edges, frontier[1], stop[1]) == found[1]
+        assert reaches(edges, frontier[..., 1], stop[..., 1]) == found[1]
         inside = rng.uniform(size=(n,) * axes) < 0.8
         reach = cycle_reach(edges, inside)
         assert reach.any() == reference_cycle_exists(succ, as_vertices(inside))
         assert as_vertices(reach) == reference_cycle_reach(succ, as_vertices(inside))
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batch"])
+@pytest.mark.parametrize("axes", [1, 2], ids=["norm", "pair"])
+@pytest.mark.parametrize("q,k", [(2, 1), (2, 3), (3, 2), (4, 2)])
+def test_walk_products_are_indexed_by_the_prepended_digits(q, k, axes, batch):
+    # products[c, v] is the walk at the predecessor of v by the digits c,
+    # config // q on each axis, times the weight of the config c n + v; the
+    # plus over axis 0 is the step
+    rng = np.random.default_rng([q, k, axes, len(batch)])
+    n = q ** (k - 1)
+    weights = rng.uniform(size=(q**k,) * axes)
+    walk = Walk(q, n, axes, batch, np.maximum, np.multiply, float)
+    before = rng.uniform(size=walk.walk.shape)
+    walk.walk[...] = before
+    stepped = walk.step(walk.edges(weights)).copy()
+    products = walk.products.reshape((q,) * axes + (n,) * axes + batch)
+    for digits in itertools.product(range(q), repeat=axes):
+        for vertex in itertools.product(range(n), repeat=axes):
+            config = tuple(c * n + v for c, v in zip(digits, vertex))
+            source = tuple(a // q for a in config)
+            assert np.array_equal(products[digits + vertex], before[source] * weights[config])
+    assert np.array_equal(stepped, walk.products.max(axis=0))
 
 
 def unit_outputs(rule):

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -28,6 +29,7 @@ from qca1d.rules import all_configs, config_digits, config_index
 
 from conftest import (deterministic_shift, haar_unitary, quantized_shift, unitary_grid,
                       with_noise)
+from references import walk_defects
 
 
 def kron_columns(rule, n, cols):
@@ -583,15 +585,23 @@ def closed_walks(q, k, n):
     return walks
 
 
-@pytest.mark.parametrize("q,k,largest", ((2, 1, 5), (2, 2, 5), (2, 3, 5), (3, 2, 4)))
-def test_walk_defect_is_the_extreme_closed_walk_products_bit_for_bit(q, k, largest):
-    # every walk weight is a left-to-right product of |<a|b>| as Python
-    # floats, and every extreme runs over every closed walk
+def extreme_rules(q, k):
+    """A noisy quantized shift, the same with a zero row, a permutation rule,
+    and the noisy shift scaled by 1e100 (its walks overflow to inf) and by
+    1e-200 (its weights underflow to 0)."""
     noisy = with_noise(quantized_shift(q, k, 10 * q + k), 1e-3, q + k)
     dead = noisy.amplitudes.copy()
     dead[1] = 0.0
-    rules = (noisy, RuleTable(q, k, dead), permutation_rule(q, k, np.random.default_rng(q + k)))
-    for rule in rules:
+    return (noisy, RuleTable(q, k, dead), permutation_rule(q, k, np.random.default_rng(q + k)),
+            RuleTable(q, k, noisy.amplitudes * 1e100), RuleTable(q, k, noisy.amplitudes * 1e-200))
+
+
+@pytest.mark.parametrize("q,k,largest", ((2, 1, 5), (2, 2, 5), (2, 3, 5), (3, 2, 4)))
+def test_walk_defect_is_the_extreme_closed_walk_products_bit_for_bit(q, k, largest):
+    # every walk weight is a left-to-right product of |<a|b>| as Python
+    # floats, and every extreme runs over every closed walk; the only warning
+    # is the overflow of the scaled rule's products
+    for rule in extreme_rules(q, k):
         weights = np.abs(rule.amplitudes.conj() @ rule.amplitudes.T)
         mismatch = weights.copy()
         np.fill_diagonal(mismatch, 0.0)
@@ -608,7 +618,24 @@ def test_walk_defect_is_the_extreme_closed_walk_products_bit_for_bit(q, k, large
             assert len(walks) == q**n  # the ring configurations
             norms = [product(w, x, x) for x in walks]
             off = max(product(m, y, x) for y in walks for x in walks)
-            assert walk_defect(rule, n) == max(max(norms) - 1.0, 1.0 - min(norms), off)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                defect = walk_defect(rule, n)
+            assert repr(defect) == repr(max(max(norms) - 1.0, 1.0 - min(norms), off))
+            assert {str(c.message) for c in caught} <= {"overflow encountered in multiply"}
+
+
+@pytest.mark.parametrize("q,k", ((2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)))
+def test_one_walk_reads_walk_defect_at_every_ring_size_bit_for_bit(q, k):
+    n = q ** (k - 1)
+    r = n * n + n + 1  # the ring contract's sizes
+    for rule in extreme_rules(q, k) + tuple(rule for rule, _ in ring_rules(q, k, q * k)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow pinned above
+            defects = walk_defects(rule, r)
+            assert len(defects) == r
+            for size in {1, 2, min(5, r), r}:  # (2, 1) has r = 3
+                assert repr(defects[size - 1]) == repr(walk_defect(rule, size)), size
 
 
 def trace_defects(rule, r):

@@ -182,6 +182,17 @@ def test_config_strings_take_ascii_digits_only():
             as_config(value, 2, 2)
 
 
+def test_config_cells_are_integers_not_floats_or_bools(ident):
+    assert as_config((0, np.int64(1)), 2, 2) == (0, 1)
+    assert as_config(np.array([1, 0], dtype=np.uint8), 2, 2) == (1, 0)
+    # int() would read 1.7 and 1.9 as 1 and True as 1
+    for value in ((0, 1.7), (0, True), (0, 1.0), (np.float64(0), 1), (0, np.True_)):
+        with pytest.raises(RuleFormatError, match="has cells that are not integers"):
+            as_config(value, 2, 2)
+    with pytest.raises(RuleFormatError, match="has cells that are not integers"):
+        ident.vector((0, 1.9))
+
+
 def test_rule_dict_reads_keys_in_any_order_and_reports_the_first_error():
     rule = RuleTable(3, 2, np.arange(27).reshape(9, 3) * (1 - 0.5j))
     good = rule_to_dict(rule)
