@@ -155,12 +155,6 @@ class RuleTable:
     def with_tolerance(self, tolerance: float) -> "RuleTable":
         return replace(self, tolerance=tolerance)
 
-    def approx_equal(self, other: "RuleTable", tol: float | None = None) -> bool:
-        if (self.q, self.k) != (other.q, other.k):
-            return False
-        tol = self.tolerance if tol is None else tol
-        return bool(np.all(np.abs(self.amplitudes - other.amplitudes) <= tol))
-
 
 def inner(rule: RuleTable, a: str | Sequence[int], b: str | Sequence[int]) -> complex:
     """Sesquilinear inner product of two amplitude vectors.
@@ -178,9 +172,11 @@ def vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def parity_transform(rule: RuleTable) -> RuleTable:
-    """Reverse every neighborhood: the new table at i1..ik is the old at ik..i1."""
-    perm = [config_index(tuple(reversed(cfg)), rule.q) for cfg in rule.configs()]
-    return RuleTable(rule.q, rule.k, rule.amplitudes[perm], rule.tolerance)
+    """Reverse every neighborhood: the new table at i1..ik is the old at ik..i1,
+    read through the view with one axis per cell in reverse order."""
+    q, k = rule.q, rule.k
+    cells = rule.amplitudes.reshape((q,) * k + (q,)).transpose(*range(k - 1, -1, -1), k)
+    return RuleTable(q, k, cells.reshape(q**k, q), rule.tolerance)
 
 
 def unit_hits(rule: RuleTable) -> np.ndarray:

@@ -20,20 +20,22 @@ restricted to bordered interiors; its operators are test references, in
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
 import numpy as np
 
 from .graphs import MAX_PAIR_ENTRIES, check_cap, sector_mask
 from .rules import Config, RuleTable, all_configs, config_digits, parity_transform, window_indices
-from .unitarity import ConstraintReport
+from .unitarity import DEFAULT_MAX_VIOLATIONS, ConstraintReport
 
 
-def _oriented_reports(rule: RuleTable, sector: frozenset[Config],
-                      inside: np.ndarray | None = None) -> Iterator[ConstraintReport]:
+def _oriented_reports(rule: RuleTable, inside: np.ndarray) -> Iterator[ConstraintReport]:
+    """The I-v reports of the rightward reading over the sector mask
+    ``inside``, each made as it is consumed."""
     tol, q, k = rule.tolerance, rule.q, rule.k
     n = q ** (k - 1)
-    rho = (sector_mask(sector, q, k) if inside is None else inside).nonzero()[0]
+    rho = inside.nonzero()[0]
     # one column per coupled pair (rho, rho') and prefix gamma, in that order
     coupled = np.abs(rule.amplitudes[rho][:, rho % q] - 1.0) <= tol
     check_cap(np.count_nonzero(coupled) * n * (k - 1), MAX_PAIR_ENTRIES,
@@ -49,15 +51,17 @@ def _oriented_reports(rule: RuleTable, sector: frozenset[Config],
     singular = [(g, det) for g, det in enumerate(dets) if abs(det) <= tol * q]
     if singular or np.count_nonzero(hit):  # the config labels, only for reports
         configs, prefixes = list(rule.configs()), list(all_configs(q, k - 1))
-        for g, a, b, z in zip(gamma[hit].tolist(), right[hit].tolist(),
-                              right_out[hit].tolist(), values[hit].tolist()):
-            yield ConstraintReport("I-v", ("scalar", prefixes[g], configs[a], configs[b]), z, abs(z))
+        for i in np.flatnonzero(hit):
+            z = values[i].item()
+            yield ConstraintReport("I-v", ("scalar", prefixes[gamma[i]], configs[right[i]],
+                                           configs[right_out[i]]), z, abs(z))
         yield from (ConstraintReport("I-v", ("det", prefixes[g]), d, abs(d)) for g, d in singular)
 
 
 def check_surjectivity(rule: RuleTable, sector: frozenset[Config],
-                       inside: np.ndarray | None = None) -> list[ConstraintReport]:
-    """Violations of the surjectivity constraints, as I-v reports.
+                       max_violations: int = DEFAULT_MAX_VIOLATIONS) -> list[ConstraintReport]:
+    """Violations of the surjectivity constraints, as I-v reports: at least
+    one when there is one, at most ``max_violations``.
 
     Border scalars are checked for every coupled sector pair (rho, rho')
     and every prefix gamma; extension-matrix determinants once per gamma
@@ -70,17 +74,18 @@ def check_surjectivity(rule: RuleTable, sector: frozenset[Config],
     leftward can satisfy the constraints in the reflected reading only.
     Onto-ness is therefore certified when either reading direction is
     violation free; violations are reported in the rightward reading, and
-    the mirrored reading stops at its first.  A reading whose gather has
+    the mirrored reading, the same sector mask and table read through
+    digit-reversal views, stops at its first.  A reading whose gather has
     more than ``MAX_PAIR_ENTRIES`` window entries raises ``CapExceeded``
-    before it is allocated.  ``inside``, the sector's config mask
-    (``graphs.sector_mask``), saves building it again.
+    before it is allocated.
     """
     if not sector:
         raise ValueError("the deterministic sector is empty")
-    reports = list(_oriented_reports(rule, sector, inside))
-    if not reports:
+    q, k = rule.q, rule.k
+    inside = sector_mask(sector, q, k)
+    reports = _oriented_reports(rule, inside)
+    first = next(reports, None)
+    if first is None or next(_oriented_reports(
+            parity_transform(rule), inside.reshape((q,) * k).transpose().ravel()), None) is None:
         return []
-    mirrored = frozenset(tuple(reversed(c)) for c in sector)
-    if next(_oriented_reports(parity_transform(rule), mirrored), None) is None:
-        return []
-    return reports
+    return [first, *itertools.islice(reports, max(max_violations, 1) - 1)]

@@ -11,8 +11,9 @@ A rule evolves every periodic lattice unitarily iff
 On the infinite lattice the conditions are I-i (= P-i), I-ii (paths of the
 norm graph between deterministic-sector vertices have weight 1), I-iii
 (= P-iii), I-iv (mismatch cycles whose configurations all lie in the
-deterministic sector have weight 0) and I-v (the evolution is onto, decided
-by the surjectivity module).
+deterministic sector have weight 0) and I-v (the evolution is onto).
+``evaluate_condition`` takes all eight, I-v through
+``surjectivity.check_surjectivity``.
 
 Each condition is first decided on numpy arrays indexed by config:
 
@@ -48,7 +49,6 @@ listing examines, not the decisions.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -313,21 +313,25 @@ def evaluate_condition(
     max_violations: int = DEFAULT_MAX_VIOLATIONS,
     graphs: _RuleGraphs | None = None,
 ) -> list[ConstraintReport]:
-    """All violations of a single condition, truncated to ``max_violations``.
+    """The violations of a single condition: at least one when it is
+    violated, at most ``max_violations``.
 
     The condition is decided on arrays first; only when that decision does
     not return "holds" are cycles or paths enumerated to list the
     witnesses, and QCA_CYCLE_CAP (default 10**6) bounds the edges that
-    enumeration examines.  Surjectivity (I-v) is evaluated by
-    ``surjectivity.check_surjectivity``, not here.  The sector for I-ii and
-    I-iv is computed on demand when not supplied; ``graphs`` shares the
-    graphs of one rule between the conditions of one check.
+    enumeration examines.  Surjectivity (I-v) is decided and listed by
+    ``surjectivity.check_surjectivity``.  The sector for I-ii, I-iv and I-v
+    is computed on demand when not supplied; ``graphs`` shares the graphs
+    of one rule between the conditions of one check.
     """
-    if condition == "I-v":
-        raise ValueError("condition I-v is evaluated by surjectivity.check_surjectivity")
     if condition not in PERIODIC_CONDITIONS + INFINITE_CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}")
-    sector = _nonempty_sector(rule, sector) if condition in ("I-ii", "I-iv") else None
+    sector = _nonempty_sector(rule, sector) if condition in ("I-ii", "I-iv", "I-v") else None
+    if condition == "I-v":
+        # imported here: surjectivity imports this module, and perfbench's
+        # tracer patches surjectivity.check_surjectivity to time its span
+        from .surjectivity import check_surjectivity
+        return check_surjectivity(rule, sector, max_violations)
     holds, listing = _search(rule, condition, sector, graphs or _RuleGraphs(rule))
     if holds:
         return []
@@ -361,16 +365,10 @@ def check_infinite(
     Raises :class:`NoDeterministicSector` when the deterministic sector is
     empty (the rule then admits no infinite-lattice configurations at all).
     """
-    # imported here: surjectivity imports this module, and perfbench's tracer
-    # patches surjectivity.check_surjectivity to time its span
-    from .surjectivity import check_surjectivity
-
     sector = _nonempty_sector(rule)
     graphs = _RuleGraphs(rule)
     reports: list[ConstraintReport] = []
-    for condition in ("I-i", "I-ii", "I-iii", "I-iv"):
+    for condition in INFINITE_CONDITIONS:
         reports.extend(evaluate_condition(
             rule, condition, sector=sector, max_violations=max_violations, graphs=graphs))
-    reports.extend(itertools.islice(
-        check_surjectivity(rule, sector, inside=graphs.inside(sector)), max_violations))
     return Verdict(not reports, "infinite", tuple(reports))

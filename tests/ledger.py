@@ -1,15 +1,18 @@
-"""The verdict ledger: what every op of the benchmark workloads gives.
+"""The verdict ledger: what every op of the benchmark workloads and of the
+tests' noisy grid gives.
 
 ``verdict_ledger.jsonl`` holds one line per op of the decide-unitary,
 list-violations and ring-oracle workloads at seeds 1 and 4, in
-``perfbench/workloads.generate``'s order: its argv (the rule file by its
-name), exit code and number of stdout lines; a ``verify`` op adds its
-verdict and the violated conditions with their report counts, an
-``oracle --json`` op whether its defect is exact.  No float is recorded,
-so the file reads the same under every Python and numpy the package
-supports.  ``tests/test_ledger.py`` replays it.  After a change that is
-meant to move a verdict, rewrite the file and print the entries that
-changed with
+``perfbench/workloads.generate``'s order, then one per ``verify`` of a
+``conftest.noisy_grid`` rule at seeds 0-3: every rule in periodic mode, an
+infinite family's also in infinite mode, keyed "grid <seed> <label>
+<mode>".  Each line has its argv (the rule file by its name), exit code
+and number of stdout lines; a ``verify`` op that printed a verdict adds it
+and the violated conditions with their report counts, an ``oracle
+--json`` op whether its defect is exact.  No float is recorded, so the
+file reads the same under every Python and numpy the package supports.
+``tests/test_ledger.py`` replays it.  After a change that is meant to
+move a verdict, rewrite the file and print the entries that changed with
 
     PYTHONPATH=src python tests/ledger.py
 """
@@ -26,11 +29,15 @@ from collections import Counter
 from pathlib import Path
 
 from qca1d.cli import main
+from qca1d.rules import dump_rule
+
+from conftest import noisy_grid
 
 ROOT = Path(__file__).resolve().parent.parent
 LEDGER = Path(__file__).with_name("verdict_ledger.jsonl")
 WORKLOADS = ("decide-unitary", "list-violations", "ring-oracle")
 SEEDS = (1, 4)
+GRID_SEEDS = range(4)
 
 
 def _workloads():
@@ -56,6 +63,8 @@ def entry(op: str, argv: list[str]) -> dict:
     text = out.getvalue()
     found = {"op": op, "argv": [Path(a).name if a.endswith(".json") else a for a in argv],
              "exit": code, "lines": len(text.splitlines())}
+    if not text:  # a cap trip (exit 3) prints nothing
+        return found
     if argv[0] == "verify" and "--json" in argv:
         verdict = json.loads(text)
         found["verdict"] = "unitary" if verdict["unitary"] else "NOT unitary"
@@ -69,6 +78,16 @@ def entry(op: str, argv: list[str]) -> dict:
     return found
 
 
+def grid_ops(tmp: Path):
+    """(op, argv) of every ``verify`` of the noisy grid, its rule files written under tmp."""
+    for seed in GRID_SEEDS:
+        for i, (label, rule, infinite) in enumerate(noisy_grid(seed)):
+            path = tmp / f"grid{seed}-{i:03d}.json"
+            path.write_text(dump_rule(rule), encoding="utf-8")
+            for mode in ("periodic", "infinite") if infinite else ("periodic",):
+                yield f"grid {seed} {label} {mode}", ["verify", str(path), "--mode", mode]
+
+
 def replay() -> list[dict]:
     """The ledger entries of the ops as the program runs them now."""
     generate = _workloads().generate
@@ -78,6 +97,7 @@ def replay() -> list[dict]:
             for seed in SEEDS:
                 ops = generate(workload, seed, Path(tmp) / f"{workload}-{seed}")
                 entries += [entry(f"{workload} {seed} {i}", op.argv) for i, op in enumerate(ops)]
+        entries += [entry(op, argv) for op, argv in grid_ops(Path(tmp))]
     return entries
 
 

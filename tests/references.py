@@ -10,8 +10,9 @@ decision's batched gather; both interior operators are
 ``rules.window_product`` over the bordered interior's windows.
 
 ``state_transpose`` and ``unit_configs`` serve the covariance and sector
-tests; ``walk_defects`` reads the exact ring defect of every ring size up to
-a bound from one walk, for the ring-contract test.
+tests, ``approx_equal`` the tests that compare two tables; ``walk_defects``
+reads the exact ring defect of every ring size up to a bound from one
+walk, for the ring-contract test.
 """
 
 from __future__ import annotations
@@ -182,6 +183,15 @@ def det_factorization_check(
                 * complex(np.linalg.det(reduced)))
     direct = complex(np.linalg.det(restricted))
     return abs(direct - factored) <= rule.tolerance * restricted.shape[0]
+
+
+def approx_equal(rule: RuleTable, other: RuleTable, tol: float | None = None) -> bool:
+    """Same shape, and every amplitude within ``tol`` (the rule's tolerance
+    when None) of the other's."""
+    if (rule.q, rule.k) != (other.q, other.k):
+        return False
+    tol = rule.tolerance if tol is None else tol
+    return bool(np.all(np.abs(rule.amplitudes - other.amplitudes) <= tol))
 
 
 def state_transpose(rule: RuleTable, perm: Sequence[int], side: str = "both") -> RuleTable:

@@ -23,7 +23,8 @@ from qca1d.unitarity import (
     _violations,
 )
 
-from conftest import noisy_grid, quantized_shift, unitary_grid, with_noise
+from conftest import (deterministic_shift, noisy_grid, quantized_shift, rendering_cases,
+                      unitary_grid, with_noise)
 from references import walk_defects
 
 CERTIFIED = ("P-i", "I-i", "I-ii")  # False only means "not settled"
@@ -229,6 +230,25 @@ def test_periodic_verdict_is_monotone_in_the_tolerance():
                 violated = {r.condition for r in verdict.reports}
                 assert violated <= before, (label, eps, tol)
                 before = violated
+
+
+def test_every_violated_condition_lists_one_witness_at_a_cut_of_zero():
+    # the grid keeps the sector rows exact, so I-v holds on it: the
+    # rendering cases and a deterministic shift violate it
+    sample = [*noisy_grid(2), *((f"rendering {mode}", rule, mode == "infinite")
+                                for mode, rule in rendering_cases()),
+              ("shift(2,4)", deterministic_shift(2, 4), True)]
+    checked = 0
+    for label, rule, infinite in sample:
+        for check in (check_periodic, check_infinite) if infinite else (check_periodic,):
+            try:
+                violated = {r.condition for r in check(rule).reports}
+            except CapExceeded:
+                continue
+            cut = [r.condition for r in check(rule, max_violations=0).reports]
+            assert sorted(cut) == sorted(violated), (label, check.__name__)
+            checked += bool(violated)
+    assert checked > 100
 
 
 def test_periodic_verdict_bounds_the_ring_defects():

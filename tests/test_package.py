@@ -62,16 +62,27 @@ def referenced_names(node):
 
 
 def test_every_top_level_def_is_reached_by_the_program_or_its_users():
-    # roots: cli.main, module-level code other than imports, and every name
-    # that the demos, perfbench or the README's code spans mention; the walk
-    # follows names, so two defs of one name are reached together
+    # roots: cli.main, module-level code other than imports, the dunder
+    # methods, and every name that the demos, perfbench or the README's code
+    # spans mention; the walk follows names, so two defs of one name are
+    # reached together.  A class's methods are defs of their own: reaching
+    # the class follows its bases, decorators and fields, not their bodies.
     defs, roots = {}, {"main"}  # defs: name -> [(label, node)]
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(stmt, (*functions, ast.ClassDef)):
                 defs.setdefault(stmt.name, []).append((f"{path.name}:{stmt.lineno} {stmt.name}", stmt))
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 roots |= referenced_names(stmt)
+            if isinstance(stmt, ast.ClassDef):
+                methods = [sub for sub in stmt.body if isinstance(sub, functions)]
+                for method in methods:
+                    label = f"{path.name}:{method.lineno} {stmt.name}.{method.name}"
+                    defs.setdefault(method.name, []).append((label, method))
+                    if method.name.startswith("__") and method.name.endswith("__"):
+                        roots.add(method.name)
+                stmt.body = [sub for sub in stmt.body if sub not in methods]
     for path in [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
         roots |= set(IDENTIFIER.findall(path.read_text(encoding="utf-8")))
     for span in re.findall(r"```.*?```|`[^`\n]+`", README, re.S):

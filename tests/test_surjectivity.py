@@ -8,7 +8,8 @@ from qca1d import (
     deterministic_sector,
     make_family,
 )
-from qca1d.rules import all_configs, parity_transform
+from qca1d.graphs import sector_mask
+from qca1d.rules import all_configs, config_index, parity_transform
 from qca1d.surjectivity import _oriented_reports, check_surjectivity
 
 from conftest import F21_00_SAMPLE, deterministic_shift, identity_rule, noisy_grid
@@ -230,6 +231,37 @@ def test_check_surjectivity_empty_sector(f21_00):
         check_surjectivity(f21_00, frozenset())
 
 
+def permuted_parity_transform(rule):
+    """The reference for ``parity_transform``: one gathered row per config,
+    the row of its reversal."""
+    perm = [config_index(tuple(reversed(cfg)), rule.q) for cfg in rule.configs()]
+    return RuleTable(rule.q, rule.k, rule.amplitudes[perm], rule.tolerance)
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
+                                 (4, 2)])
+def test_mirrored_reading_reads_reversed_table_and_sector(q, k, monkeypatch):
+    rng = np.random.default_rng(100 * q + k)
+    readings = []
+
+    def recorded(rule, inside):
+        readings.append((rule, inside))
+        return _oriented_reports(rule, inside)
+
+    monkeypatch.setattr("qca1d.surjectivity._oriented_reports", recorded)
+    rule = RuleTable(q, k, rng.normal(size=(q**k, q)) + 1j * rng.normal(size=(q**k, q)), 1e3)
+    mirrored = parity_transform(rule)
+    assert mirrored.amplitudes.tobytes() == permuted_parity_transform(rule).amplitudes.tobytes()
+    assert mirrored.tolerance == rule.tolerance
+    # a tolerance of 1e3 makes every quantity a violation, so both readings run
+    sector = frozenset(c for c in all_configs(q, k) if rng.random() < 0.5) or {(0,) * k}
+    assert check_surjectivity(rule, sector)
+    (_, inside), (reversed_rule, reversed_inside) = readings
+    assert np.array_equal(inside, sector_mask(sector, q, k))
+    assert np.array_equal(reversed_inside, sector_mask({c[::-1] for c in sector}, q, k))
+    assert reversed_rule.amplitudes.tobytes() == mirrored.amplitudes.tobytes()
+
+
 def reference_reports(rule, sector):
     """I-v reports of the rightward reading: one ``border_scalar`` per
     coupled sector pair (rho, rho') and prefix gamma, then one determinant
@@ -267,7 +299,7 @@ def test_oriented_reports_match_border_scalar_reference():
     compared = 0
     for label, rule in reference_rules():
         sector = deterministic_sector(rule)
-        reports = list(_oriented_reports(rule, sector))
+        reports = list(_oriented_reports(rule, sector_mask(sector, rule.q, rule.k)))
         expected = reference_reports(rule, sector)
         assert [r.witness for r in reports] == [w for w, _ in expected], label
         for report, (_, value) in zip(reports, expected):

@@ -126,10 +126,23 @@ def test_sector_mismatch_cycle_condition():
     assert bad and all(len(r.witness) == 1 for r in bad)
 
 
-def test_evaluate_condition_rejects_surjectivity(f21_00):
-    with pytest.raises(ValueError):
-        evaluate_condition(f21_00, "I-v")
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("max_violations", [-1, 0, 1])
+def test_surjectivity_alone_fails_the_infinite_verdict_at_every_cut(max_violations):
+    rule = make_family("f21_00", dict(F21_00_SAMPLE, theta=np.pi / 2))
+    verdict = check_infinite(rule, max_violations=max_violations)
+    assert not verdict.unitary
+    assert [(r.condition, r.witness) for r in verdict.reports] == [
+        ("I-v", ("scalar", (1,), (0, 0), (0, 0)))]
+
+
+def test_evaluate_condition_evaluates_surjectivity_and_rejects_unknown_names(f21_00):
+    assert evaluate_condition(f21_00, "I-v") == []
+    cos_zero = make_family("f21_00", dict(F21_00_SAMPLE, theta=np.pi / 2))
+    assert [r.witness for r in evaluate_condition(cos_zero, "I-v")] == [
+        ("scalar", (1,), (0, 0), (0, 0))]
+    with pytest.raises(NoDeterministicSector):
+        evaluate_condition(RuleTable(2, 2, np.full((4, 2), 1 / np.sqrt(2))), "I-v")
+    with pytest.raises(ValueError, match="unknown condition 'Q-i'"):
         evaluate_condition(f21_00, "Q-i")
 
 
