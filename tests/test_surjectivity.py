@@ -231,6 +231,15 @@ def test_check_surjectivity_empty_sector(f21_00):
         check_surjectivity(f21_00, frozenset())
 
 
+def test_surjectivity_lists_the_first_reports_of_the_rightward_reading():
+    rule = deterministic_shift(2, 5)
+    sector = deterministic_sector(rule)
+    every = list(_oriented_reports(rule, sector_mask(sector, 2, 5)))
+    assert len(every) > 100
+    for max_violations in (-1, 0, 1, 7, 100, len(every) + 1):
+        assert check_surjectivity(rule, sector, max_violations) == every[:max(max_violations, 1)]
+
+
 def permuted_parity_transform(rule):
     """The reference for ``parity_transform``: one gathered row per config,
     the row of its reversal."""
