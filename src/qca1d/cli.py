@@ -10,8 +10,8 @@ deterministic sector, and a ``simulate`` state that is not a list of
 [re, im] number pairs, not finite or not normalized), 3 an input over one
 of the resource caps defined in ``qca1d.graphs`` (``graphs.CapExceeded``).
 The environment variable QCA_CYCLE_CAP overrides the cap on the edges
-that one enumeration (a condition's witness listing, a ``paths`` run)
-examines.  Identical arguments produce identical output.
+that one enumeration (a P-i, I-i or I-ii witness listing, a ``paths``
+run) examines.  Identical arguments produce identical output.
 
 In-process callers (test suites, benchmark harnesses, notebooks) may call
 ``main(argv)`` many times: it builds the argument parser on the first call

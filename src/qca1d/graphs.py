@@ -17,11 +17,12 @@ Both graphs are numpy arrays indexed by config (:class:`Graph`): norm edge
 i is config i, pair edge i is the pair (i // q^k, i % q^k).  One kernel,
 :class:`Walk`, steps every walk over either graph, in a (plus, times)
 semiring: the unitarity conditions are decided on boolean config masks by
-``cycle_reach`` and ``reaches`` in (or, and), and ``oracle.walk_defect``
-takes max-times and min-times closed walks.  ``iter_cycles`` and
-``iter_paths`` list witness cycles and paths, each as its edge indices, edge
-labels and weight.  The deterministic sector is a greatest fixpoint on a
-config mask, tested by a batched ``reaches`` and on (2k-1)-cell strings.
+``cycle_reach`` and ``reaches`` in (or, and), and their mismatch witnesses
+read off by ``shortest_walks``; ``oracle.walk_defect`` takes max-times and
+min-times closed walks.  ``iter_cycles`` and ``iter_paths`` enumerate walks
+depth first, each as its edge indices, edge labels and weight.  The
+deterministic sector is a greatest fixpoint on a config mask, tested by a
+batched ``reaches`` and on (2k-1)-cell strings.
 """
 
 from __future__ import annotations
@@ -299,6 +300,58 @@ def reaches(edges: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarra
         np.greater(frontier, seen, out=frontier)  # frontier & ~seen, in one call
         seen |= frontier
     return found
+
+
+def shortest_walks(edges: np.ndarray, sources, inside: np.ndarray,
+                   stop: np.ndarray | None = None, limit: int = 1) -> list[list[int]]:
+    """One shortest walk per source, the first ``limit`` found, by
+    breadth-first search of the mask ``edges`` (laid out as for
+    :func:`reaches`), each as its edge indices: from each flat vertex of
+    ``sources`` to the mask ``stop`` through ``inside``; with ``stop`` None,
+    a cycle back through vertices of ``inside`` above the source, its minimal
+    vertex as in :func:`iter_cycles`.  A source without one is skipped.
+    Sources are batch columns of a :class:`Walk`, in blocks of at most
+    ``MAX_PAIR_ENTRIES`` vertex entries; ties go to the smallest prepended
+    digit (axis 0 of ``Walk.products``) and the smallest end vertex.
+    """
+    d, n = edges.ndim, inside.shape[0]
+    q, size = edges.shape[0] // n, n**d
+    vertex = np.arange(size).reshape(inside.shape + (1,))
+    walks, first = [], 0
+    while len(walks) < limit and first < len(sources):
+        # the walks still wanted plus the sources skipped so far
+        width = min(max(1, MAX_PAIR_ENTRIES // size), limit + first - 2 * len(walks))
+        block, first = np.asarray(sources[first:first + width]), first + width
+        walk, width = Walk(q, n, d, block.shape), block.size
+        step, frontier, products = walk.edges(edges), walk.walk, walk.products.reshape(q**d, -1)
+        frontier[...] = start = vertex == block
+        target = start if stop is None else stop[..., None]
+        unseen = inside[..., None] & (vertex > block if stop is None else ~start)
+        via = np.zeros(size * width, np.min_scalar_type(q**d))  # entry v * width + column
+        lengths, ends = np.zeros(width, int), np.zeros(width, int)
+        for length in itertools.count(1):
+            hits = (walk.step(step) & target).reshape(size, width)
+            done = np.flatnonzero(hits.any(axis=0))
+            if done.size:  # each end keeps the digit of its last edge
+                lengths[done], ends[done] = length, hits[:, done].argmax(axis=0) * width + done
+                via[ends[done]] = products[:, ends[done]].argmax(axis=0)
+                unseen[..., done] = False
+            frontier &= unseen
+            unseen ^= frontier
+            new = np.flatnonzero(frontier)
+            if not new.size:
+                break
+            via[new] = products[:, new].argmax(axis=0)
+        for col in np.flatnonzero(lengths).tolist():  # each walk read back from its end
+            v, back = int(ends[col]) // width, []
+            for _ in range(lengths[col]):
+                c, edge, pred = int(via[v * width + col]), 0, 0
+                for axis in range(d - 1, -1, -1):  # the config and predecessor on each axis
+                    u, digit = v // n**axis % n, c // q**axis % q
+                    edge, pred = edge * q * n + digit * n + u, pred * n + digit * (n // q) + u // q
+                back, v = [edge, *back], pred
+            walks.append(back)
+    return walks[:limit]
 
 
 # ---------------------------------------------------------------------------

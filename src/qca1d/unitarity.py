@@ -36,15 +36,14 @@ Each condition is first decided on numpy arrays indexed by config:
   diagonal back to it (``graphs.reaches``).  Both search the mask itself,
   one step of the boolean ``graphs.Walk`` at a time, and are exact.
 
-A condition that holds returns no reports and builds neither graph.  A
-failing condition's decision hands its masks to the witness listing, which
-enumerates cycles or paths of ``graphs.rule_graph`` / ``graphs.pair_graph``
-over the mismatch mask that decided it, P-ii and I-iv cycles among the
-vertices the decision found a cycle reaches; enumeration also settles P-i,
-I-i or I-ii where the certificate cannot.  The search carries each walk's
-configs and weight on its stack, so a listed witness costs its last edge,
-not a pass over its length.  QCA_CYCLE_CAP bounds the edges that this
-listing examines, not the decisions.
+A condition that holds lists nothing; a failing one hands the masks of
+its decision to the witness listing.  P-i, I-i and I-ii enumerate cycles or
+paths of ``graphs.rule_graph`` within QCA_CYCLE_CAP examined edges, which
+also settles them where the certificate cannot.  P-ii, I-iv, P-iii and
+I-iii list one shortest walk per root over their mask, roots ascending
+(``graphs.shortest_walks``): a cycle from each cycle-reached vertex, its
+minimal vertex, or a path from each diagonal vertex back to the diagonal,
+each weight taken pair by pair (``rules.vdots``), so no pair graph is built.
 """
 
 from __future__ import annotations
@@ -65,12 +64,12 @@ from .graphs import (
     iter_paths,
     mismatch_support,
     norm_potential,
-    pair_graph,
     reaches,
     rule_graph,
     sector_mask,
+    shortest_walks,
 )
-from .rules import Config, RuleTable, config_str
+from .rules import Config, RuleTable, config_str, vdots
 
 PERIODIC_CONDITIONS = ("P-i", "P-ii", "P-iii")
 INFINITE_CONDITIONS = ("I-i", "I-ii", "I-iii", "I-iv", "I-v")
@@ -207,10 +206,6 @@ class _RuleGraphs:
         return rule_graph(self.rule)
 
     @cached_property
-    def pair(self) -> Graph:
-        return pair_graph(self.rule)
-
-    @cached_property
     def potential(self) -> tuple[np.ndarray, float]:
         return norm_potential(self.rule)
 
@@ -235,6 +230,19 @@ def _certified(log_bound: float, tol: float) -> bool:
         return False
 
 
+def _pair_walks(rule: RuleTable, walks: list[list[int]]) -> list[tuple[list[int], tuple, complex]]:
+    """(walk, configs, weight) per pair-graph walk, as ``graphs.iter_cycles``
+    yields them: edge weights from ``rules.vdots``, real ones as floats,
+    multiplied left to right, as ``Graph.product`` does."""
+    amps, configs = rule.amplitudes, list(rule.configs())
+    a, b = np.divmod(np.array([e for walk in walks for e in walk], int), len(configs))
+    weights = [w.real if w.imag == 0 else w for w in vdots(amps[a], amps[b]).tolist()]
+    pairs = list(zip(map(configs.__getitem__, a.tolist()), map(configs.__getitem__, b.tolist())))
+    ends = np.cumsum([0, *map(len, walks)]).tolist()
+    return [(walk, tuple(pairs[i:j]), complex(math.prod(weights[i:j])))
+            for walk, i, j in zip(walks, ends, ends[1:])]
+
+
 def _search(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs):
     """Decide a condition on arrays, without enumeration.
 
@@ -242,14 +250,14 @@ def _search(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs):
     mismatch conditions are decided exactly.  P-i, I-i and I-ii are
     certified by the norm potential, with half the tolerance as headroom for
     rounding; False there only means the certificate does not settle the
-    condition.  ``listing()`` returns the graph the witnesses live in and a
-    lazy search for its candidate walks over the masks of this decision,
-    bounded by QCA_CYCLE_CAP; only it builds the graph.
+    condition.  ``listing()`` returns the weight a witness must have and a
+    search of the masks of this decision for a count of candidate walks,
+    as :func:`_violations` takes them; only the listing builds a graph.
     """
     tol = rule.tolerance
     if condition in ("P-i", "I-i"):
         return (_certified(graphs.potential[1], tol),
-                lambda: (graphs.norm, iter_cycles(graphs.norm)))
+                lambda: (1.0, lambda limit: iter_cycles(graphs.norm)))
     if condition == "I-ii":
         # Norm-graph paths between (distinct) sector vertices, interior clear
         # of sector vertices; composite paths factor through these.  Closed
@@ -259,35 +267,33 @@ def _search(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs):
         span = phi[ends]  # its range, max - min, bounds the path log weights
         holds = np.count_nonzero(ends) < 2 or _certified(bound + float(span.max() - span.min()), tol)
 
-        def listing():
+        def paths(limit):
             graph = graphs.norm
             src, dst = graph.src.tolist(), graph.dst.tolist()
-            return graph, (p for p in iter_paths(graph, ends, ends)
-                           if src[p[0][0]] != dst[p[0][-1]])
-        return holds, listing
+            return (p for p in iter_paths(graph, ends, ends) if src[p[0][0]] != dst[p[0][-1]])
+        return holds, lambda: (1.0, paths)
     edges = graphs.support  # the mismatch edges above the tolerance
     if condition == "I-iv":
         inside = graphs.inside(sector)
         edges = edges & inside[:, None] & inside
     diagonal = graphs.diagonal
     if condition in ("P-ii", "I-iv"):
-        reach = cycle_reach(edges, ~diagonal)  # listed cycles start only here
-        return not np.count_nonzero(reach), lambda: (graphs.pair, iter_cycles(
-            graphs.pair, edge_mask=edges.ravel(), vertex_mask=reach.ravel()))
-    return not reaches(edges, diagonal, diagonal), lambda: (graphs.pair, iter_paths(
-        graphs.pair, diagonal.ravel(), diagonal.ravel(), edge_mask=edges.ravel(),
-        interior_mask=~diagonal.ravel()))
+        reach = cycle_reach(edges, ~diagonal)  # each listed cycle's minimal vertex is here
+        return not np.count_nonzero(reach), lambda: (0.0, lambda limit: _pair_walks(rule,
+            shortest_walks(edges, np.flatnonzero(reach), reach, None, limit)))
+    return not reaches(edges, diagonal, diagonal), lambda: (0.0, lambda limit: _pair_walks(rule,
+        shortest_walks(edges, np.flatnonzero(diagonal), ~diagonal, diagonal, limit)))
 
 
-def _violations(rule, condition, graph, walks, max_violations) -> list[ConstraintReport]:
+def _violations(rule, condition, target, walks, max_violations) -> list[ConstraintReport]:
     """The walks that violate a condition, at least one when there is one,
-    at most ``max_violations``: norm-graph walks whose weight is off 1 by
-    more than the tolerance, and every walk over surviving mismatch edges.
-    ``walks`` yields (walk, configs, weight) as ``graphs.iter_cycles`` does.
+    at most ``max_violations``: norm-graph walks whose weight is off the
+    ``target`` 1 by more than the tolerance, and every mismatch walk (target
+    0).  ``walks(count)`` yields (walk, configs, weight) as
+    ``graphs.iter_cycles`` does, all candidates or at most ``count``.
     """
-    target = 1.0 if graph.kind == "single" else 0.0
     reports = []
-    for _, configs, w in walks:
+    for _, configs, w in walks(max(max_violations, 1)):
         if target == 0.0 or abs(w - target) > rule.tolerance:  # any surviving mismatch walk fails
             reports.append(ConstraintReport(condition, configs, w, abs(w - target)))
             if len(reports) >= max_violations:
@@ -317,9 +323,9 @@ def evaluate_condition(
     violated, at most ``max_violations``.
 
     The condition is decided on arrays first; only when that decision does
-    not return "holds" are cycles or paths enumerated to list the
-    witnesses, and QCA_CYCLE_CAP (default 10**6) bounds the edges that
-    enumeration examines.  Surjectivity (I-v) is decided and listed by
+    not return "holds" are witnesses listed, norm-graph ones by an
+    enumeration whose examined edges QCA_CYCLE_CAP (default 10**6) bounds.
+    Surjectivity (I-v) is decided and listed by
     ``surjectivity.check_surjectivity``.  The sector for I-ii, I-iv and I-v
     is computed on demand when not supplied; ``graphs`` shares the graphs
     of one rule between the conditions of one check.

