@@ -207,10 +207,8 @@ def is_deterministic(rule: RuleTable) -> bool:
 
 
 def rule_to_dict(rule: RuleTable) -> dict:
-    amplitudes = {}
-    for cfg in rule.configs():
-        vec = rule.vector(cfg)
-        amplitudes[config_str(cfg)] = [[float(z.real), float(z.imag)] for z in vec]
+    amplitudes = dict(zip(map(config_str, rule.configs()),
+                          rule.amplitudes.view(float).reshape(-1, rule.q, 2).tolist()))
     return {"q": rule.q, "k": rule.k, "tolerance": rule.tolerance, "amplitudes": amplitudes}
 
 

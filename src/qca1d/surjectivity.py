@@ -25,8 +25,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphs import MAX_PAIR_ENTRIES, check_cap, sector_mask
-from .rules import Config, RuleTable, all_configs, config_digits, parity_transform, window_indices
+from .graphs import MAX_PAIR_ENTRIES, check_cap
+from .rules import RuleTable, all_configs, config_digits, parity_transform, window_indices
 from .unitarity import DEFAULT_MAX_VIOLATIONS, ConstraintReport
 
 
@@ -58,10 +58,12 @@ def _oriented_reports(rule: RuleTable, inside: np.ndarray) -> Iterator[Constrain
         yield from (ConstraintReport("I-v", ("det", prefixes[g]), d, abs(d)) for g, d in singular)
 
 
-def check_surjectivity(rule: RuleTable, sector: frozenset[Config],
+def check_surjectivity(rule: RuleTable, inside: np.ndarray,
                        max_violations: int = DEFAULT_MAX_VIOLATIONS) -> list[ConstraintReport]:
-    """Violations of the surjectivity constraints, as I-v reports: at least
-    one when there is one, at most ``max_violations``.
+    """Violations of the surjectivity constraints over the deterministic
+    sector, given as its config mask ``inside`` (``graphs.sector_mask``),
+    as I-v reports: at least one when there is one, at most
+    ``max_violations``.
 
     Border scalars are checked for every coupled sector pair (rho, rho')
     and every prefix gamma; extension-matrix determinants once per gamma
@@ -79,10 +81,9 @@ def check_surjectivity(rule: RuleTable, sector: frozenset[Config],
     more than ``MAX_PAIR_ENTRIES`` window entries raises ``CapExceeded``
     before it is allocated.
     """
-    if not sector:
+    if not inside.any():
         raise ValueError("the deterministic sector is empty")
     q, k = rule.q, rule.k
-    inside = sector_mask(sector, q, k)
     reports = _oriented_reports(rule, inside)
     first = next(reports, None)
     if first is None or next(_oriented_reports(

@@ -36,18 +36,21 @@ Each condition is first decided on numpy arrays indexed by config:
   diagonal back to it (``graphs.reaches``).  Both search the mask itself,
   one step of the boolean ``graphs.Walk`` at a time, and are exact.
 
-A condition that holds lists nothing; a failing one hands the masks of
-its decision to the witness listing.  P-i, I-i and I-ii enumerate cycles or
-paths of ``graphs.rule_graph`` within QCA_CYCLE_CAP examined edges, which
-also settles them where the certificate cannot.  P-ii, I-iv, P-iii and
-I-iii list one shortest walk per root over their mask, roots ascending
-(``graphs.shortest_walks``): a cycle from each cycle-reached vertex, its
-minimal vertex, or a path from each diagonal vertex back to the diagonal,
-each weight taken pair by pair (``rules.vdots``), so no pair graph is built.
+Each decision comes with one stream of its violations, listed from the
+masks of the decision when it is read, and ``evaluate_condition`` alone
+cuts it; a condition that holds lists nothing.  P-i, I-i and I-ii
+enumerate cycles or paths of ``graphs.rule_graph`` within QCA_CYCLE_CAP
+examined edges, which also settles them where the certificate cannot.
+P-ii, I-iv, P-iii and I-iii list one shortest walk per root over their
+mask, roots ascending (``graphs.shortest_walks``): a cycle from each
+cycle-reached vertex, its minimal vertex, or a path from each diagonal
+vertex back to the diagonal, each weight taken pair by pair
+(``rules.vdots``), so no pair graph is built.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -230,34 +233,39 @@ def _certified(log_bound: float, tol: float) -> bool:
         return False
 
 
-def _pair_walks(rule: RuleTable, walks: list[list[int]]) -> list[tuple[list[int], tuple, complex]]:
-    """(walk, configs, weight) per pair-graph walk, as ``graphs.iter_cycles``
-    yields them: edge weights from ``rules.vdots``, real ones as floats,
+def _mismatch_reports(rule: RuleTable, condition: str, walks: list[list[int]]):
+    """A report per pair-graph walk, each a violation: its config pairs and
+    its weight, edge weights from ``rules.vdots``, real ones as floats,
     multiplied left to right, as ``Graph.product`` does."""
     amps, configs = rule.amplitudes, list(rule.configs())
     a, b = np.divmod(np.array([e for walk in walks for e in walk], int), len(configs))
     weights = [w.real if w.imag == 0 else w for w in vdots(amps[a], amps[b]).tolist()]
     pairs = list(zip(map(configs.__getitem__, a.tolist()), map(configs.__getitem__, b.tolist())))
     ends = np.cumsum([0, *map(len, walks)]).tolist()
-    return [(walk, tuple(pairs[i:j]), complex(math.prod(weights[i:j])))
-            for walk, i, j in zip(walks, ends, ends[1:])]
+    for i, j in zip(ends, ends[1:]):
+        w = complex(math.prod(weights[i:j]))
+        yield ConstraintReport(condition, tuple(pairs[i:j]), w, abs(w))
 
 
 def _search(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs):
     """Decide a condition on arrays, without enumeration.
 
-    Returns ``(holds, listing)``.  True means the condition holds.  The
+    Returns ``(holds, reports)``.  True means the condition holds.  The
     mismatch conditions are decided exactly.  P-i, I-i and I-ii are
     certified by the norm potential, with half the tolerance as headroom for
     rounding; False there only means the certificate does not settle the
-    condition.  ``listing()`` returns the weight a witness must have and a
-    search of the masks of this decision for a count of candidate walks,
-    as :func:`_violations` takes them; only the listing builds a graph.
+    condition.  ``reports(count)`` yields the violations, listed from the
+    masks of this decision: norm-graph walks whose weight is off 1 by more
+    than the tolerance, and every surviving mismatch walk, of which it lists
+    at most ``count``.  Only the norm-graph listing builds a graph.
     """
     tol = rule.tolerance
+
+    def off_one(walks):
+        return (ConstraintReport(condition, configs, w, abs(w - 1))
+                for _, configs, w in walks if abs(w - 1) > tol)
     if condition in ("P-i", "I-i"):
-        return (_certified(graphs.potential[1], tol),
-                lambda: (1.0, lambda limit: iter_cycles(graphs.norm)))
+        return _certified(graphs.potential[1], tol), lambda count: off_one(iter_cycles(graphs.norm))
     if condition == "I-ii":
         # Norm-graph paths between (distinct) sector vertices, interior clear
         # of sector vertices; composite paths factor through these.  Closed
@@ -266,12 +274,8 @@ def _search(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs):
         ends = _sector_vertices(rule, graphs.inside(sector))
         span = phi[ends]  # its range, max - min, bounds the path log weights
         holds = np.count_nonzero(ends) < 2 or _certified(bound + float(span.max() - span.min()), tol)
-
-        def paths(limit):
-            graph = graphs.norm
-            src, dst = graph.src.tolist(), graph.dst.tolist()
-            return (p for p in iter_paths(graph, ends, ends) if src[p[0][0]] != dst[p[0][-1]])
-        return holds, lambda: (1.0, paths)
+        return holds, lambda count: off_one(p for p in iter_paths(graphs.norm, ends, ends)
+                                            if p[1][0][:-1] != p[1][-1][1:])
     edges = graphs.support  # the mismatch edges above the tolerance
     if condition == "I-iv":
         inside = graphs.inside(sector)
@@ -279,26 +283,10 @@ def _search(rule: RuleTable, condition: str, sector, graphs: _RuleGraphs):
     diagonal = graphs.diagonal
     if condition in ("P-ii", "I-iv"):
         reach = cycle_reach(edges, ~diagonal)  # each listed cycle's minimal vertex is here
-        return not np.count_nonzero(reach), lambda: (0.0, lambda limit: _pair_walks(rule,
-            shortest_walks(edges, np.flatnonzero(reach), reach, None, limit)))
-    return not reaches(edges, diagonal, diagonal), lambda: (0.0, lambda limit: _pair_walks(rule,
-        shortest_walks(edges, np.flatnonzero(diagonal), ~diagonal, diagonal, limit)))
-
-
-def _violations(rule, condition, target, walks, max_violations) -> list[ConstraintReport]:
-    """The walks that violate a condition, at least one when there is one,
-    at most ``max_violations``: norm-graph walks whose weight is off the
-    ``target`` 1 by more than the tolerance, and every mismatch walk (target
-    0).  ``walks(count)`` yields (walk, configs, weight) as
-    ``graphs.iter_cycles`` does, all candidates or at most ``count``.
-    """
-    reports = []
-    for _, configs, w in walks(max(max_violations, 1)):
-        if target == 0.0 or abs(w - target) > rule.tolerance:  # any surviving mismatch walk fails
-            reports.append(ConstraintReport(condition, configs, w, abs(w - target)))
-            if len(reports) >= max_violations:
-                break
-    return reports
+        return not np.count_nonzero(reach), lambda count: _mismatch_reports(
+            rule, condition, shortest_walks(edges, np.flatnonzero(reach), reach, None, count))
+    return not reaches(edges, diagonal, diagonal), lambda count: _mismatch_reports(
+        rule, condition, shortest_walks(edges, np.flatnonzero(diagonal), ~diagonal, diagonal, count))
 
 
 def _nonempty_sector(rule: RuleTable, sector: frozenset[Config] | None = None) -> frozenset[Config]:
@@ -325,6 +313,7 @@ def evaluate_condition(
     The condition is decided on arrays first; only when that decision does
     not return "holds" are witnesses listed, norm-graph ones by an
     enumeration whose examined edges QCA_CYCLE_CAP (default 10**6) bounds.
+    This is the one place a condition's report stream is cut.
     Surjectivity (I-v) is decided and listed by
     ``surjectivity.check_surjectivity``.  The sector for I-ii, I-iv and I-v
     is computed on demand when not supplied; ``graphs`` shares the graphs
@@ -333,18 +322,28 @@ def evaluate_condition(
     if condition not in PERIODIC_CONDITIONS + INFINITE_CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}")
     sector = _nonempty_sector(rule, sector) if condition in ("I-ii", "I-iv", "I-v") else None
+    graphs = graphs or _RuleGraphs(rule)
     if condition == "I-v":
         # imported here: surjectivity imports this module, and perfbench's
         # tracer patches surjectivity.check_surjectivity to time its span
         from .surjectivity import check_surjectivity
-        return check_surjectivity(rule, sector, max_violations)
-    holds, listing = _search(rule, condition, sector, graphs or _RuleGraphs(rule))
+        return check_surjectivity(rule, graphs.inside(sector), max_violations)
+    holds, reports = _search(rule, condition, sector, graphs)
     if holds:
         return []
+    count = max(max_violations, 1)
     try:
-        return _violations(rule, condition, *listing(), max_violations)
+        return list(itertools.islice(reports(count), count))
     except CapExceeded as exc:
         raise CapExceeded(f"{condition}: {exc}") from None
+
+
+def _check(rule: RuleTable, mode: str, conditions: tuple[str, ...], max_violations: int,
+           sector: frozenset[Config] | None = None) -> Verdict:
+    graphs = _RuleGraphs(rule)
+    reports = tuple(r for condition in conditions for r in evaluate_condition(
+        rule, condition, sector=sector, max_violations=max_violations, graphs=graphs))
+    return Verdict(not reports, mode, reports)
 
 
 def check_periodic(
@@ -353,12 +352,7 @@ def check_periodic(
     max_violations: int = DEFAULT_MAX_VIOLATIONS,
 ) -> Verdict:
     """Decide unitarity of the evolution on every periodic lattice at once."""
-    graphs = _RuleGraphs(rule)
-    reports: list[ConstraintReport] = []
-    for condition in PERIODIC_CONDITIONS:
-        reports.extend(evaluate_condition(
-            rule, condition, max_violations=max_violations, graphs=graphs))
-    return Verdict(not reports, "periodic", tuple(reports))
+    return _check(rule, "periodic", PERIODIC_CONDITIONS, max_violations)
 
 
 def check_infinite(
@@ -371,10 +365,4 @@ def check_infinite(
     Raises :class:`NoDeterministicSector` when the deterministic sector is
     empty (the rule then admits no infinite-lattice configurations at all).
     """
-    sector = _nonempty_sector(rule)
-    graphs = _RuleGraphs(rule)
-    reports: list[ConstraintReport] = []
-    for condition in INFINITE_CONDITIONS:
-        reports.extend(evaluate_condition(
-            rule, condition, sector=sector, max_violations=max_violations, graphs=graphs))
-    return Verdict(not reports, "infinite", tuple(reports))
+    return _check(rule, "infinite", INFINITE_CONDITIONS, max_violations, _nonempty_sector(rule))

@@ -9,17 +9,26 @@ infinite family's also in infinite mode, keyed "grid <seed> <label>
 <mode>".  Each line has its argv (the rule file by its name), exit code
 and number of stdout lines; a ``verify`` op that printed a verdict adds it
 and the violated conditions with their report counts, an ``oracle
---json`` op whether its defect is exact.  No float is recorded, so the
-file reads the same under every Python and numpy the package supports.
-``tests/test_ledger.py`` replays it.  After a change that is meant to
-move a verdict, rewrite the file and print the entries that changed with
+--json`` op whether its defect is exact.  ``sha256`` is the hash of the
+op's stdout, so it records the printed floats too.  Every other field is
+float free and reads the same under every Python and numpy the package
+supports; ``tests/test_ledger.py`` replays the file and compares those.
+To compare every field, the hash included, against a file written on the
+same host, without rewriting it, run
+
+    PYTHONPATH=src python tests/ledger.py --check
+
+After a change that is meant to move a verdict, rewrite the file and
+print the entries that changed with
 
     PYTHONPATH=src python tests/ledger.py
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -62,7 +71,8 @@ def entry(op: str, argv: list[str]) -> dict:
         code = main(argv)
     text = out.getvalue()
     found = {"op": op, "argv": [Path(a).name if a.endswith(".json") else a for a in argv],
-             "exit": code, "lines": len(text.splitlines())}
+             "exit": code, "lines": len(text.splitlines()),
+             "sha256": hashlib.sha256(text.encode()).hexdigest()}
     if not text:  # a cap trip (exit 3) prints nothing
         return found
     if argv[0] == "verify" and "--json" in argv:
@@ -105,6 +115,11 @@ def read() -> list[dict]:
     return [json.loads(line) for line in LEDGER.read_text(encoding="utf-8").splitlines()]
 
 
+def float_free(entries: list[dict]) -> list[dict]:
+    """The entries without their stdout hash."""
+    return [{field: value for field, value in e.items() if field != "sha256"} for e in entries]
+
+
 def changes(old: list[dict], new: list[dict]) -> list[str]:
     """The entries that differ, removed ones as "- entry", added as "+ entry"."""
     before, after = {e["op"]: e for e in old}, {e["op"]: e for e in new}
@@ -124,4 +139,12 @@ def rewrite() -> None:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Rewrite the verdict ledger, or check it.")
+    parser.add_argument("--check", action="store_true",
+                        help="list the entries that differ, stdout hash included, and "
+                             "exit 1 if any does; the file is left as it is")
+    if parser.parse_args().check:
+        lines = changes(read(), replay())
+        print("\n".join(lines) or "no entry changed")
+        sys.exit(bool(lines))
     rewrite()

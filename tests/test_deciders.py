@@ -24,7 +24,6 @@ from qca1d.unitarity import (
     PERIODIC_CONDITIONS,
     _RuleGraphs,
     _search,
-    _violations,
     evaluate_condition,
     verdict_from_json,
 )
@@ -61,42 +60,6 @@ def _grid(seed):
                 yield f"{label} tol={tilted.tolerance!r}", tilted, infinite
 
 
-def _mismatch_cycle_exists(g2, sector, tol):
-    """Plain depth-first cycle search over the mismatch edges of a pair
-    graph: the reference when listing the first witness hits the cap."""
-    mismatch, diagonal = g2.mismatch, g2.diagonal
-
-    def usable(e, configs):
-        return (mismatch[e] and abs(g2.weight[e]) > tol
-                and (sector is None or all(c in sector for c in configs))
-                and not diagonal[g2.src[e]]
-                and not diagonal[g2.dst[e]])
-
-    succ = {}
-    for e, configs in enumerate(g2.configs(range(len(g2.edges)))):
-        if usable(e, configs):
-            succ.setdefault(int(g2.src[e]), []).append(int(g2.dst[e]))
-    state = {}  # 1 on the stack, 2 done
-    for root in succ:
-        if root in state:
-            continue
-        state[root] = 1
-        stack = [(root, iter(succ[root]))]
-        while stack:
-            vertex, it = stack[-1]
-            for t in it:
-                if state.get(t) == 1:
-                    return True
-                if t not in state:
-                    state[t] = 1
-                    stack.append((t, iter(succ.get(t, ()))))
-                    break
-            else:
-                state[vertex] = 2
-                stack.pop()
-    return False
-
-
 def _conditions(rule, infinite):
     yield from ((c, None) for c in PERIODIC_CONDITIONS)
     sector = deterministic_sector(rule) if infinite else None
@@ -112,12 +75,8 @@ def test_array_decision_matches_enumeration(seed, monkeypatch):
     for label, rule, infinite in _grid(seed):
         graphs = _RuleGraphs(rule)
         for condition, sector in _conditions(rule, infinite):
-            holds, listing = _search(rule, condition, sector, graphs)
-            try:
-                violated = bool(_violations(rule, condition, *listing(), 1))
-            except CapExceeded:
-                assert condition in ("P-ii", "I-iv"), (label, condition)
-                violated = _mismatch_cycle_exists(pair_graph(rule), sector, rule.tolerance)
+            holds, reports = _search(rule, condition, sector, graphs)
+            violated = next(reports(1), None) is not None
             if condition in CERTIFIED:
                 settled[condition] += holds
                 ok = not (holds and violated)
@@ -174,14 +133,37 @@ def test_each_cycle_search_runs_once(monkeypatch, f21):
         return {r.condition for r in check(rule).reports}, len(calls)
 
     assert count(check_periodic, with_noise(f21, 1e-3)) == ({"P-i", "P-ii", "P-iii"}, 1)
-    f31 = make_family("f31_000", random_params("f31_000", np.random.default_rng(0)))
-    noisy = with_noise(f31, 1e-3, keep=deterministic_sector(f31))
-    assert count(check_infinite, noisy) == ({"I-i", "I-iii"}, 1)
-    # parallel 000 and 111 vectors: a sector mismatch loop, so I-iv is listed
-    loop = make_family("f31_000_111", {"m1": 1.5, "m2": 0.6}).amplitudes.copy()
-    loop[7] = loop[0]
-    violated, searches = count(check_infinite, RuleTable(2, 3, loop))
+    assert count(check_infinite, _violating("I-i")[0]) == ({"I-i", "I-iii"}, 1)
+    violated, searches = count(check_infinite, _violating("I-iv")[0])
     assert "I-iv" in violated and searches == 1
+
+
+def _violating(condition):
+    """A rule that violates the condition with more than one report, and
+    its sector when the condition is an infinite one."""
+    if condition in PERIODIC_CONDITIONS:
+        return with_noise(quantized_shift(2, 3), 1e-3), None
+    if condition == "I-iv":  # parallel 000 and 111 vectors: a sector mismatch loop
+        amps = make_family("f31_000_111", {"m1": 1.5, "m2": 0.6}).amplitudes.copy()
+        amps[7] = amps[0]
+        rule = RuleTable(2, 3, amps)
+    else:  # I-ii needs two sector vertices, and noisy f31_000 has one
+        name = "f31_000_111" if condition == "I-ii" else "f31_000"
+        exact = make_family(name, random_params(name, np.random.default_rng(0)))
+        rule = with_noise(exact, 1e-3, keep=deterministic_sector(exact))
+    return rule, deterministic_sector(rule)
+
+
+@pytest.mark.parametrize("condition", [*PERIODIC_CONDITIONS, *INFINITE_CONDITIONS[:4]])
+def test_evaluate_condition_cuts_the_report_stream(condition):
+    # the listing of a violated condition is cut in one place: a cut of m
+    # keeps the first max(m, 1) reports of the uncut stream
+    rule, sector = _violating(condition)
+    every = evaluate_condition(rule, condition, sector=sector, max_violations=10**6)
+    assert len(every) > 1
+    for m in (-1, 0, 1, 3):
+        cut = evaluate_condition(rule, condition, sector=sector, max_violations=m)
+        assert cut == every[:max(m, 1)], m
 
 
 MISMATCH = ("P-ii", "P-iii", "I-iii", "I-iv")

@@ -179,12 +179,12 @@ def test_det_factorization_interior_bound(f21_00):
 
 
 def test_check_surjectivity_passes(f21_00):
-    assert check_surjectivity(f21_00, deterministic_sector(f21_00)) == []
+    assert check_surjectivity(f21_00, sector_mask(deterministic_sector(f21_00), 2, 2)) == []
 
 
 def test_check_surjectivity_cos_zero():
     rule = make_family("f21_00", dict(F21_00_SAMPLE, theta=np.pi / 2))
-    reports = check_surjectivity(rule, deterministic_sector(rule))
+    reports = check_surjectivity(rule, sector_mask(deterministic_sector(rule), 2, 2))
     assert [r.witness for r in reports] == [("scalar", (1,), (0, 0), (0, 0))]
     assert reports[0].value == pytest.approx(0.0, abs=1e-12)
 
@@ -208,7 +208,7 @@ def test_check_surjectivity_middle_frame_quiescent():
     rule = RuleTable(2, 3, amps)
     sector = deterministic_sector(rule)
     assert sector == {(0, 0, 0)}
-    reports = check_surjectivity(rule, sector)
+    reports = check_surjectivity(rule, sector_mask(sector, 2, 3))
     assert reports
     assert any(r.witness[0] == "scalar" and r.witness[1] == (0, 1) for r in reports)
 
@@ -217,7 +217,7 @@ def test_check_surjectivity_parity_fallback():
     rule = make_family("f31_000", {"r1": 1.2, "m2": 0.8, "m6": 1.1, "theta01": 0.4,
                                    "theta10": 0.9, "theta11": 1.3})
     flipped = parity_transform(rule)
-    assert check_surjectivity(flipped, deterministic_sector(flipped)) == []
+    assert check_surjectivity(flipped, sector_mask(deterministic_sector(flipped), 2, 3)) == []
 
 
 def test_restricted_nonsingular_for_passing_rules(f21_00):
@@ -228,16 +228,17 @@ def test_restricted_nonsingular_for_passing_rules(f21_00):
 
 def test_check_surjectivity_empty_sector(f21_00):
     with pytest.raises(ValueError):
-        check_surjectivity(f21_00, frozenset())
+        check_surjectivity(f21_00, np.zeros(4, dtype=bool))
 
 
 def test_surjectivity_lists_the_first_reports_of_the_rightward_reading():
     rule = deterministic_shift(2, 5)
     sector = deterministic_sector(rule)
-    every = list(_oriented_reports(rule, sector_mask(sector, 2, 5)))
+    inside = sector_mask(sector, 2, 5)
+    every = list(_oriented_reports(rule, inside))
     assert len(every) > 100
     for max_violations in (-1, 0, 1, 7, 100, len(every) + 1):
-        assert check_surjectivity(rule, sector, max_violations) == every[:max(max_violations, 1)]
+        assert check_surjectivity(rule, inside, max_violations) == every[:max(max_violations, 1)]
 
 
 def permuted_parity_transform(rule):
@@ -264,7 +265,7 @@ def test_mirrored_reading_reads_reversed_table_and_sector(q, k, monkeypatch):
     assert mirrored.tolerance == rule.tolerance
     # a tolerance of 1e3 makes every quantity a violation, so both readings run
     sector = frozenset(c for c in all_configs(q, k) if rng.random() < 0.5) or {(0,) * k}
-    assert check_surjectivity(rule, sector)
+    assert check_surjectivity(rule, sector_mask(sector, q, k))
     (_, inside), (reversed_rule, reversed_inside) = readings
     assert np.array_equal(inside, sector_mask(sector, q, k))
     assert np.array_equal(reversed_inside, sector_mask({c[::-1] for c in sector}, q, k))
